@@ -25,6 +25,7 @@ from .errors import (
     ComputationError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvariantError,
     NotAMultipleError,
     NotARootError,
     NotASolutionError,

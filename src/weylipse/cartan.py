@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .errors import (
@@ -174,7 +175,7 @@ class CartanData:
     def __str__(self) -> str:
         return str(self.spec)
 
-    @property
+    @cached_property
     def two_delta(self) -> tuple[int, ...]:
         # the sum of all positive roots; always integral
         return tuple(int(2 * d) for d in self.delta)

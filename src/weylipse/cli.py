@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _json_int(v: int):
     return v if abs(v) < SAFE_INT else str(v)
 
@@ -249,8 +259,11 @@ def _cmd_bruhat(args) -> int:
                 file=sys.stderr,
             )
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(emit_dot(poset))
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(emit_dot(poset))
+        except OSError as exc:
+            raise ComputationError(f"cannot write {args.dot}: {exc.strerror or exc}") from None
     if args.json:
         print(json.dumps(_poset_json(poset), indent=2))
     elif not args.dot:
@@ -302,7 +315,7 @@ def build_parser() -> _Parser:
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--expand", action="store_true", help="include orbit elements (subject to cap)")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = add("expand", _cmd_expand, help="expand one orbit from a starting point")
     p.add_argument("--point", default=None, help="comma-separated start, default origin")

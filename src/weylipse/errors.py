@@ -60,3 +60,7 @@ class NotAMultipleError(ComputationError):
 
 class CapExceededError(ComputationError):
     """An enumeration hit its configured size bound; partial results are discarded."""
+
+
+class InvariantError(ComputationError):
+    """A check that protects a computed result failed: the result is not returned."""

@@ -17,11 +17,10 @@ zero coordinates of h.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cartan import CartanData, parabolic_order, weyl_order
-from .errors import CapExceededError, NotASolutionError, NotOnEllipsoidError
+from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
 from .exact import max_shifted_root, solve_shifted_root
 from .quadrics import h_vector, primary_form, secondary_form
 
@@ -53,7 +52,10 @@ def _scaled_secondary(cd: CartanData) -> tuple[list[list[int]], int]:
     c = sum(g[i][j] for i in range(n) for j in range(n))
     for i in range(n):
         for j in range(n):
-            assert g[i][j] == g[j][i] and g[i][j] >= 0
+            if g[i][j] != g[j][i] or g[i][j] < 0:
+                raise InvariantError(
+                    f"scaled secondary matrix of {cd.spec} is not symmetric and nonnegative"
+                )
     return g, c
 
 
@@ -109,6 +111,8 @@ def enumerate_secondary_nonneg(cd: CartanData, threads: int = 1) -> list[tuple[i
     if threads <= 1 or cd.n == 1:
         sols = _dfs_nonneg(g, c)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         top = max_shifted_root(g[0][0], 0, c)
         slices = [(g, c, [v]) for v in range(top + 1)]
         sols = []
@@ -117,7 +121,11 @@ def enumerate_secondary_nonneg(cd: CartanData, threads: int = 1) -> list[tuple[i
                 sols.extend(chunk)
     sols.sort()
     form = secondary_form(cd)
-    assert all(form.value(h) == 0 for h in sols)
+    for h in sols:
+        if form.value(h) != 0:
+            raise InvariantError(
+                f"census produced {h}, which is not a secondary solution of {cd.spec}"
+            )
     return sols
 
 
@@ -147,7 +155,8 @@ def orbit_size(h, cd: CartanData) -> int:
         )
     stabilizer = parabolic_order(cd, [i + 1 for i, v in enumerate(h) if v == 0])
     order = weyl_order(cd)
-    assert order % stabilizer == 0
+    if order % stabilizer:
+        raise InvariantError(f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}")
     return order // stabilizer
 
 
@@ -158,7 +167,8 @@ def orbit_seeds(cd: CartanData, threads: int = 1) -> list[OrbitRecord]:
         minimal = _integral_minimal(h, cd)
         if minimal is None:
             continue
-        assert primary_form(cd).value(minimal) == 0
+        if primary_form(cd).value(minimal) != 0:
+            raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
         records.append(OrbitRecord(h=h, minimal=minimal, size=orbit_size(h, cd)))
     records.sort(key=lambda r: r.minimal)
     return records
@@ -174,13 +184,14 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     if any(not isinstance(v, int) for v in a) or primary_form(cd).value(a) != 0:
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
     n = cd.n
-    A = cd.A
+    columns = tuple(zip(*cd.A))
     seen = {a}
-    stack = [a]
+    # each stack entry carries h = 1 - A x; T_i changes it by -h_i A[:, i]
+    stack = [(a, h_vector(a, cd))]
     while stack:
-        x = stack.pop()
+        x, h = stack.pop()
         for i in range(n):
-            hi = 1 - sum(A[i][j] * x[j] for j in range(n))
+            hi = h[i]
             if hi == 0:
                 continue
             y = x[:i] + (x[i] + hi,) + x[i + 1 :]
@@ -190,7 +201,7 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
                         f"orbit of {a} in {cd.spec} exceeds cap {cap}"
                     )
                 seen.add(y)
-                stack.append(y)
+                stack.append((y, tuple(v - hi * c for v, c in zip(h, columns[i]))))
     return sorted(seen)
 
 

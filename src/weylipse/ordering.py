@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, Root, positive_roots
-from .errors import NotInMainOrbitError
+from .errors import InvariantError, NotInMainOrbitError
 from .quadrics import h_vector
 from .weyl import GroupTable, P_map, WeylElement, word_to_element
 
@@ -141,17 +141,19 @@ def bruhat_from_subwords(table: GroupTable) -> Poset:
 
     The set of products of all subsequences of a reduced word of w is exactly
     the lower interval [identity, w]; covers are the transitive reduction.
+    Each word is read right to left, and every letter s_i multiplies the
+    products collected so far on the left, which on P-vectors is T_i.
     """
     nodes = table.nodes
     index = table.index
-    rmul = table.right_multiplication
+    lmul = table.left_multiplication
     identity_idx = index[(0,) * table.cd.n]
     n = len(nodes)
     down = [0] * n  # bitmask of strictly-below indices
     for w_idx, p in enumerate(nodes):
         reachable = {identity_idx}
-        for letter in table.elements[p].word:
-            reachable |= {rmul[letter - 1][u] for u in reachable}
+        for letter in reversed(table.elements[p].word):
+            reachable |= {lmul[letter - 1][u] for u in reachable}
         mask = 0
         for u in reachable:
             if u != w_idx:
@@ -201,8 +203,23 @@ def _descend(p, i, cd: CartanData):
     return p[: i - 1] + (p[i - 1] + hi,) + p[i:]
 
 
+def _walk_from_origin(word, cd: CartanData) -> list[int]:
+    # P(s_i1 ... s_ik) = T_i1(... T_ik(0)): apply the letters right to left
+    A = cd.A
+    p = [0] * cd.n
+    for i in reversed(word):
+        row = A[i - 1]
+        p[i - 1] += 1 - sum(a * x for a, x in zip(row, p))
+    return p
+
+
 def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
-    """All reduced expressions of w, by first-letter recursion on P-vectors."""
+    """All reduced expressions of w, by first-letter recursion on P-vectors.
+
+    Every word is checked by a T-walk from the origin, which must land on
+    P(w); the first word is also multiplied out once and compared with w, so
+    a wrong P(w) is caught too.  A failed check raises InvariantError.
+    """
     start = P_map(w, cd)
     memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
@@ -225,9 +242,14 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
 
     words = sorted(words_for(start))
     lengths = {len(word) for word in words}
-    assert len(lengths) == 1, "reduced words of one element must share a length"
+    if len(lengths) != 1:
+        raise InvariantError(f"reduced words of {start} in {cd.spec} differ in length")
+    target = list(start)
     for word in words:
-        assert word_to_element(word, cd).mat == w.mat, "word does not reproduce element"
+        if _walk_from_origin(word, cd) != target:
+            raise InvariantError(f"word {word} does not reproduce the element {start}")
+    if word_to_element(words[0], cd).mat != w.mat:
+        raise InvariantError(f"word {words[0]} does not reproduce the element {start}")
     return ReducedWordSet(element=start, length=lengths.pop(), words=tuple(words))
 
 

@@ -137,14 +137,6 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     return tuple(shifted)
 
 
-def on_primary(x, cd: CartanData) -> bool:
-    return primary_form(cd).value(x) == 0
-
-
-def on_secondary(h, cd: CartanData) -> bool:
-    return secondary_form(cd).value(h) == 0
-
-
 def sphere_identity_holds(x, cd: CartanData) -> bool:
     """Independent membership oracle: <x - delta, x - delta> == <delta, delta>."""
     centered = tuple(Fraction(xi) - di for xi, di in zip(x, cd.delta))

@@ -4,25 +4,33 @@ Matrices act on column vectors of simple-root coordinates; the simple
 reflection s_i sends e_j to e_j - A_ij e_i.  Words multiply left to right,
 so word_to_element([1, 2]) is s_1 s_2 acting as x |-> s_1(s_2(x)).
 
-P(w) = delta - w delta maps the group bijectively onto the main orbit of the
-primary quadric (the identity goes to the origin); S(w) = A w delta = 1 - A P(w)
-is the corresponding point of the secondary quadric.
+P(w) = delta - w delta = (2 delta - w 2 delta) / 2 maps the group bijectively
+onto the main orbit of the primary quadric (the identity goes to the origin);
+S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
+quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
+positive roots.
+
+The group table is built on P-vectors: right multiplication by s_g adds
+column g of w to P(w), that column is a negative root exactly when s_g is a
+right descent of w, and each element's matrix is obtained from its parent's
+by a column update instead of a matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .cartan import CartanData, Root, weyl_order
+from .cartan import CartanData, Root, positive_roots, weyl_order
 from .errors import (
     CapExceededError,
     IndexOutOfRangeError,
+    InvariantError,
     NotAMultipleError,
     NotInMainOrbitError,
 )
-from .exact import Matrix, identity, mat_mul, mat_vec
+from .exact import Matrix, identity, mat_mul
+from .quadrics import h_vector
 
 __all__ = [
     "WeylElement",
@@ -71,6 +79,14 @@ def simple_reflection(i: int, cd: CartanData) -> WeylElement:
     return WeylElement(mat=_reflection_matrix(i, cd), word=(i,))
 
 
+def _times_reflection(mat: Matrix, g: int, A: Matrix) -> Matrix:
+    # mat * s_g for 0-based g: column j gains -A_gj times column g
+    row_g = A[g]
+    return tuple(
+        tuple(v - a * row[g] for v, a in zip(row, row_g)) for row in mat
+    )
+
+
 def word_to_element(word, cd: CartanData) -> WeylElement:
     """Product s_{i1} s_{i2} ... of the word read left to right; [] is the identity."""
     word = tuple(word)
@@ -78,24 +94,31 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
     for i in word:
         if not isinstance(i, int) or not 1 <= i <= cd.n:
             raise IndexOutOfRangeError(f"reflection index {i} out of range 1..{cd.n}")
-        mat = mat_mul(mat, _reflection_matrix(i, cd))
+        mat = _times_reflection(mat, i - 1, cd.A)
     return WeylElement(mat=mat, word=word)
 
 
 def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
-    """delta - w delta, always an integer vector on the primary quadric."""
-    wd = mat_vec(w.mat, cd.delta)
-    out = tuple(d - v for d, v in zip(cd.delta, wd))
-    assert all(Fraction(v).denominator == 1 for v in out)
-    return tuple(int(v) for v in out)
+    """delta - w delta, always an integer vector on the primary quadric.
+
+    Computed as (2 delta - w 2 delta) / 2; an odd coordinate, which no group
+    element gives, raises InvariantError.
+    """
+    two_delta = cd.two_delta
+    out = []
+    for t, row in zip(two_delta, w.mat):
+        v = t - sum(m * d for m, d in zip(row, two_delta))
+        if v % 2:
+            raise InvariantError(
+                f"delta - w delta is not integral for the matrix {w.mat} of {cd.spec}"
+            )
+        out.append(v // 2)
+    return tuple(out)
 
 
 def S_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
     """A w delta = 1 - A P(w); the identity element maps to (1,...,1)."""
-    p = P_map(w, cd)
-    return tuple(
-        1 - sum(cd.A[i][j] * p[j] for j in range(cd.n)) for i in range(cd.n)
-    )
+    return h_vector(P_map(w, cd), cd)
 
 
 @dataclass(eq=False)
@@ -115,15 +138,14 @@ class GroupTable:
         return {p: i for i, p in enumerate(self.nodes)}
 
     @cached_property
-    def right_multiplication(self) -> list[list[int]]:
-        """right_multiplication[g-1][i] = index of nodes[i] * s_g (g 1-based)."""
-        by_mat = {self.elements[p].mat: self.index[p] for p in self.nodes}
-        tables = []
-        for g in range(1, self.cd.n + 1):
-            gm = _reflection_matrix(g, self.cd)
-            tables.append(
-                [by_mat[mat_mul(self.elements[p].mat, gm)] for p in self.nodes]
-            )
+    def left_multiplication(self) -> list[list[int]]:
+        """left_multiplication[g-1][i] = index of s_g * nodes[i] = T_g(nodes[i]) (g 1-based)."""
+        index = self.index
+        tables = [[] for _ in range(self.cd.n)]
+        for p in self.nodes:
+            h = h_vector(p, self.cd)
+            for g, table in enumerate(tables):
+                table.append(index[p[:g] + (p[g] + h[g],) + p[g + 1 :]])
         return tables
 
     def lengths(self) -> tuple[int, ...]:
@@ -133,33 +155,43 @@ class GroupTable:
 def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """Breadth-first closure of the identity under right multiplication by the s_i.
 
-    Keys are P-vectors (a collision would falsify injectivity of P and raises);
-    each element keeps the first word that reached it, whose length is the
-    Coxeter length.
+    Keys are P-vectors, with P(w s_g) = P(w) + w(alpha_g); generators g whose
+    column w(alpha_g) is negative are right descents and are skipped.  Each
+    element keeps the first word that reached it, whose length is the Coxeter
+    length.  InvariantError is raised if an ascent lands on the P-vector of an
+    element of another length (a collision, which would falsify injectivity of
+    P) or if the closure does not have |W| elements.
     """
     total = weyl_order(cd)
     if total > cap:
         raise CapExceededError(f"|W({cd.spec})| = {total} exceeds cap {cap}")
-    gens = [_reflection_matrix(i, cd) for i in range(1, cd.n + 1)]
-    ident = WeylElement(mat=identity(cd.n), word=())
-    elements = {P_map(ident, cd): ident}
-    seen_mats = {ident.mat}
-    frontier = [ident]
+    n, A = cd.n, cd.A
+    ident = WeylElement(mat=identity(n), word=())
+    origin = (0,) * n
+    elements = {origin: ident}
+    frontier = [(origin, ident)]
     while frontier:
         nxt = []
-        for w in frontier:
-            for g in range(cd.n):
-                mat = mat_mul(w.mat, gens[g])
-                if mat in seen_mats:
+        for p, w in frontier:
+            length = len(w.word) + 1
+            for g in range(n):
+                column = [row[g] for row in w.mat]
+                if min(column) < 0:
                     continue
-                seen_mats.add(mat)
-                elem = WeylElement(mat=mat, word=w.word + (g + 1,))
-                key = P_map(elem, cd)
-                assert key not in elements, f"P-vector collision at {key}"
+                key = tuple(x + c for x, c in zip(p, column))
+                seen = elements.get(key)
+                if seen is not None:
+                    if len(seen.word) != length:
+                        raise InvariantError(f"P-vector collision at {key} in {cd.spec}")
+                    continue
+                elem = WeylElement(mat=_times_reflection(w.mat, g, A), word=w.word + (g + 1,))
                 elements[key] = elem
-                nxt.append(elem)
+                nxt.append((key, elem))
         frontier = nxt
-    assert len(elements) == total
+    if len(elements) != total:
+        raise InvariantError(
+            f"group closure of {cd.spec} has {len(elements)} elements, expected {total}"
+        )
     return GroupTable(cd=cd, elements=elements, order=total)
 
 
@@ -197,25 +229,25 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
     """Invert P without enumerating the group, by stripping descents.
 
     If S(a) = 1 - A a has a negative entry i then a = P(s_i w') with
-    P(w') = e_i + s_i(a) one step shorter; iterating reconstructs a word.
+    P(w') = T_i(a) one step shorter; iterating reconstructs a word.  S is
+    updated along the way, S(T_i a) = S(a) - S(a)_i A[:, i].
     """
     a = tuple(a)
-    if len(a) != cd.n or any(not isinstance(v, int) for v in a):
-        raise NotInMainOrbitError(f"{a} is not an integer {cd.n}-vector")
+    n, A = cd.n, cd.A
+    if len(a) != n or any(not isinstance(v, int) for v in a):
+        raise NotInMainOrbitError(f"{a} is not an integer {n}-vector")
     word = []
-    cur = a
+    cur = list(a)
+    s = list(h_vector(a, cd))
     # any element's length is at most the number of positive roots
-    from .cartan import positive_roots
-
     for _ in range(len(positive_roots(cd)) + 1):
-        s = tuple(1 - sum(cd.A[i][j] * cur[j] for j in range(cd.n)) for i in range(cd.n))
-        neg = [i for i in range(cd.n) if s[i] < 0]
-        if not neg:
+        i = next((i for i in range(n) if s[i] < 0), None)
+        if i is None:
             break
-        i = neg[0]
-        refl = _reflection_matrix(i + 1, cd)
-        moved = mat_vec(refl, cur)
-        cur = tuple(moved[r] + (1 if r == i else 0) for r in range(cd.n))
+        si = s[i]
+        cur[i] += si
+        for r in range(n):
+            s[r] -= si * A[r][i]
         word.append(i + 1)
     if any(cur):
         raise NotInMainOrbitError(f"{a} is not in the main orbit of {cd.spec}")

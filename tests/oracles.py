@@ -1,14 +1,14 @@
 """Independent oracles used across the test modules.
 
 Everything here deliberately avoids the library's own search/closure code
-paths: group orders come from raw matrix closure, solution sets from direct
-box scans, Bruhat comparisons from the permutation rank-matrix criterion, and
-descent data from brute-force word search.
+paths: group orders and the group table come from raw matrix closure,
+solution sets from direct box scans, Bruhat comparisons from the permutation
+rank-matrix criterion, and descent data from brute-force word search.
 """
 
 from math import isqrt
 
-from weylipse.exact import identity, mat_mul
+from weylipse.exact import identity, mat_mul, mat_vec
 
 
 def mulclose(mats):
@@ -36,6 +36,32 @@ def reflection_matrices(cd):
             m[i][c] -= cd.A[i][c]
         out.append(tuple(tuple(row) for row in m))
     return out
+
+
+def group_table_by_matrix_closure(cd):
+    """The group as {P-vector: (word, matrix)} by breadth-first closure of the
+    identity under raw right multiplication by the reflection matrices.  Each
+    matrix keeps the first word that reached it; P = delta - w delta is
+    evaluated over fractions."""
+    gens = reflection_matrices(cd)
+    first = {identity(cd.n): ()}
+    frontier = [identity(cd.n)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g, gen in enumerate(gens):
+                prod = mat_mul(m, gen)
+                if prod not in first:
+                    first[prod] = first[m] + (g + 1,)
+                    nxt.append(prod)
+        frontier = nxt
+    table = {}
+    for m, word in first.items():
+        p = tuple(d - v for d, v in zip(cd.delta, mat_vec(m, cd.delta)))
+        assert all(v.denominator == 1 for v in p)
+        table[tuple(int(v) for v in p)] = (word, m)
+    assert len(table) == len(first)
+    return table
 
 
 def group_order_by_closure(cd, indices=None):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from weylipse.cli import main
 
 
@@ -180,6 +182,14 @@ def test_bruhat_json_and_dot(capsys, tmp_path):
     )
 
 
+def test_bruhat_unwritable_dot_is_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "a2.dot"
+    code, out, err = run_cli(capsys, "bruhat", "A2", "--dot", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_bruhat_cap(capsys):
     code, _, err = run_cli(capsys, "bruhat", "E8")
     assert code == 2 and "cap" in err
@@ -218,6 +228,13 @@ def test_unknown_type_and_flags(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "info", "E9")
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "orbits", "A2", "--threads", value)
+    assert code == 1 and out == ""
+    assert "--threads" in err
 
 
 def test_byte_identical_runs(capsys):

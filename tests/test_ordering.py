@@ -1,7 +1,10 @@
 import pytest
 
+import weylipse.ordering
 from weylipse import (
+    InvariantError,
     NotInMainOrbitError,
+    P_map,
     build_cartan,
     build_group_table,
     bruhat_from_primary,
@@ -80,6 +83,30 @@ def test_reduced_words_of_unreduced_input():
     w = word_to_element([1, 1, 2], a2)  # same element as [2]
     rws = reduced_words(w, a2)
     assert rws.words == ((2,),) and rws.length == 1
+
+
+def test_reduced_words_check_rejects_wrong_start(monkeypatch):
+    a3 = cd_of("A3")
+    w = word_to_element([1, 2], a3)
+    wrong = P_map(word_to_element([2, 1], a3), a3)
+    monkeypatch.setattr(weylipse.ordering, "P_map", lambda elem, cd: wrong)
+    with pytest.raises(InvariantError):
+        reduced_words(w, a3)
+
+
+def test_reduced_words_t_walk_rejects_wrong_descent(monkeypatch):
+    a3 = cd_of("A3")
+    w = word_to_element([1, 3], a3)
+    start = P_map(w, a3)
+    descend = weylipse.ordering._descend
+
+    def corrupted(p, i, cd):
+        # stripping s_3 lands on P(s_2) instead of P(s_1); the first word (1, 3) stays right
+        return (0, 1, 0) if (p, i) == (start, 3) else descend(p, i, cd)
+
+    monkeypatch.setattr(weylipse.ordering, "_descend", corrupted)
+    with pytest.raises(InvariantError, match=r"word \(3, 2\)"):
+        reduced_words(w, a3)
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3"])

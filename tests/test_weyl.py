@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,8 @@ from weylipse import (
     NotInMainOrbitError,
     P_map,
     S_map,
+    WeylElement,
+    apply_T,
     build_cartan,
     build_group_table,
     element_from_pvector,
@@ -22,7 +28,9 @@ from weylipse import (
 )
 from weylipse.exact import identity, mat_mul, transpose
 
-from oracles import mulclose, reflection_matrices
+from oracles import group_table_by_matrix_closure, mulclose, reflection_matrices
+
+ENGINE_TYPES = ["A1", "A2", "A3", "A4", "B3", "C3", "G2", "D4", "F4", "B2xA1"]
 
 
 def cd_of(text):
@@ -99,7 +107,44 @@ def test_p_of_simple_reflection_is_basis_vector():
             assert P_map(simple_reflection(i, cd), cd) == expected
 
 
+def test_p_map_check_survives_optimized_mode():
+    import weylipse
+
+    src = os.path.dirname(os.path.dirname(weylipse.__file__))
+    code = (
+        "from weylipse import InvariantError, P_map, WeylElement, build_cartan, parse_type\n"
+        "try:\n"
+        "    print(P_map(WeylElement(mat=((2,),)), build_cartan(parse_type('A1'))))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
+
+
 # --- group table ---
+
+
+@pytest.mark.parametrize("text", ENGINE_TYPES)
+def test_table_matches_matrix_closure(text):
+    cd = cd_of(text)
+    table = build_group_table(cd)
+    got = {p: (w.word, w.mat) for p, w in table.elements.items()}
+    assert got == group_table_by_matrix_closure(cd)
+
+
+@pytest.mark.parametrize("text", ENGINE_TYPES)
+def test_left_multiplication_is_T(text):
+    cd = cd_of(text)
+    table = build_group_table(cd)
+    assert len(table.left_multiplication) == cd.n
+    for g, row in enumerate(table.left_multiplication):
+        assert row == [table.index[apply_T(g + 1, p, cd)] for p in table.nodes]
 
 
 @pytest.mark.parametrize(
