@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvariantError,
+    MalformedFormError,
     NotAMultipleError,
     NotARootError,
     NotASolutionError,

@@ -30,6 +30,7 @@ from math import factorial
 from .errors import (
     BadIndexSetError,
     DimensionMismatchError,
+    InvariantError,
     NotARootError,
     RankOutOfRangeError,
     UnknownFamilyError,
@@ -204,33 +205,37 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
     gram = tuple(tuple(k[i] * A[i][j] for j in range(n)) for i in range(n))
     for i in range(n):
         for j in range(n):
-            assert gram[i][j] == gram[j][i], "symmetrizer failed"
+            if gram[i][j] != gram[j][i]:
+                raise InvariantError(f"symmetrizer of {spec} failed at ({i}, {j})")
     links = tuple(
         tuple(0 if i == j else -gram[i][j] for j in range(n)) for i in range(n)
     )
     for i in range(n):
         for j in range(n):
-            if i != j and A[i][j] != 0:
-                assert links[i][j] == max(k[i], k[j])
+            if i != j and A[i][j] != 0 and links[i][j] != max(k[i], k[j]):
+                raise InvariantError(f"link weight of {spec} at ({i}, {j}) is {links[i][j]}")
 
     Ainv, det = mat_inv(A)
     detA = int(det)
-    assert det == detA and detA > 0
     expected_det = 1
     for fam, rank in spec.components:
         expected_det *= DET_CATALOG[fam](rank)
-    assert detA == expected_det, (spec, detA, expected_det)
+    if det != expected_det:
+        raise InvariantError(f"det A of {spec} is {det}, expected {expected_det}")
 
     adjA = tuple(
         tuple(int(detA * Ainv[i][j]) for j in range(n)) for i in range(n)
     )
     for i in range(n):
         for j in range(n):
-            assert adjA[i][j] == detA * Ainv[i][j], "inverse not 1/detA-integral"
-            assert adjA[i][j] >= 0, "inverse Cartan matrix must be entrywise >= 0"
+            if adjA[i][j] != detA * Ainv[i][j] or adjA[i][j] < 0:
+                raise InvariantError(
+                    f"adjugate of {spec} at ({i}, {j}) is not a nonnegative integer"
+                )
 
     delta = mat_vec(Ainv, (Fraction(1),) * n)
-    assert mat_vec(A, delta) == (Fraction(1),) * n
+    if mat_vec(A, delta) != (Fraction(1),) * n:
+        raise InvariantError(f"A delta != 1 for {spec}")
 
     return CartanData(
         spec=spec,
@@ -284,9 +289,10 @@ def _grade_of(coords: tuple[int, ...], cd: CartanData) -> int:
     # 2<alpha, delta> / <alpha, alpha>; <e_i, delta> = k_i makes the numerator integral
     num = 2 * sum(c * ki for c, ki in zip(coords, cd.k))
     den = bilinear(coords, coords, cd)
-    g = Fraction(num, den)
-    assert g.denominator == 1, f"grade of {coords} is not an integer"
-    return int(g)
+    g, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"grade of {coords} is not an integer")
+    return g
 
 
 def positive_roots(cd: CartanData) -> tuple[Root, ...]:
@@ -296,9 +302,11 @@ def positive_roots(cd: CartanData) -> tuple[Root, ...]:
     """
     every = _all_root_coords(cd)
     pos = sorted(r for r in every if all(c >= 0 for c in r))
-    assert len(every) == 2 * len(pos)
     expected = sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in cd.spec.components)
-    assert len(pos) == expected, (cd.spec, len(pos), expected)
+    if len(every) != 2 * len(pos) or len(pos) != expected:
+        raise InvariantError(
+            f"{cd.spec} has {len(every)} roots, {len(pos)} positive; expected {expected} positive"
+        )
     return tuple(
         Root(coords=r, grade=_grade_of(r, cd), length_sq=bilinear(r, r, cd))
         for r in pos
@@ -352,7 +360,8 @@ def _irreducible_order(cd: CartanData, comp: list[int]) -> int:
     bonds = [(i, j) for i in comp for j in comp if i < j and cd.A[i][j] != 0]
     mult = max(cd.A[i][j] * cd.A[j][i] for i, j in bonds)
     if mult == 3:
-        assert m == 2
+        if m != 2:
+            raise InvariantError(f"triple bond in a {m}-vertex subdiagram is not finite-type")
         return 12
     if mult == 2:
         if m == 4:
@@ -389,7 +398,7 @@ def _irreducible_order(cd: CartanData, comp: list[int]) -> int:
         return _EXCEPTIONAL_ORDER["E7"]
     if arms == [1, 2, 4]:
         return _EXCEPTIONAL_ORDER["E8"]
-    raise AssertionError(f"subdiagram with arms {arms} is not finite-type")
+    raise InvariantError(f"subdiagram with arms {arms} is not finite-type")
 
 
 def parabolic_order(cd: CartanData, generators) -> int:

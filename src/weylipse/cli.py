@@ -37,16 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _json_int(v: int):
     return v if abs(v) < SAFE_INT else str(v)
 
@@ -122,7 +112,7 @@ def _cmd_orbits(args) -> int:
         raise UsageError("--expand is not available with --csv output")
     cd = build_cartan(parse_type(args.type))
     cap = args.cap if args.cap is not None else DEFAULT_EXPAND_CAP
-    records = orbit_seeds(cd, threads=args.threads)
+    records = orbit_seeds(cd)
     if args.expand:
         expanded = []
         for rec in records:
@@ -315,7 +305,6 @@ def build_parser() -> _Parser:
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--expand", action="store_true", help="include orbit elements (subject to cap)")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = add("expand", _cmd_expand, help="expand one orbit from a starting point")
     p.add_argument("--point", default=None, help="comma-separated start, default origin")

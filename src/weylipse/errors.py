@@ -34,6 +34,10 @@ class BadIndexSetError(UsageError):
     pass
 
 
+class MalformedFormError(UsageError):
+    """A quadratic form whose matrix is not symmetric or has an odd diagonal entry."""
+
+
 class ComputationError(WeylipseError):
     """Well-formed request whose answer does not exist or was cut off."""
 

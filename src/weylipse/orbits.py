@@ -6,18 +6,23 @@ h^T G h = c with G = detA * diag(k) * Ainv (a positive-definite integer matrix
 which is entrywise nonnegative for every catalog type), every partial
 assignment of nonnegative coordinates already accounts for a monotone part of
 the sum, so a prefix is viable only while its value stays <= c and each new
-coordinate ranges over an exactly-computed integer interval.  No floating
-point is involved anywhere, so points on the quadric surface cannot be missed.
+coordinate ranges over an exactly-computed integer interval.  The last
+coordinate is not searched: once all others are fixed it solves a quadratic,
+which one integer square root settles in place.  No floating point is
+involved anywhere, so points on the quadric surface cannot be missed.
 
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
 integral; the orbit size is |W| / |W_h| with W_h the parabolic subgroup at the
-zero coordinates of h.
+zero coordinates of h.  One `orbit_seeds` call is one pass over the census:
+the two quadrics and |W| are built once, and |W_h| is computed (and checked to
+divide |W|) once per distinct zero set of h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
@@ -59,9 +64,14 @@ def _scaled_secondary(cd: CartanData) -> tuple[list[list[int]], int]:
     return g, c
 
 
-def _dfs_nonneg(g, c, first_values=None):
-    """All h >= 0 with sum_ij g_ij h_i h_j == c, coordinate 0 restricted if asked."""
+def _dfs_nonneg(g, c):
+    """All h >= 0 with sum_ij g_ij h_i h_j == c, in lexicographic order."""
     n = len(g)
+    last = n - 1
+    if last == 0:
+        v = solve_shifted_root(g[0][0], 0, c)
+        return [] if v is None else [(v,)]
+    g_last = g[last][last]
     out = []
     h = [0] * n
     cross = [0] * n  # cross[j] = sum over fixed i of g_ij h_i
@@ -70,18 +80,22 @@ def _dfs_nonneg(g, c, first_values=None):
         gi = g[depth][depth]
         s = cross[depth]
         budget = c - acc
-        if depth == n - 1:
-            v = solve_shifted_root(gi, s, budget)
-            if v is not None:
-                h[depth] = v
-                out.append(tuple(h))
-                h[depth] = 0
-            return
         top = max_shifted_root(gi, s, budget)
-        values = range(top + 1)
-        if depth == 0 and first_values is not None:
-            values = [v for v in first_values if v <= top]
-        for v in values:
+        if depth == last - 1:
+            # h_last = t solves g_last t^2 + 2 s_v t == rest: t = (r - s_v) / g_last with
+            # r^2 = s_v^2 + g_last rest.  v <= top keeps rest >= 0; t >= 0 iff r >= s_v.
+            s_last, g_cross = cross[last], g[depth][last]
+            for v in range(top + 1):
+                rest = budget - gi * v * v - 2 * s * v
+                s_v = s_last + g_cross * v
+                disc = s_v * s_v + g_last * rest
+                r = isqrt(disc)
+                if r * r == disc and r >= s_v and not (r - s_v) % g_last:
+                    h[depth] = v
+                    out.append((*h[:last], (r - s_v) // g_last))
+            h[depth] = 0
+            return
+        for v in range(top + 1):
             h[depth] = v
             if v:
                 for j in range(depth + 1, n):
@@ -96,30 +110,10 @@ def _dfs_nonneg(g, c, first_values=None):
     return out
 
 
-def _enumerate_slice(args):
-    g, c, values = args
-    return _dfs_nonneg(g, c, first_values=values)
-
-
-def enumerate_secondary_nonneg(cd: CartanData, threads: int = 1) -> list[tuple[int, ...]]:
-    """The complete list of nonnegative integral secondary solutions, sorted.
-
-    With threads > 1 the search tree is split on the first coordinate and the
-    slices run in worker processes; the merged result is identical.
-    """
+def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
+    """The complete list of nonnegative integral secondary solutions, sorted."""
     g, c = _scaled_secondary(cd)
-    if threads <= 1 or cd.n == 1:
-        sols = _dfs_nonneg(g, c)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        top = max_shifted_root(g[0][0], 0, c)
-        slices = [(g, c, [v]) for v in range(top + 1)]
-        sols = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_enumerate_slice, slices):
-                sols.extend(chunk)
-    sols.sort()
+    sols = sorted(_dfs_nonneg(g, c))
     form = secondary_form(cd)
     for h in sols:
         if form.value(h) != 0:
@@ -129,16 +123,31 @@ def enumerate_secondary_nonneg(cd: CartanData, threads: int = 1) -> list[tuple[i
     return sols
 
 
-def _integral_minimal(h, cd: CartanData):
-    """x_h = Ainv (1 - h) as an integer tuple, or None when not integral."""
-    n = cd.n
+def _integral_minimal(h, cd: CartanData, row_sums):
+    """x_h = Ainv (1 - h) = (row_sums - adjA h) / detA as an integer tuple, or None.
+
+    ``row_sums[i]`` is the i-th row sum of adjA; only the nonzero h_j are summed.
+    """
+    support = [(j, v) for j, v in enumerate(h) if v]
     out = []
-    for i in range(n):
-        num = sum(cd.adjA[i][j] * (1 - h[j]) for j in range(n))
+    for row, total in zip(cd.adjA, row_sums):
+        num = total - sum(row[j] * v for j, v in support)
         if num % cd.detA:
             return None
         out.append(num // cd.detA)
     return tuple(out)
+
+
+def _size_at(h, cd: CartanData, order: int, sizes: dict) -> int:
+    """|W| / |W_h| for a checked solution h, memoised in ``sizes`` by the zero set of h."""
+    zeros = tuple(i + 1 for i, v in enumerate(h) if v == 0)
+    size = sizes.get(zeros)
+    if size is None:
+        stabilizer = parabolic_order(cd, zeros)
+        if order % stabilizer:
+            raise InvariantError(f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}")
+        size = sizes[zeros] = order // stabilizer
+    return size
 
 
 def orbit_size(h, cd: CartanData) -> int:
@@ -153,23 +162,23 @@ def orbit_size(h, cd: CartanData) -> int:
         raise NotASolutionError(
             f"{h} is not a nonnegative integral secondary solution of {cd.spec}"
         )
-    stabilizer = parabolic_order(cd, [i + 1 for i, v in enumerate(h) if v == 0])
-    order = weyl_order(cd)
-    if order % stabilizer:
-        raise InvariantError(f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}")
-    return order // stabilizer
+    return _size_at(h, cd, weyl_order(cd), {})
 
 
-def orbit_seeds(cd: CartanData, threads: int = 1) -> list[OrbitRecord]:
+def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
     """Orbit parameters: solutions h with integral x_h, sorted by minimal vector."""
+    primary, order = primary_form(cd), weyl_order(cd)
+    row_sums = [sum(row) for row in cd.adjA]
+    sizes: dict[tuple[int, ...], int] = {}
     records = []
-    for h in enumerate_secondary_nonneg(cd, threads=threads):
-        minimal = _integral_minimal(h, cd)
+    # the census has checked every h against the secondary form before its size is recorded
+    for h in enumerate_secondary_nonneg(cd):
+        minimal = _integral_minimal(h, cd, row_sums)
         if minimal is None:
             continue
-        if primary_form(cd).value(minimal) != 0:
+        if primary.value(minimal) != 0:
             raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
-        records.append(OrbitRecord(h=h, minimal=minimal, size=orbit_size(h, cd)))
+        records.append(OrbitRecord(h=h, minimal=minimal, size=_size_at(h, cd, order, sizes)))
     records.sort(key=lambda r: r.minimal)
     return records
 

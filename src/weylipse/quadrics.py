@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, bilinear
-from .errors import DimensionMismatchError, NotOnEllipsoidError
+from .errors import DimensionMismatchError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
 
 __all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T"]
@@ -40,19 +40,26 @@ class QuadForm:
 
     def __post_init__(self):
         for i in range(self.n):
-            assert self.quad[i][i] % 2 == 0
-            for j in range(self.n):
-                assert self.quad[i][j] == self.quad[j][i]
+            if self.quad[i][i] % 2:
+                raise MalformedFormError(f"quad[{i}][{i}] = {self.quad[i][i]} is odd")
+            for j in range(i + 1, self.n):
+                if self.quad[i][j] != self.quad[j][i]:
+                    raise MalformedFormError(f"quad is not symmetric at ({i}, {j})")
 
     def value(self, x):
         if len(x) != self.n:
             raise DimensionMismatchError(f"expected {self.n}-vector, got {len(x)}")
+        n = self.n
         total = self.constant
-        for i in range(self.n):
-            total += (self.quad[i][i] // 2) * x[i] * x[i] + self.linear[i] * x[i]
-            for j in range(i + 1, self.n):
-                if self.quad[i][j]:
-                    total += self.quad[i][j] * x[i] * x[j]
+        for i in range(n):
+            xi = x[i]
+            if not xi:  # every term with x_i as a factor vanishes
+                continue
+            row = self.quad[i]
+            total += (row[i] // 2) * xi * xi + self.linear[i] * xi
+            for j in range(i + 1, n):
+                if row[j]:
+                    total += row[j] * xi * x[j]
         return total
 
     def contains(self, x) -> bool:

@@ -33,6 +33,7 @@ E8_CENSUS_TARGET = 158
 TABLE_GATE = 20_000
 EXPAND_SUM_GATE = 20_000
 BOX_GATE = 2_000_000
+BOX_RANK_GATE = 4
 BRUHAT_GATE = 200
 EXHAUSTIVE_GROUP_GATE = 48
 WORD_SEARCH_GATE = 20_000
@@ -239,7 +240,11 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
         )
 
     # -- partition of the box scan into orbits --
-    if n <= 4 and box_volume(cd) <= BOX_GATE:
+    if n > BOX_RANK_GATE:
+        results.append(_skip("orbit-partition", f"rank {n} > BOX_RANK_GATE {BOX_RANK_GATE}"))
+    elif (volume := box_volume(cd)) > BOX_GATE:
+        results.append(_skip("orbit-partition", f"box volume {volume} > BOX_GATE {BOX_GATE}"))
+    else:
         scan = box_scan_primary(cd)
         union: set[tuple[int, ...]] = set()
         disjoint = True
@@ -254,11 +259,10 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
             if ok
             else _fail("orbit-partition", "box scan does not match disjoint orbit union")
         )
-    else:
-        results.append(_skip("orbit-partition", "box too large at this rank"))
 
     # -- orbit sizes against expansion; positive-sweep equivalence --
-    if sum(r.size for r in seeds) <= EXPAND_SUM_GATE:
+    size_sum = sum(r.size for r in seeds)
+    if size_sum <= EXPAND_SUM_GATE:
         ok = True
         for rec in seeds:
             elements = expand_orbit(rec.minimal, cd)
@@ -269,7 +273,12 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
             _pass("orbit-size-law") if ok else _fail("orbit-size-law", "size or sweep mismatch")
         )
     else:
-        results.append(_skip("orbit-size-law", "orbits too large to expand"))
+        results.append(
+            _skip(
+                "orbit-size-law",
+                f"orbit sizes sum to {size_sum} > EXPAND_SUM_GATE {EXPAND_SUM_GATE}",
+            )
+        )
 
     # -- group table, bijections, transferred operation --
     if order <= TABLE_GATE:
@@ -315,11 +324,13 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
                 else _fail("transfer-integrality", detail)
             )
         else:
-            results.append(_skip("star-group-axioms", "group too large for exhaustive check"))
-            results.append(_skip("transfer-integrality", "group too large for exhaustive check"))
+            reason = f"|W| = {order} > EXHAUSTIVE_GROUP_GATE {EXHAUSTIVE_GROUP_GATE}"
+            results.append(_skip("star-group-axioms", reason))
+            results.append(_skip("transfer-integrality", reason))
 
         longest = max(table.lengths())
-        if cd.n**longest <= WORD_SEARCH_GATE:
+        words = cd.n**longest
+        if words <= WORD_SEARCH_GATE:
             best = exhaustive_first_letter_search(cd, longest)
             ok = True
             for p in table.nodes:
@@ -336,7 +347,8 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
                 else _fail("first-letter-exhaustive", "descent sets disagree with word search")
             )
         else:
-            results.append(_skip("first-letter-exhaustive", "word search too large"))
+            reason = f"word search {cd.n}^{longest} = {words} > WORD_SEARCH_GATE {WORD_SEARCH_GATE}"
+            results.append(_skip("first-letter-exhaustive", reason))
 
         if order <= BRUHAT_GATE:
             filtered = bruhat_from_primary(table)
@@ -366,10 +378,12 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
                     )
                 )
         else:
-            results.append(_skip("bruhat-implies-componentwise", "group too large"))
-            results.append(_skip("bruhat-constructions-agree", "group too large"))
+            reason = f"|W| = {order} > BRUHAT_GATE {BRUHAT_GATE}"
+            results.append(_skip("bruhat-implies-componentwise", reason))
+            results.append(_skip("bruhat-constructions-agree", reason))
     else:
-        results.append(_skip("group-bijections", f"|W| = {order} exceeds verify gate"))
-        results.append(_skip("bruhat-constructions-agree", f"|W| = {order} exceeds verify gate"))
+        reason = f"|W| = {order} > TABLE_GATE {TABLE_GATE}"
+        results.append(_skip("group-bijections", reason))
+        results.append(_skip("bruhat-constructions-agree", reason))
 
     return results

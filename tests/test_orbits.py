@@ -55,11 +55,6 @@ def test_enumerate_matches_box_scan(text):
     assert [h for h in found if all(v > 0 for v in h)] == [(1,) * cd.n]
 
 
-def test_enumerate_parallel_matches_serial():
-    cd = cd_of("E6")
-    assert enumerate_secondary_nonneg(cd, threads=2) == enumerate_secondary_nonneg(cd)
-
-
 # --- seeds ---
 
 
@@ -98,7 +93,7 @@ def test_seeds_product_type():
     ]
 
 
-@pytest.mark.parametrize("text", SMALL + RANK4)
+@pytest.mark.parametrize("text", SMALL + RANK4 + ["E6xA3"])
 def test_seed_invariants(text):
     cd = cd_of(text)
     form = primary_form(cd)
@@ -112,6 +107,29 @@ def test_seed_invariants(text):
         assert rec.size == orbit_size(rec.h, cd)
     main = next(r for r in seeds if r.h == (1,) * cd.n)
     assert main.minimal == (0,) * cd.n and main.size == order
+
+
+def test_seeds_build_per_type_work_once(monkeypatch):
+    import weylipse.orbits as orbits
+
+    calls = {"parabolic_order": 0, "primary_form": 0, "secondary_form": 0}
+
+    def counting(name):
+        real = getattr(orbits, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(orbits, name, counting(name))
+    seeds = orbit_seeds(cd_of("E7xA2"))
+    zero_sets = {tuple(i for i, v in enumerate(r.h) if v == 0) for r in seeds}
+    assert len(seeds) > len(zero_sets)
+    assert calls["parabolic_order"] == len(zero_sets)
+    assert calls["primary_form"] <= 2 and calls["secondary_form"] <= 2
 
 
 # --- orbit_size ---

@@ -107,15 +107,23 @@ def test_p_of_simple_reflection_is_basis_vector():
             assert P_map(simple_reflection(i, cd), cd) == expected
 
 
-def test_p_map_check_survives_optimized_mode():
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        ("InvariantError", "P_map(WeylElement(mat=((2,),)), build_cartan(parse_type('A1')))"),
+        ("MalformedFormError", "QuadForm(n=1, quad=((1,),), linear=(0,), constant=0)"),
+    ],
+    ids=["P_map", "QuadForm"],
+)
+def test_p_map_check_survives_optimized_mode(error, call):
     import weylipse
 
     src = os.path.dirname(os.path.dirname(weylipse.__file__))
     code = (
-        "from weylipse import InvariantError, P_map, WeylElement, build_cartan, parse_type\n"
+        f"from weylipse import {error}, P_map, QuadForm, WeylElement, build_cartan, parse_type\n"
         "try:\n"
-        "    print(P_map(WeylElement(mat=((2,),)), build_cartan(parse_type('A1'))))\n"
-        "except InvariantError:\n"
+        f"    print({call})\n"
+        f"except {error}:\n"
         "    print('raised')\n"
     )
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
