@@ -62,14 +62,6 @@ def mat_inv(m: Matrix) -> tuple[Matrix, Fraction]:
     return inv, det
 
 
-def isqrt_floor_frac(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative fraction, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    # floor(sqrt(p/q)) = floor(floor(sqrt(p*q)) / q)
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def max_shifted_root(g: int, s: int, budget: int) -> int:
     """Largest t >= 0 with g*t^2 + 2*s*t <= budget, or -1 if none (g > 0, s >= 0).
 
@@ -88,15 +80,3 @@ def max_shifted_root(g: int, s: int, budget: int) -> int:
     if g * t * t + 2 * s * t > budget:
         return -1
     return t
-
-
-def solve_shifted_root(g: int, s: int, budget: int) -> int | None:
-    """The unique t >= 0 with g*t^2 + 2*s*t == budget, if it exists (g > 0, s >= 0)."""
-    if budget < 0:
-        return None
-    disc = s * s + g * budget
-    r = isqrt(disc)
-    if r * r != disc or (r - s) % g:
-        return None
-    t = (r - s) // g
-    return t if t >= 0 else None

@@ -26,7 +26,7 @@ from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
-from .exact import max_shifted_root, solve_shifted_root
+from .exact import max_shifted_root
 from .quadrics import h_vector, primary_form, secondary_form
 
 __all__ = [
@@ -69,8 +69,7 @@ def _dfs_nonneg(g, c):
     n = len(g)
     last = n - 1
     if last == 0:
-        v = solve_shifted_root(g[0][0], 0, c)
-        return [] if v is None else [(v,)]
+        return [(v,) for v in range(isqrt(c // g[0][0]) + 1) if g[0][0] * v * v == c]
     g_last = g[last][last]
     out = []
     h = [0] * n
@@ -167,12 +166,17 @@ def orbit_size(h, cd: CartanData) -> int:
 
 def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
     """Orbit parameters: solutions h with integral x_h, sorted by minimal vector."""
+    return _seeds_from(cd, enumerate_secondary_nonneg(cd))
+
+
+def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
+    """`orbit_seeds` over ``sols``, the output of `enumerate_secondary_nonneg(cd)`."""
     primary, order = primary_form(cd), weyl_order(cd)
     row_sums = [sum(row) for row in cd.adjA]
     sizes: dict[tuple[int, ...], int] = {}
     records = []
     # the census has checked every h against the secondary form before its size is recorded
-    for h in enumerate_secondary_nonneg(cd):
+    for h in sols:
         minimal = _integral_minimal(h, cd, row_sums)
         if minimal is None:
             continue

@@ -7,23 +7,27 @@ Identities doing the heavy lifting:
   main-orbit vector without touching matrices.
 * P(s_i w) = T_i(P(w)): stripping a left descent is the involution T_i applied
   to the P-vector.  The reduced-word recursion therefore runs entirely on
-  integer vectors, memoized per query.
+  integer vectors, memoized per query, and each word is checked by a T-walk.
+
+Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
+of the nodes below it: by pairwise comparison of P-vectors (componentwise) or
+by the products of the subwords of one reduced word (subword property).
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
-cover links whose difference is a positive rational multiple of a positive
-root; `bruhat_from_subwords` is the independent subword-property construction
-used as ground truth when the two are compared.
+cover links whose difference is a positive multiple of a positive root
+(tested by integer cross-multiplication); `bruhat_from_subwords` is the
+independent subword-property construction used as ground truth when the two
+are compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import CartanData, Root, positive_roots
 from .errors import InvariantError, NotInMainOrbitError
 from .quadrics import h_vector
-from .weyl import GroupTable, P_map, WeylElement, word_to_element
+from .weyl import GroupTable, P_map, WeylElement, _t_walk, word_to_element
 
 __all__ = [
     "Poset",
@@ -72,46 +76,48 @@ class Poset:
         return frozenset((self.nodes[a], self.nodes[b]) for a, b in self.relation())
 
 
-def _componentwise_le(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _hasse(down: list[int]) -> set[tuple[int, int]]:
+    """Covers (u, w) of a strict order given by down[w], the bitmask of the nodes below w.
 
-
-def _cover_pairs(nodes) -> set[tuple[int, int]]:
-    n = len(nodes)
-    ups = [
-        [j for j in range(n) if i != j and _componentwise_le(nodes[i], nodes[j])]
-        for i in range(n)
-    ]
+    The covers under w are the nodes below w that lie below no other node below w.
+    """
     covers = set()
-    for i in range(n):
-        for j in ups[i]:
-            if not any(
-                c != j and _componentwise_le(nodes[c], nodes[j]) for c in ups[i]
-            ):
-                covers.add((i, j))
+    for w, below in enumerate(down):
+        shadow, rest = 0, below
+        while rest:
+            low = rest & -rest
+            shadow |= down[low.bit_length() - 1]
+            rest ^= low
+        rest = below & ~shadow
+        while rest:
+            low = rest & -rest
+            covers.add((low.bit_length() - 1, w))
+            rest ^= low
     return covers
 
 
 def primary_poset(table: GroupTable) -> Poset:
     """Hasse diagram of the componentwise order on the P-vector set."""
     nodes = table.nodes
+    # nodes are sorted, so a componentwise smaller node comes earlier
+    down = [
+        sum(1 << i for i in range(j) if all(x <= y for x, y in zip(nodes[i], b)))
+        for j, b in enumerate(nodes)
+    ]
     return Poset(
         nodes=nodes,
-        covers=frozenset(_cover_pairs(nodes)),
+        covers=frozenset(_hasse(down)),
         kind="primary",
         ranks=table.lengths(),
     )
 
 
 def _is_positive_root_multiple(diff, roots: tuple[Root, ...]) -> bool:
+    # diff = (d0 / r0) * root with d0 / r0 > 0, cross-multiplied at the root's pivot
     for root in roots:
         pivot = next(i for i, c in enumerate(root.coords) if c)
-        if diff[pivot] == 0:
-            continue
-        ratio = Fraction(diff[pivot], root.coords[pivot])
-        if ratio > 0 and all(
-            Fraction(d) == ratio * c for d, c in zip(diff, root.coords)
-        ):
+        d0, r0 = diff[pivot], root.coords[pivot]
+        if d0 * r0 > 0 and all(d * r0 == d0 * c for d, c in zip(diff, root.coords)):
             return True
     return False
 
@@ -148,36 +154,16 @@ def bruhat_from_subwords(table: GroupTable) -> Poset:
     index = table.index
     lmul = table.left_multiplication
     identity_idx = index[(0,) * table.cd.n]
-    n = len(nodes)
-    down = [0] * n  # bitmask of strictly-below indices
+    down = [0] * len(nodes)
     for w_idx, p in enumerate(nodes):
         reachable = {identity_idx}
         for letter in reversed(table.elements[p].word):
             reachable |= {lmul[letter - 1][u] for u in reachable}
-        mask = 0
-        for u in reachable:
-            if u != w_idx:
-                mask |= 1 << u
-        down[w_idx] = mask
-    up = [0] * n
-    for w_idx in range(n):
-        mask = down[w_idx]
-        while mask:
-            low = mask & -mask
-            up[low.bit_length() - 1] |= 1 << w_idx
-            mask ^= low
-    covers = set()
-    for u in range(n):
-        mask = up[u]
-        while mask:
-            low = mask & -mask
-            w_idx = low.bit_length() - 1
-            if up[u] & down[w_idx] == 0:
-                covers.add((u, w_idx))
-            mask ^= low
+        reachable.discard(w_idx)
+        down[w_idx] = sum(1 << u for u in reachable)
     return Poset(
         nodes=nodes,
-        covers=frozenset(covers),
+        covers=frozenset(_hasse(down)),
         kind="bruhat_subword",
         ranks=table.lengths(),
     )
@@ -199,18 +185,7 @@ class ReducedWordSet:
 
 def _descend(p, i, cd: CartanData):
     # T_i on the P-vector: strip the descent s_i from the element
-    hi = h_vector(p, cd)[i - 1]
-    return p[: i - 1] + (p[i - 1] + hi,) + p[i:]
-
-
-def _walk_from_origin(word, cd: CartanData) -> list[int]:
-    # P(s_i1 ... s_ik) = T_i1(... T_ik(0)): apply the letters right to left
-    A = cd.A
-    p = [0] * cd.n
-    for i in reversed(word):
-        row = A[i - 1]
-        p[i - 1] += 1 - sum(a * x for a, x in zip(row, p))
-    return p
+    return _t_walk((i,), p, cd)
 
 
 def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
@@ -244,9 +219,9 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     lengths = {len(word) for word in words}
     if len(lengths) != 1:
         raise InvariantError(f"reduced words of {start} in {cd.spec} differ in length")
-    target = list(start)
+    origin = (0,) * cd.n
     for word in words:
-        if _walk_from_origin(word, cd) != target:
+        if _t_walk(word, origin, cd) != start:
             raise InvariantError(f"word {word} does not reproduce the element {start}")
     if word_to_element(words[0], cd).mat != w.mat:
         raise InvariantError(f"word {words[0]} does not reproduce the element {start}")

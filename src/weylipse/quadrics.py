@@ -62,9 +62,6 @@ class QuadForm:
                     total += row[j] * xi * x[j]
         return total
 
-    def contains(self, x) -> bool:
-        return self.value(x) == 0
-
     def equation_text(self, var: str = "x") -> str:
         terms: list[tuple[int, str]] = []
         for i in range(self.n):

@@ -10,15 +10,17 @@ them away. The E8 census target is a plain correctness check.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, bilinear, positive_roots, weyl_order
-from .exact import isqrt_floor_frac, mat_vec
-from .orbits import expand_orbit, _expand_positive_sweep, enumerate_secondary_nonneg, orbit_seeds
+from .exact import mat_vec
+from .oracles import exhaustive_word_search, primary_box, primary_solutions_by_box_scan
+from .orbits import expand_orbit, _expand_positive_sweep, _seeds_from, enumerate_secondary_nonneg
 from .quadrics import apply_T, h_vector, primary_form, secondary_form, sphere_identity_holds
-from .weyl import P_map, S_map, build_group_table, p_alpha_b, star
+from .weyl import S_map, build_group_table, p_alpha_b, star
 from .ordering import bruhat_from_primary, bruhat_from_subwords, first_letters, reduced_words
 
 RNG_SEED = 20260808
@@ -38,6 +40,12 @@ BRUHAT_GATE = 200
 EXHAUSTIVE_GROUP_GATE = 48
 WORD_SEARCH_GATE = 20_000
 
+# the checks that need the group table, in the order they report
+TABLE_CHECKS = (
+    "group-bijections", "star-group-axioms", "transfer-integrality",
+    "first-letter-exhaustive", "bruhat-implies-componentwise", "bruhat-constructions-agree",
+)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -56,68 +64,6 @@ def _fail(name, detail):
 
 def _skip(name, reason):
     return CheckResult(name, "SKIP", reason)
-
-
-def box_scan_primary(cd: CartanData) -> list[tuple[int, ...]]:
-    """Every integral primary solution, by scanning the bounding box
-
-    |x_i - delta_i| <= sqrt(<delta,delta> * (gram^-1)_ii),
-    the exact axis bound of the sphere <x-delta, x-delta> = <delta,delta>.
-    """
-    c = cd.delta_norm_sq
-    radii = [
-        isqrt_floor_frac(c * cd.Ainv[i][i] / cd.k[i]) + 1 for i in range(cd.n)
-    ]
-    lows = [int(cd.delta[i]) - radii[i] for i in range(cd.n)]
-    highs = [int(cd.delta[i]) + radii[i] + 1 for i in range(cd.n)]
-    form = primary_form(cd)
-    found = []
-    point = [0] * cd.n
-
-    def rec(i):
-        if i == cd.n:
-            if form.value(tuple(point)) == 0:
-                found.append(tuple(point))
-            return
-        for v in range(lows[i], highs[i] + 1):
-            point[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return sorted(found)
-
-
-def box_volume(cd: CartanData) -> int:
-    c = cd.delta_norm_sq
-    vol = 1
-    for i in range(cd.n):
-        r = isqrt_floor_frac(c * cd.Ainv[i][i] / cd.k[i]) + 1
-        vol *= 2 * r + 2
-    return vol
-
-
-def exhaustive_first_letter_search(cd: CartanData, max_len: int):
-    """Brute force over all words of length <= max_len: per element, the minimal
-    word length and the set of first letters realizing it."""
-    from .exact import identity, mat_mul
-    from .weyl import _reflection_matrix, WeylElement
-
-    gens = [_reflection_matrix(i, cd) for i in range(1, cd.n + 1)]
-    best: dict[tuple[int, ...], tuple[int, set[int]]] = {}
-
-    def visit(mat, depth, first):
-        p = P_map(WeylElement(mat=mat), cd)
-        if p not in best or depth < best[p][0]:
-            best[p] = (depth, {first} if first else set())
-        elif depth == best[p][0] and first:
-            best[p][1].add(first)
-        if depth == max_len:
-            return
-        for g in range(cd.n):
-            visit(mat_mul(mat, gens[g]), depth + 1, first or g + 1)
-
-    visit(identity(cd.n), 0, 0)
-    return best
 
 
 def run_verification(cd: CartanData) -> list[CheckResult]:
@@ -215,7 +161,7 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
         else _fail("secondary-enumeration", "solution-set laws broken")
     )
 
-    seeds = orbit_seeds(cd)
+    seeds = _seeds_from(cd, sols)
     ok = all(prim.value(r.minimal) == 0 for r in seeds) and sum(
         1 for r in seeds if r.minimal == (0,) * n
     ) == 1
@@ -242,10 +188,10 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
     # -- partition of the box scan into orbits --
     if n > BOX_RANK_GATE:
         results.append(_skip("orbit-partition", f"rank {n} > BOX_RANK_GATE {BOX_RANK_GATE}"))
-    elif (volume := box_volume(cd)) > BOX_GATE:
+    elif (volume := math.prod(hi - lo + 1 for lo, hi in zip(*primary_box(cd)))) > BOX_GATE:
         results.append(_skip("orbit-partition", f"box volume {volume} > BOX_GATE {BOX_GATE}"))
     else:
-        scan = box_scan_primary(cd)
+        scan = primary_solutions_by_box_scan(cd)
         union: set[tuple[int, ...]] = set()
         disjoint = True
         for rec in seeds:
@@ -331,11 +277,11 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
         longest = max(table.lengths())
         words = cd.n**longest
         if words <= WORD_SEARCH_GATE:
-            best = exhaustive_first_letter_search(cd, longest)
+            best = exhaustive_word_search(cd, longest)
             ok = True
             for p in table.nodes:
                 w = table.elements[p]
-                depth, letters = best[p]
+                depth, letters, _ = best[p]
                 ok &= depth == len(w.word)
                 ok &= letters == set(first_letters(w, cd))
                 rw = reduced_words(w, cd)
@@ -383,7 +329,6 @@ def run_verification(cd: CartanData) -> list[CheckResult]:
             results.append(_skip("bruhat-constructions-agree", reason))
     else:
         reason = f"|W| = {order} > TABLE_GATE {TABLE_GATE}"
-        results.append(_skip("group-bijections", reason))
-        results.append(_skip("bruhat-constructions-agree", reason))
+        results.extend(_skip(name, reason) for name in TABLE_CHECKS)
 
     return results

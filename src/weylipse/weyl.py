@@ -14,6 +14,9 @@ The group table is built on P-vectors: right multiplication by s_g adds
 column g of w to P(w), that column is a negative root exactly when s_g is a
 right descent of w, and each element's matrix is obtained from its parent's
 by a column update instead of a matrix product.
+
+Left multiplication is P(s_i w) = T_i(P(w)); the one T-walk `_t_walk` gives
+both `star` and the word checks of `ordering.reduced_words`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     NotAMultipleError,
     NotInMainOrbitError,
 )
-from .exact import Matrix, identity, mat_mul
+from .exact import Matrix, identity
 from .quadrics import h_vector
 
 __all__ = [
@@ -61,22 +64,9 @@ class WeylElement:
         return None if self.word is None else len(self.word)
 
 
-def _reflection_matrix(i: int, cd: CartanData) -> Matrix:
-    # row i-1 of the identity is replaced by (delta_ij - A_ij)
-    return tuple(
-        tuple(
-            (1 if r == c else 0) - (cd.A[i - 1][c] if r == i - 1 else 0)
-            for c in range(cd.n)
-        )
-        for r in range(cd.n)
-    )
-
-
 def simple_reflection(i: int, cd: CartanData) -> WeylElement:
     """s_i as a WeylElement; i is 1-based."""
-    if not isinstance(i, int) or not 1 <= i <= cd.n:
-        raise IndexOutOfRangeError(f"reflection index {i} out of range 1..{cd.n}")
-    return WeylElement(mat=_reflection_matrix(i, cd), word=(i,))
+    return word_to_element((i,), cd)
 
 
 def _times_reflection(mat: Matrix, g: int, A: Matrix) -> Matrix:
@@ -195,17 +185,29 @@ def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTabl
     return GroupTable(cd=cd, elements=elements, order=total)
 
 
+def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
+    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w)."""
+    A = cd.A
+    p = list(start)
+    for i in reversed(word):
+        p[i - 1] += 1 - sum(a * x for a, x in zip(A[i - 1], p))
+    return tuple(p)
+
+
 def star(a, b, table: GroupTable) -> tuple[int, ...]:
-    """The group operation transferred to P-vectors: P(P^-1(a) P^-1(b))."""
+    """The group operation transferred to P-vectors: P(P^-1(a) P^-1(b)).
+
+    The word of P^-1(a) is T-walked from b; no matrix is multiplied.
+    """
     a, b = tuple(a), tuple(b)
     try:
-        wa, wb = table.elements[a], table.elements[b]
+        wa = table.elements[a]
+        table.elements[b]
     except KeyError as missing:
         raise NotInMainOrbitError(
             f"{missing.args[0]} is not a main-orbit vector of {table.cd.spec}"
         ) from None
-    product = WeylElement(mat=mat_mul(wa.mat, wb.mat))
-    return P_map(product, table.cd)
+    return _t_walk(wa.word, b, table.cd)
 
 
 def p_alpha_b(alpha: Root, b, table: GroupTable) -> int:

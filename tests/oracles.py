@@ -4,11 +4,20 @@ Everything here deliberately avoids the library's own search/closure code
 paths: group orders and the group table come from raw matrix closure,
 solution sets from direct box scans, Bruhat comparisons from the permutation
 rank-matrix criterion, and descent data from brute-force word search.
+
+The primary box scan, the word search and the reflection matrices come from
+`weylipse.oracles`, which `weylipse verify` runs too; it keeps the same rule
+(no `primary_form`, no T-moves, no group table), so they stay independent.
 """
 
 from math import isqrt
 
 from weylipse.exact import identity, mat_mul, mat_vec
+from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
+    exhaustive_word_search,
+    primary_solutions_by_box_scan,
+    reflection_matrices,
+)
 
 
 def mulclose(mats):
@@ -26,16 +35,6 @@ def mulclose(mats):
                     nxt.append(prod)
         frontier = nxt
     return seen
-
-
-def reflection_matrices(cd):
-    out = []
-    for i in range(cd.n):
-        m = [[1 if r == c else 0 for c in range(cd.n)] for r in range(cd.n)]
-        for c in range(cd.n):
-            m[i][c] -= cd.A[i][c]
-        out.append(tuple(tuple(row) for row in m))
-    return out
 
 
 def group_table_by_matrix_closure(cd):
@@ -74,41 +73,6 @@ def group_order_by_closure(cd, indices=None):
     return len(mulclose(gens + [identity(cd.n)]))
 
 
-def primary_solutions_by_box_scan(cd):
-    """All integral primary solutions, scanning |x_i - delta_i| <= r_i where
-    r_i^2 = <delta,delta> (gram^-1)_ii, the exact axis bound of the sphere."""
-    c = cd.delta_norm_sq
-    lo, hi = [], []
-    for i in range(cd.n):
-        rad_sq = c * cd.Ainv[i][i] / cd.k[i]
-        r = isqrt(rad_sq.numerator * rad_sq.denominator) // rad_sq.denominator + 1
-        lo.append(int(cd.delta[i]) - r)
-        hi.append(int(cd.delta[i]) + r + 1)
-    found = []
-    point = [0] * cd.n
-
-    def value(x):
-        # sum k_i (x_i^2 - x_i) - sum_links l_ij x_i x_j, written out directly
-        total = 0
-        for i in range(cd.n):
-            total += cd.k[i] * (x[i] * x[i] - x[i])
-            for j in range(i + 1, cd.n):
-                total -= cd.links[i][j] * x[i] * x[j]
-        return total
-
-    def rec(i):
-        if i == cd.n:
-            if value(point) == 0:
-                found.append(tuple(point))
-            return
-        for v in range(lo[i], hi[i] + 1):
-            point[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return sorted(found)
-
-
 def secondary_nonneg_by_box_scan(cd):
     """Nonnegative integral secondary solutions by plain nested-loop scanning."""
     n = cd.n
@@ -129,34 +93,6 @@ def secondary_nonneg_by_box_scan(cd):
 
     rec(0)
     return sorted(found)
-
-
-def exhaustive_word_search(cd, max_len):
-    """All words up to max_len over the generators.
-
-    Returns {pvector: (min_length, first_letters_at_min, reduced_words_set)}.
-    """
-    from weylipse import P_map, WeylElement
-
-    gens = reflection_matrices(cd)
-    best = {}
-
-    def visit(mat, word):
-        p = P_map(WeylElement(mat=mat), cd)
-        depth = len(word)
-        if p not in best or depth < best[p][0]:
-            best[p] = (depth, {word[0]} if word else set(), {word})
-        elif depth == best[p][0]:
-            if word:
-                best[p][1].add(word[0])
-            best[p][2].add(word)
-        if depth == max_len:
-            return
-        for g in range(cd.n):
-            visit(mat_mul(mat, gens[g]), word + (g + 1,))
-
-    visit(identity(cd.n), ())
-    return best
 
 
 # --- Bruhat order on A3 via permutations and the rank-matrix criterion ---

@@ -203,11 +203,16 @@ def test_verify_e8_census_target_passes(capsys):
 
 
 def test_verify_skip_rows_name_their_gate(capsys):
-    code, out, _ = run_cli(capsys, "verify", "D5")
-    assert code == 0
-    skips = [line for line in out.splitlines() if line.startswith("SKIP")]
-    assert skips
-    assert all("GATE" in line or "rank" in line for line in skips)
+    names = {}
+    for text in ("D5", "E6"):
+        code, out, _ = run_cli(capsys, "verify", text)
+        assert code == 0 and "SKIP" in out
+        rows = out.splitlines()[:-1]  # the last line is the summary
+        assert all("GATE" in line or "rank" in line for line in rows if line.startswith("SKIP"))
+        names[text] = [line.split()[1].rstrip(":") for line in rows]
+    # E6 is past TABLE_GATE: each table check still reports, as a SKIP naming |W|
+    assert names["E6"] == names["D5"]
+    assert "SKIP first-letter-exhaustive: |W| = 51840 > TABLE_GATE 20000" in out
 
 
 def test_verify_a3_surfaces_bruhat_divergence(capsys):

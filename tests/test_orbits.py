@@ -132,6 +132,17 @@ def test_seeds_build_per_type_work_once(monkeypatch):
     assert calls["primary_form"] <= 2 and calls["secondary_form"] <= 2
 
 
+def test_verify_runs_the_census_once(monkeypatch):
+    import weylipse.orbits as orbits
+    from weylipse.verify import run_verification
+
+    calls = []
+    real = orbits._dfs_nonneg
+    monkeypatch.setattr(orbits, "_dfs_nonneg", lambda *args: calls.append(args) or real(*args))
+    run_verification(cd_of("E8"))
+    assert len(calls) == 1
+
+
 # --- orbit_size ---
 
 

@@ -216,6 +216,18 @@ def test_star_group_axioms_exhaustive(text):
                 assert prod[(prod[(a, b)], c)] == prod[(a, prod[(b, c)])]
 
 
+@pytest.mark.parametrize("text", ["A3", "G2", "B2xA1"])
+def test_star_matches_matrix_product(text):
+    cd = cd_of(text)
+    table = build_group_table(cd)
+    closure = group_table_by_matrix_closure(cd)
+    for a, (_, ma) in closure.items():
+        for b, (_, mb) in closure.items():
+            assert star(a, b, table) == P_map(WeylElement(mat=mat_mul(ma, mb)), cd)
+    with pytest.raises(NotInMainOrbitError):
+        star((0,) * cd.n, (5,) * cd.n, table)
+
+
 # --- the transferred multiple identity ---
 
 
