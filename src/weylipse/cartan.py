@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     BadIndexSetError,
@@ -181,6 +181,11 @@ class CartanData:
         # the sum of all positive roots; always integral
         return tuple(int(2 * d) for d in self.delta)
 
+    @cached_property
+    def positive_root_count(self) -> int:
+        # |Phi+| from the catalog; `positive_roots` checks its closure against it
+        return sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in self.spec.components)
+
     @property
     def delta_norm_sq(self) -> Fraction:
         # <delta, delta> = sum_i k_i * delta_i
@@ -217,9 +222,7 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
 
     Ainv, det = mat_inv(A)
     detA = int(det)
-    expected_det = 1
-    for fam, rank in spec.components:
-        expected_det *= DET_CATALOG[fam](rank)
+    expected_det = prod(DET_CATALOG[fam](rank) for fam, rank in spec.components)
     if det != expected_det:
         raise InvariantError(f"det A of {spec} is {det}, expected {expected_det}")
 
@@ -302,7 +305,7 @@ def positive_roots(cd: CartanData) -> tuple[Root, ...]:
     """
     every = _all_root_coords(cd)
     pos = sorted(r for r in every if all(c >= 0 for c in r))
-    expected = sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in cd.spec.components)
+    expected = cd.positive_root_count
     if len(every) != 2 * len(pos) or len(pos) != expected:
         raise InvariantError(
             f"{cd.spec} has {len(every)} roots, {len(pos)} positive; expected {expected} positive"

@@ -52,6 +52,12 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {what} {text!r}: expected comma-separated integers")
 
 
+def _cap(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
@@ -111,17 +117,17 @@ def _cmd_orbits(args) -> int:
     if args.csv and args.expand:
         raise UsageError("--expand is not available with --csv output")
     cd = build_cartan(parse_type(args.type))
-    cap = args.cap if args.cap is not None else DEFAULT_EXPAND_CAP
     records = orbit_seeds(cd)
     if args.expand:
         expanded = []
         for rec in records:
-            if rec.size <= cap:
-                elements = tuple(expand_orbit(rec.minimal, cd, cap=cap))
+            if rec.size <= args.cap:
+                elements = tuple(expand_orbit(rec.minimal, cd, cap=args.cap))
                 expanded.append(dataclasses.replace(rec, elements=elements))
             else:
                 print(
-                    f"orbit at h=({_vec(rec.h)}) has size {rec.size} > cap {cap}; elements omitted",
+                    f"orbit at h=({_vec(rec.h)}) has size {rec.size} > cap {args.cap}; "
+                    "elements omitted",
                     file=sys.stderr,
                 )
                 expanded.append(rec)
@@ -162,8 +168,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_expand(args) -> int:
     cd = build_cartan(parse_type(args.type))
     point = _parse_int_vector(args.point, "point") if args.point else (0,) * cd.n
-    cap = args.cap if args.cap is not None else DEFAULT_EXPAND_CAP
-    elements = expand_orbit(point, cd, cap=cap)
+    elements = expand_orbit(point, cd, cap=args.cap)
     if args.json:
         print(json.dumps({"type": str(cd.spec), "elements": [list(e) for e in elements]}))
     else:
@@ -229,8 +234,7 @@ def _cmd_reduced_words(args) -> int:
 
 def _cmd_bruhat(args) -> int:
     cd = build_cartan(parse_type(args.type))
-    cap = args.cap if args.cap is not None else DEFAULT_TABLE_CAP
-    table = build_group_table(cd, cap=cap)
+    table = build_group_table(cd, cap=args.cap)
     diverged = False
     if args.method == "primary":
         poset = bruhat_from_primary(table)
@@ -239,9 +243,10 @@ def _cmd_bruhat(args) -> int:
     else:
         filtered = bruhat_from_primary(table)
         poset = bruhat_from_subwords(table)
-        rel_f, rel_s = filtered.relation(), poset.relation()
-        if rel_f != rel_s:
+        # both are Hasse diagrams, so the orders differ exactly when the covers do
+        if filtered.covers != poset.covers:
             diverged = True
+            rel_f, rel_s = filtered.relation(), poset.relation()
             print(
                 f"bruhat constructions disagree on {cd.spec}: "
                 f"link-filter has {len(rel_f)} relations, subword has {len(rel_s)} "
@@ -304,12 +309,12 @@ def build_parser() -> _Parser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--expand", action="store_true", help="include orbit elements (subject to cap)")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP)
 
     p = add("expand", _cmd_expand, help="expand one orbit from a starting point")
     p.add_argument("--point", default=None, help="comma-separated start, default origin")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP)
 
     p = add("realize", _cmd_realize, help="matrix, P- and S-vector of a word")
     p.add_argument("--word", required=True, help='comma-separated indices, "" for identity')
@@ -324,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["primary", "subword", "both"], default="both")
     p.add_argument("--dot", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_TABLE_CAP)
 
     add("verify", _cmd_verify, help="run the invariant suite sized to this type")
 

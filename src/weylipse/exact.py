@@ -30,10 +30,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def mat_inv(m: Matrix) -> tuple[Matrix, Fraction]:
     """Inverse and determinant by Gauss-Jordan over exact fractions.
 

@@ -1,7 +1,8 @@
 """Brute-force oracles shared by `verify` and the test suite, independent of
 the code they check: a box scan with the primary quadric written out term by
-term (no `primary_form`), and matrix products of all words up to a length (no
-T-moves, no group table)."""
+term (no `primary_form`), matrix products of all words up to a length (no
+T-moves, no group table), and the closure of a point under every T_i with a
+set of seen points (no h carried, no ascent rule)."""
 
 from __future__ import annotations
 
@@ -63,6 +64,20 @@ def primary_solutions_by_box_scan(cd: CartanData) -> list[tuple[int, ...]]:
 
     rec(0)
     return sorted(found)
+
+
+def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:
+    """The orbit of a, sorted: every T_i of every point found, until none is new."""
+    seen = {tuple(a)}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for i, row in enumerate(cd.A):
+            y = x[:i] + (x[i] + 1 - sum(c * v for c, v in zip(row, x)),) + x[i + 1 :]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return sorted(seen)
 
 
 def exhaustive_word_search(cd: CartanData, max_len: int):

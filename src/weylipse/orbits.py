@@ -16,18 +16,20 @@ those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
 integral; the orbit size is |W| / |W_h| with W_h the parabolic subgroup at the
 zero coordinates of h.  One `orbit_seeds` call is one pass over the census:
 the two quadrics and |W| are built once, and |W_h| is computed (and checked to
-divide |W|) once per distinct zero set of h.
+divide |W|) once per distinct zero set of h.  `expand_orbit` knows that size
+before it lists the orbit by the canonical ascent walk from its minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
 from .exact import max_shifted_root
-from .quadrics import h_vector, primary_form, secondary_form
+from .quadrics import _strip_descents, ascend, primary_form, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -152,15 +154,9 @@ def _size_at(h, cd: CartanData, order: int, sizes: dict) -> int:
 def orbit_size(h, cd: CartanData) -> int:
     """|W| / |W_h|, where W_h is generated by the reflections at the zeros of h."""
     h = tuple(h)
-    if (
-        len(h) != cd.n
-        or any(not isinstance(v, int) for v in h)
-        or any(v < 0 for v in h)
-        or secondary_form(cd).value(h) != 0
-    ):
-        raise NotASolutionError(
-            f"{h} is not a nonnegative integral secondary solution of {cd.spec}"
-        )
+    valid = len(h) == cd.n and all(isinstance(v, int) and v >= 0 for v in h)
+    if not valid or secondary_form(cd).value(h) != 0:
+        raise NotASolutionError(f"{h} is not a nonnegative integral secondary solution of {cd.spec}")
     return _size_at(h, cd, weyl_order(cd), {})
 
 
@@ -188,53 +184,20 @@ def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
 
 
 def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple[int, ...]]:
-    """Closure of {a} under all T_i: the full orbit of a, sorted.
+    """The full orbit of a under all T_i, sorted: the ascent walk from a's orbit minimum.
 
-    Raises NotOnEllipsoidError if a is not an integral primary solution and
-    CapExceededError (discarding all work) if the orbit would exceed cap.
+    Raises NotOnEllipsoidError if a is not an integral primary solution,
+    CapExceededError before the walk if the orbit size |W| / |W_h| exceeds
+    cap, and InvariantError unless the walk lists that many distinct points.
     """
     a = tuple(a)
     if any(not isinstance(v, int) for v in a) or primary_form(cd).value(a) != 0:
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
-    n = cd.n
-    columns = tuple(zip(*cd.A))
-    seen = {a}
-    # each stack entry carries h = 1 - A x; T_i changes it by -h_i A[:, i]
-    stack = [(a, h_vector(a, cd))]
-    while stack:
-        x, h = stack.pop()
-        for i in range(n):
-            hi = h[i]
-            if hi == 0:
-                continue
-            y = x[:i] + (x[i] + hi,) + x[i + 1 :]
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(
-                        f"orbit of {a} in {cd.spec} exceeds cap {cap}"
-                    )
-                seen.add(y)
-                stack.append((y, tuple(v - hi * c for v, c in zip(h, columns[i]))))
-    return sorted(seen)
-
-
-def _expand_positive_sweep(a, cd: CartanData) -> list[tuple[int, ...]]:
-    """Generation variant used as a cross-check: only shift along positive h_i.
-
-    Starting from an orbit minimum this increasing sweep must produce the same
-    set as the full closure; tests assert that.
-    """
-    a = tuple(a)
-    n = cd.n
-    seen = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        h = h_vector(x, cd)
-        for i in range(n):
-            if h[i] > 0:
-                y = x[:i] + (x[i] + h[i],) + x[i + 1 :]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return sorted(seen)
+    minimal, h, _ = _strip_descents(a, cd)
+    size = _size_at(h, cd, weyl_order(cd), {})
+    if size > cap:
+        raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")
+    points = sorted(ascend(minimal, h, cd))
+    if len(points) != size or any(x == y for x, y in pairwise(points)):
+        raise InvariantError(f"walk from {minimal} in {cd.spec}: not {size} distinct points")
+    return points

@@ -12,6 +12,8 @@ Identities doing the heavy lifting:
 Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
 of the nodes below it: by pairwise comparison of P-vectors (componentwise) or
 by the products of the subwords of one reduced word (subword property).
+`Poset.relation` rebuilds those bitmasks from the covers in one pass in node
+order, since every cover goes up in it.
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root
@@ -54,23 +56,24 @@ class Poset:
         return sorted((self.nodes[a], self.nodes[b]) for a, b in self.covers)
 
     def relation(self) -> frozenset[tuple[int, int]]:
-        """Strict reachability over covers, as ordered index pairs."""
-        n = len(self.nodes)
-        up = [[] for _ in range(n)]
+        """Strict reachability over covers, as ordered index pairs.
+
+        Covers go up in node order: both orders lie inside the componentwise
+        order, and the nodes are sorted.  One that goes down raises InvariantError.
+        """
+        below = [[] for _ in self.nodes]
         for a, b in self.covers:
-            up[a].append(b)
-        pairs = set()
-        for start in range(n):
-            stack = list(up[start])
-            seen = set()
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                pairs.add((start, v))
-                stack.extend(up[v])
-        return frozenset(pairs)
+            if a >= b:
+                raise InvariantError(f"{self.kind} cover ({a}, {b}) goes down in node order")
+            below[b].append(a)
+        down = []
+        for lower in below:
+            mask = 0
+            for a in lower:
+                mask |= down[a] | 1 << a
+            down.append(mask)
+        rows = (enumerate(bin(mask)[:1:-1]) for mask in down)  # (a, "1") for each a below w
+        return frozenset((a, w) for w, row in enumerate(rows) for a, bit in row if bit == "1")
 
     def relation_vectors(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
         return frozenset((self.nodes[a], self.nodes[b]) for a, b in self.relation())

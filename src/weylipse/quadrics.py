@@ -7,6 +7,9 @@ secondary form is pre-multiplied by detA so that all coefficients are integers.
 
 A point x on the primary quadric is moved by the involution T_i, which shifts
 coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
+Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
+one point without descents, its componentwise minimum, and two walks link
+the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, bilinear
-from .errors import DimensionMismatchError, MalformedFormError, NotOnEllipsoidError
+from .errors import DimensionMismatchError, InvariantError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
 
-__all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T"]
+__all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T", "ascend"]
 
 
 @dataclass(frozen=True)
@@ -130,15 +133,65 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     """
     if not 1 <= i <= cd.n:
         raise DimensionMismatchError(f"index {i} out of range 1..{cd.n}")
-    form = primary_form(cd)
-    if form.value(x) != 0:
-        raise NotOnEllipsoidError(f"{tuple(x)} is not on the primary quadric of {cd.spec}")
-    hi = h_vector(x, cd)[i - 1]
-    if hi == 0:
-        return tuple(x)
-    shifted = list(x)
-    shifted[i - 1] += hi
-    return tuple(shifted)
+    x = tuple(x)
+    if primary_form(cd).value(x) != 0:
+        raise NotOnEllipsoidError(f"{x} is not on the primary quadric of {cd.spec}")
+    return x[: i - 1] + (x[i - 1] + h_vector(x, cd)[i - 1],) + x[i:]
+
+
+def _strip_descents(x, cd: CartanData):
+    """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
+
+    Each step crosses one of the |Phi+| reflecting hyperplanes of x - delta, so
+    a descent left after |Phi+| steps raises InvariantError.
+    """
+    cur, h, word = list(x), list(h_vector(x, cd)), []
+    for _ in range(cd.positive_root_count + 1):
+        k = next((k for k, v in enumerate(h) if v < 0), None)
+        if k is None:
+            return tuple(cur), tuple(h), word
+        hk = h[k]
+        cur[k] += hk
+        h = [v - hk * row[k] for v, row in zip(h, cd.A)]
+        word.append(k + 1)
+    raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
+
+
+def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
+    """The orbit of ``minimal``, its minimum with h = h_vector(minimal) >= 0, in walk order.
+
+    Every other point y has one parent, T_k(y) for its smallest descent k, so
+    the walk steps from x to y = T_i(x) only when h_i(x) > 0 and no k < i is a
+    descent of y: T_i adds -h_i A_ki >= 0 to h_k (k != i), so a descent k of x
+    stays one when h_k < h_i A_ki.  No point is looked up or reached twice.
+    ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
+    """
+    n, A = cd.n, cd.A
+    # the h_k other than h_i that T_i changes, with A_ki
+    links = [tuple((k, A[k][i]) for k in range(n) if k != i and A[k][i]) for i in range(n)]
+    points = [tuple(minimal)]
+    stack = [(points[0], list(h))]
+    while stack:
+        x, h = stack.pop()
+        descents = []
+        for i, hi in enumerate(h):
+            if hi < 0:
+                descents.append(i)
+            elif hi:
+                for k in descents:
+                    if h[k] < hi * A[k][i]:
+                        break
+                else:
+                    y = x[:i] + (x[i] + hi,) + x[i + 1 :]
+                    points.append(y)
+                    if visit is not None:
+                        visit(x, i, y)
+                    g = h.copy()
+                    g[i] = -hi
+                    for k, a in links[i]:
+                        g[k] -= hi * a
+                    stack.append((y, g))
+    return points
 
 
 def sphere_identity_holds(x, cd: CartanData) -> bool:

@@ -10,13 +10,11 @@ S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
 quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
 positive roots.
 
-The group table is built on P-vectors: right multiplication by s_g adds
-column g of w to P(w), that column is a negative root exactly when s_g is a
-right descent of w, and each element's matrix is obtained from its parent's
-by a column update instead of a matrix product.
-
-Left multiplication is P(s_i w) = T_i(P(w)); the one T-walk `_t_walk` gives
-both `star` and the word checks of `ordering.reduced_words`.
+Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
+main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
+prepending a letter to the word and changing one row of the matrix, and
+`element_from_pvector` strips descents back to the origin.  The one T-walk
+`_t_walk` gives `star` and the word checks of `ordering.reduced_words`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cartan import CartanData, Root, positive_roots, weyl_order
+from .cartan import CartanData, Root, weyl_order
 from .errors import (
     CapExceededError,
     IndexOutOfRangeError,
@@ -33,7 +31,7 @@ from .errors import (
     NotInMainOrbitError,
 )
 from .exact import Matrix, identity
-from .quadrics import h_vector
+from .quadrics import _strip_descents, ascend, h_vector
 
 __all__ = [
     "WeylElement",
@@ -59,32 +57,30 @@ class WeylElement:
     mat: Matrix
     word: tuple[int, ...] | None = None
 
-    @property
-    def length(self) -> int | None:
-        return None if self.word is None else len(self.word)
-
 
 def simple_reflection(i: int, cd: CartanData) -> WeylElement:
     """s_i as a WeylElement; i is 1-based."""
     return word_to_element((i,), cd)
 
 
-def _times_reflection(mat: Matrix, g: int, A: Matrix) -> Matrix:
-    # mat * s_g for 0-based g: column j gains -A_gj times column g
-    row_g = A[g]
-    return tuple(
-        tuple(v - a * row[g] for v, a in zip(row, row_g)) for row in mat
-    )
+def _reflect_rows(mat: Matrix, i: int, A: Matrix) -> Matrix:
+    # s_i * mat for 0-based i: only row i changes, to row i - sum_j A_ij row j
+    row = mat[i]
+    for j, a in enumerate(A[i]):
+        if a:
+            row = [v - a * r for v, r in zip(row, mat[j])]
+    return mat[:i] + (tuple(row),) + mat[i + 1 :]
 
 
 def word_to_element(word, cd: CartanData) -> WeylElement:
     """Product s_{i1} s_{i2} ... of the word read left to right; [] is the identity."""
     word = tuple(word)
-    mat = identity(cd.n)
     for i in word:
         if not isinstance(i, int) or not 1 <= i <= cd.n:
             raise IndexOutOfRangeError(f"reflection index {i} out of range 1..{cd.n}")
-        mat = _times_reflection(mat, i - 1, cd.A)
+    mat = identity(cd.n)
+    for i in reversed(word):
+        mat = _reflect_rows(mat, i - 1, cd.A)
     return WeylElement(mat=mat, word=word)
 
 
@@ -130,58 +126,36 @@ class GroupTable:
     @cached_property
     def left_multiplication(self) -> list[list[int]]:
         """left_multiplication[g-1][i] = index of s_g * nodes[i] = T_g(nodes[i]) (g 1-based)."""
-        index = self.index
-        tables = [[] for _ in range(self.cd.n)]
-        for p in self.nodes:
-            h = h_vector(p, self.cd)
-            for g, table in enumerate(tables):
-                table.append(index[p[:g] + (p[g] + h[g],) + p[g + 1 :]])
-        return tables
+        cd, index = self.cd, self.index
+        return [[index[_t_walk((g,), p, cd)] for p in self.nodes] for g in range(1, cd.n + 1)]
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(self.elements[p].word) for p in self.nodes)
 
 
 def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
-    """Breadth-first closure of the identity under right multiplication by the s_i.
+    """The main orbit by the canonical ascent walk from the origin, one element per point.
 
-    Keys are P-vectors, with P(w s_g) = P(w) + w(alpha_g); generators g whose
-    column w(alpha_g) is negative are right descents and are skipped.  Each
-    element keeps the first word that reached it, whose length is the Coxeter
-    length.  InvariantError is raised if an ascent lands on the P-vector of an
-    element of another length (a collision, which would falsify injectivity of
-    P) or if the closure does not have |W| elements.
+    The step from P(w) to T_i(P(w)) = P(s_i w) gives s_i w the word
+    (i,) + word(w) and the matrix s_i * w, whose rows other than i are shared
+    with w's.  Since i is the smallest left descent of s_i w, every word is
+    the lexicographically smallest reduced word of its element.
+    InvariantError is raised unless the walk gives |W| distinct P-vectors.
     """
     total = weyl_order(cd)
     if total > cap:
         raise CapExceededError(f"|W({cd.spec})| = {total} exceeds cap {cap}")
     n, A = cd.n, cd.A
-    ident = WeylElement(mat=identity(n), word=())
     origin = (0,) * n
-    elements = {origin: ident}
-    frontier = [(origin, ident)]
-    while frontier:
-        nxt = []
-        for p, w in frontier:
-            length = len(w.word) + 1
-            for g in range(n):
-                column = [row[g] for row in w.mat]
-                if min(column) < 0:
-                    continue
-                key = tuple(x + c for x, c in zip(p, column))
-                seen = elements.get(key)
-                if seen is not None:
-                    if len(seen.word) != length:
-                        raise InvariantError(f"P-vector collision at {key} in {cd.spec}")
-                    continue
-                elem = WeylElement(mat=_times_reflection(w.mat, g, A), word=w.word + (g + 1,))
-                elements[key] = elem
-                nxt.append((key, elem))
-        frontier = nxt
+    elements = {origin: WeylElement(mat=identity(n), word=())}
+
+    def visit(x, i, y):
+        w = elements[x]
+        elements[y] = WeylElement(mat=_reflect_rows(w.mat, i, A), word=(i + 1,) + w.word)
+
+    ascend(origin, (1,) * n, cd, visit)
     if len(elements) != total:
-        raise InvariantError(
-            f"group closure of {cd.spec} has {len(elements)} elements, expected {total}"
-        )
+        raise InvariantError(f"group walk of {cd.spec} has {len(elements)} elements, not {total}")
     return GroupTable(cd=cd, elements=elements, order=total)
 
 
@@ -231,27 +205,15 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
     """Invert P without enumerating the group, by stripping descents.
 
     If S(a) = 1 - A a has a negative entry i then a = P(s_i w') with
-    P(w') = T_i(a) one step shorter; iterating reconstructs a word.  S is
-    updated along the way, S(T_i a) = S(a) - S(a)_i A[:, i].
+    P(w') = T_i(a) one step shorter; stripping down to the origin spells a
+    word of the element, which is multiplied out and checked against a.
     """
     a = tuple(a)
-    n, A = cd.n, cd.A
+    n = cd.n
     if len(a) != n or any(not isinstance(v, int) for v in a):
         raise NotInMainOrbitError(f"{a} is not an integer {n}-vector")
-    word = []
-    cur = list(a)
-    s = list(h_vector(a, cd))
-    # any element's length is at most the number of positive roots
-    for _ in range(len(positive_roots(cd)) + 1):
-        i = next((i for i in range(n) if s[i] < 0), None)
-        if i is None:
-            break
-        si = s[i]
-        cur[i] += si
-        for r in range(n):
-            s[r] -= si * A[r][i]
-        word.append(i + 1)
-    if any(cur):
+    end, _, word = _strip_descents(a, cd)
+    if any(end):
         raise NotInMainOrbitError(f"{a} is not in the main orbit of {cd.spec}")
     elem = word_to_element(word, cd)
     if P_map(elem, cd) != a:

@@ -95,6 +95,25 @@ def secondary_nonneg_by_box_scan(cd):
     return sorted(found)
 
 
+def reachability_by_dfs(covers, size):
+    """Ordered pairs (a, b) with b reachable from a over at least one cover, by a
+    depth-first search from every node; node order plays no part."""
+    up = [[] for _ in range(size)]
+    for a, b in covers:
+        up[a].append(b)
+    pairs = set()
+    for start in range(size):
+        stack = list(up[start])
+        seen = set()
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                pairs.add((start, v))
+                stack.extend(up[v])
+    return pairs
+
+
 # --- Bruhat order on A3 via permutations and the rank-matrix criterion ---
 
 

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from weylipse.cli import main
 
@@ -84,6 +87,22 @@ def test_expand_default_origin(capsys):
 def test_expand_cap_exceeded_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "expand", "A2", "--cap", "3")
     assert code == 2 and "cap" in err
+
+
+def test_expand_e8_refuses_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "E8")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "696729600 points" in err and "cap 10000000" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", ["orbits", "expand", "bruhat"])
+def test_cap_below_one_is_usage_error(capsys, command, value):
+    code, out, err = run_cli(capsys, command, "A2", "--cap", value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --cap") and err.count("\n") == 1
 
 
 def test_expand_bad_point_is_exit_2(capsys):

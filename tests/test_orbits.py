@@ -1,9 +1,11 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from weylipse import (
     CapExceededError,
+    InvariantError,
     NotASolutionError,
     NotOnEllipsoidError,
     apply_T,
@@ -19,7 +21,8 @@ from weylipse import (
     secondary_form,
     weyl_order,
 )
-from weylipse.orbits import _expand_positive_sweep
+from weylipse.oracles import orbit_by_closure
+from weylipse.quadrics import ascend
 
 from oracles import (
     e8_dominant_count_euclid,
@@ -202,11 +205,69 @@ def test_orbit_size_law_and_sweep(text):
     for rec in orbit_seeds(cd):
         elements = expand_orbit(rec.minimal, cd)
         assert len(elements) == rec.size
-        assert _expand_positive_sweep(rec.minimal, cd) == elements
+        assert orbit_by_closure(rec.minimal, cd) == elements
         # unique componentwise minimum
         assert all(all(m <= v for m, v in zip(rec.minimal, e)) for e in elements)
         others = [e for e in elements if e != rec.minimal]
         assert not any(all(v <= m for v, m in zip(e, rec.minimal)) for e in others)
+
+
+def _walk_counts(rec, cd):
+    """Steps per reached point of the ascent walk from rec.minimal, and the points it lists."""
+    counts = Counter()
+    points = ascend(rec.minimal, rec.h, cd, visit=lambda x, i, y: counts.update([y]))
+    return counts, points
+
+
+@pytest.mark.parametrize("text", SMALL + RANK4)
+def test_ascent_walk_visits_each_point_once(text):
+    cd = cd_of(text)
+    for rec in orbit_seeds(cd):
+        counts, points = _walk_counts(rec, cd)
+        assert set(counts.values()) <= {1} and rec.minimal not in counts
+        assert len(points) == rec.size == len(counts) + 1
+        assert sorted(points) == orbit_by_closure(rec.minimal, cd)
+
+
+def test_ascent_walk_visits_each_point_once_e6():
+    cd = cd_of("E6")
+    rec = next(r for r in orbit_seeds(cd) if r.size == 12960)
+    counts, points = _walk_counts(rec, cd)
+    assert set(counts.values()) == {1} and len(counts) == 12959
+    assert sorted(points) == orbit_by_closure(rec.minimal, cd)
+
+
+@pytest.mark.parametrize("text", ["B2xA1", "G2xA1", "C3"])
+def test_expand_from_every_orbit_point(text):
+    cd = cd_of(text)
+    for rec in orbit_seeds(cd):
+        orbit = expand_orbit(rec.minimal, cd)
+        assert all(expand_orbit(x, cd) == orbit for x in orbit)
+
+
+def test_expand_refuses_before_walking(monkeypatch):
+    import weylipse.orbits as orbits
+
+    monkeypatch.setattr(orbits, "ascend", lambda *args: pytest.fail("walked past the cap"))
+    with pytest.raises(CapExceededError, match="696729600 points"):
+        expand_orbit((0,) * 8, cd_of("E8"))
+    with pytest.raises(CapExceededError):
+        expand_orbit((2, 2), cd_of("A2"), cap=5)
+
+
+@pytest.mark.parametrize("broken", ["drop", "repeat"])
+def test_expand_checks_the_walk(monkeypatch, broken):
+    import weylipse.orbits as orbits
+
+    real = orbits.ascend
+
+    def bad_walk(*args):
+        points = real(*args)
+        return points[:-1] if broken == "drop" else points[:-1] + points[:1]
+
+    monkeypatch.setattr(orbits, "ascend", bad_walk)
+    with pytest.raises(InvariantError):
+        expand_orbit((0, 0, 0), cd_of("B3"))
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "B2xA1"])

@@ -19,7 +19,7 @@ from weylipse import (
 )
 from weylipse.ordering import Poset
 
-from oracles import a3_bruhat_pairs, exhaustive_word_search
+from oracles import a3_bruhat_pairs, exhaustive_word_search, reachability_by_dfs
 
 
 def cd_of(text):
@@ -253,6 +253,23 @@ def test_subword_poset_extremes():
             assert (bottom, v) in rel
         if v != top:
             assert (v, top) in rel
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "F4"])
+def test_relation_matches_dfs_reachability(text):
+    table = table_of(text)
+    for poset in (primary_poset(table), bruhat_from_primary(table), bruhat_from_subwords(table)):
+        assert poset.relation() == reachability_by_dfs(poset.covers, len(poset.nodes))
+
+
+def test_relation_rejects_cover_going_down_in_node_order():
+    nodes = ((0, 0), (0, 1), (1, 1))
+    assert Poset(nodes=nodes, covers=frozenset({(0, 1), (1, 2)}), kind="chain").relation() == {
+        (0, 1), (1, 2), (0, 2)
+    }
+    for covers in ({(1, 0)}, {(0, 1), (2, 1)}, {(1, 1)}):
+        with pytest.raises(InvariantError):
+            Poset(nodes=nodes, covers=frozenset(covers), kind="chain").relation()
 
 
 # --- DOT output ---
