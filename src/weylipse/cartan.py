@@ -11,6 +11,10 @@ Conventions fixed once for the whole project:
 * All arithmetic is exact: integers plus `fractions.Fraction`.  No floats.
 * Simple-root indices in the public API are 1-based, matching the usual
   notation s_1 .. s_n; vectors are plain tuples in the simple-root basis.
+* Weyl group orders come from root heights (Macdonald, "The Poincare series
+  of a Coxeter group", Math. Ann. 199, 1972): for a subdiagram J,
+  |W_J| = prod (ht a + 1) / ht a over the positive roots a supported in J.
+  The roots are closed once per type and cached on `CartanData`.
 
 >>> cd = build_cartan(parse_type("B2"))
 >>> cd.A
@@ -25,7 +29,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, prod
+from math import prod
+from operator import mul
 
 from .errors import (
     BadIndexSetError,
@@ -66,8 +71,6 @@ POSITIVE_ROOT_COUNT = {
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
-
-_EXCEPTIONAL_ORDER = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
 
 _TYPE_TOKEN = re.compile(r"([A-Ga-g])([0-9]+)$")
 
@@ -183,8 +186,13 @@ class CartanData:
 
     @cached_property
     def positive_root_count(self) -> int:
-        # |Phi+| from the catalog; `positive_roots` checks its closure against it
+        # |Phi+| from the catalog; the root closure checks itself against it
         return sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in self.spec.components)
+
+    @cached_property
+    def root_closure(self) -> RootClosure:
+        # built on first use, so `build_cartan` does not pay for it
+        return _root_closure(self)
 
     @property
     def delta_norm_sq(self) -> Fraction:
@@ -270,29 +278,53 @@ class Root:
     length_sq: int
 
 
-def _all_root_coords(cd: CartanData) -> set[tuple[int, ...]]:
-    n = cd.n
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    work = list(simple)
+@dataclass(frozen=True)
+class RootClosure:
+    """The roots of a type: the simple roots closed under the simple reflections.
+
+    ``roots`` maps every root to its squared length.  ``positive`` is sorted
+    by coordinates; ``support_heights[r]`` is the bitmask of the nodes in the
+    support of ``positive[r]`` and its height.
+    """
+
+    roots: dict[tuple[int, ...], int]
+    positive: tuple[Root, ...]
+    support_heights: tuple[tuple[int, int], ...]
+
+
+def _root_closure(cd: CartanData) -> RootClosure:
+    n, cols = cd.n, tuple(zip(*cd.A))
+    # each root carries its pairings A r with the simple coroots, and keeps the
+    # length of the simple root it came from, since s_i preserves length
+    roots, work = {}, []
+    for i in range(n):
+        r = tuple(int(i == j) for j in range(n))
+        roots[r] = cd.gram[i][i]
+        work.append((r, cols[i]))
     while work:
-        r = work.pop()
-        for i in range(n):
-            pairing = sum(cd.A[i][j] * r[j] for j in range(n))
-            s = list(r)
-            s[i] -= pairing
-            s = tuple(s)
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    return seen
+        r, pairings = work.pop()
+        for i, p in enumerate(pairings):
+            if p:
+                s = r[:i] + (r[i] - p,) + r[i + 1 :]
+                if s not in roots:
+                    roots[s] = roots[r]
+                    work.append((s, tuple(q - p * a for q, a in zip(pairings, cols[i]))))
+    pos = sorted(r for r in roots if all(c >= 0 for c in r))
+    expected = cd.positive_root_count
+    if len(roots) != 2 * len(pos) or len(pos) != expected:
+        raise InvariantError(
+            f"{cd.spec} has {len(roots)} roots, {len(pos)} positive; expected {expected} positive"
+        )
+    return RootClosure(
+        roots=roots,
+        positive=tuple(Root(r, _grade_of(r, roots[r], cd), roots[r]) for r in pos),
+        support_heights=tuple((sum(1 << i for i, c in enumerate(r) if c), sum(r)) for r in pos),
+    )
 
 
-def _grade_of(coords: tuple[int, ...], cd: CartanData) -> int:
+def _grade_of(coords: tuple[int, ...], length_sq: int, cd: CartanData) -> int:
     # 2<alpha, delta> / <alpha, alpha>; <e_i, delta> = k_i makes the numerator integral
-    num = 2 * sum(c * ki for c, ki in zip(coords, cd.k))
-    den = bilinear(coords, coords, cd)
-    g, rem = divmod(num, den)
+    g, rem = divmod(2 * sum(map(mul, coords, cd.k)), length_sq)
     if rem:
         raise InvariantError(f"grade of {coords} is not an integer")
     return g
@@ -303,124 +335,39 @@ def positive_roots(cd: CartanData) -> tuple[Root, ...]:
 
     Generated by closing the simple roots under the simple reflections.
     """
-    every = _all_root_coords(cd)
-    pos = sorted(r for r in every if all(c >= 0 for c in r))
-    expected = cd.positive_root_count
-    if len(every) != 2 * len(pos) or len(pos) != expected:
-        raise InvariantError(
-            f"{cd.spec} has {len(every)} roots, {len(pos)} positive; expected {expected} positive"
-        )
-    return tuple(
-        Root(coords=r, grade=_grade_of(r, cd), length_sq=bilinear(r, r, cd))
-        for r in pos
-    )
+    return cd.root_closure.positive
 
 
 def grade(coords: tuple[int, ...], cd: CartanData) -> int:
     """The integer 2<alpha,delta>/<alpha,alpha> of a root; negated for -alpha."""
-    every = _all_root_coords(cd)
-    if tuple(coords) not in every:
-        raise NotARootError(f"{tuple(coords)} is not a root of {cd.spec}")
-    return _grade_of(tuple(coords), cd)
-
-
-# --- Weyl group orders via structural classification of subdiagrams ---
-
-
-def _connected_components(cd: CartanData, verts: list[int]) -> list[list[int]]:
-    vset = set(verts)
-    comps = []
-    seen: set[int] = set()
-    for v in sorted(vset):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.append(u)
-            stack.extend(
-                w for w in vset if w not in seen and w != u and cd.A[u][w] != 0
-            )
-        comps.append(sorted(comp))
-    return comps
-
-
-def _irreducible_order(cd: CartanData, comp: list[int]) -> int:
-    """|W| of a connected induced subdiagram, classified structurally.
-
-    Every connected induced subdiagram of a finite-type diagram is again
-    finite-type, so the case split below is exhaustive: a triple bond is G2,
-    a double bond gives 2^m m! (or F4 when centered in a 4-chain), and a
-    simply-laced diagram is a path (A) or has one branch node (D/E).
-    """
-    m = len(comp)
-    if m == 1:
-        return 2
-    bonds = [(i, j) for i in comp for j in comp if i < j and cd.A[i][j] != 0]
-    mult = max(cd.A[i][j] * cd.A[j][i] for i, j in bonds)
-    if mult == 3:
-        if m != 2:
-            raise InvariantError(f"triple bond in a {m}-vertex subdiagram is not finite-type")
-        return 12
-    if mult == 2:
-        if m == 4:
-            i, j = next(p for p in bonds if cd.A[p[0]][p[1]] * cd.A[p[1]][p[0]] == 2)
-            others = [v for v in comp if v not in (i, j)]
-            # F4 iff the double bond is interior: one extra vertex on each side
-            side_i = sum(1 for v in others if cd.A[i][v] != 0)
-            side_j = sum(1 for v in others if cd.A[j][v] != 0)
-            if side_i == 1 and side_j == 1:
-                return 1152
-        return (2**m) * factorial(m)
-    degree = {v: sum(1 for w in comp if w != v and cd.A[v][w] != 0) for v in comp}
-    branch = [v for v in comp if degree[v] == 3]
-    if not branch:
-        return factorial(m + 1)
-    t = branch[0]
-    arms = []
-    for s in comp:
-        if s != t and cd.A[t][s] != 0:
-            length, prev, cur = 1, t, s
-            while True:
-                nxt = [w for w in comp if w not in (prev, cur) and cd.A[cur][w] != 0]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return (2 ** (m - 1)) * factorial(m)
-    if arms == [1, 2, 2]:
-        return _EXCEPTIONAL_ORDER["E6"]
-    if arms == [1, 2, 3]:
-        return _EXCEPTIONAL_ORDER["E7"]
-    if arms == [1, 2, 4]:
-        return _EXCEPTIONAL_ORDER["E8"]
-    raise InvariantError(f"subdiagram with arms {arms} is not finite-type")
+    coords = tuple(coords)
+    length_sq = cd.root_closure.roots.get(coords)
+    if length_sq is None:
+        raise NotARootError(f"{coords} is not a root of {cd.spec}")
+    return _grade_of(coords, length_sq, cd)
 
 
 def parabolic_order(cd: CartanData, generators) -> int:
-    """Order of the subgroup generated by the simple reflections s_i, i in generators.
+    """Order of the subgroup W_J generated by the simple reflections s_i, i in J = generators.
 
-    Indices are 1-based.  The empty set gives the trivial group.
+    Indices are 1-based.  The empty set gives the trivial group.  The order is
+    the product of (ht a + 1) / ht a over the positive roots a supported in J.
     """
     gens = sorted(set(generators))
     if any(not isinstance(i, int) or i < 1 or i > cd.n for i in gens):
         raise BadIndexSetError(f"generator indices must lie in 1..{cd.n}: {gens}")
-    order = 1
-    for comp in _connected_components(cd, [i - 1 for i in gens]):
-        order *= _irreducible_order(cd, comp)
+    outside = ~sum(1 << (i - 1) for i in gens)
+    num = den = 1
+    for support, height in cd.root_closure.support_heights:
+        if not support & outside:
+            num *= height + 1
+            den *= height
+    order, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"root-height product of W_{gens} in {cd.spec} is {num}/{den}")
     return order
 
 
-def weyl_order(cd: CartanData, excluded=()) -> int:
-    """Order of the Weyl group generated by all s_i with i not in excluded."""
-    excl = set(excluded)
-    if any(not isinstance(i, int) or i < 1 or i > cd.n for i in excl):
-        raise BadIndexSetError(f"excluded indices must lie in 1..{cd.n}: {sorted(excl)}")
-    return parabolic_order(cd, [i for i in range(1, cd.n + 1) if i not in excl])
+def weyl_order(cd: CartanData) -> int:
+    """Order of the Weyl group generated by all s_i."""
+    return parabolic_order(cd, range(1, cd.n + 1))

@@ -17,7 +17,13 @@ import sys
 from .cartan import build_cartan, parse_type, weyl_order
 from .errors import ComputationError, UsageError
 from .orbits import DEFAULT_EXPAND_CAP, expand_orbit, orbit_seeds
-from .ordering import bruhat_from_primary, bruhat_from_subwords, emit_dot, reduced_words
+from .ordering import (
+    bruhat_from_primary,
+    bruhat_from_subwords,
+    emit_dot,
+    reduced_words,
+    relation_counts,
+)
 from .quadrics import QuadForm, primary_form, secondary_form
 from .verify import run_verification
 from .weyl import (
@@ -246,11 +252,11 @@ def _cmd_bruhat(args) -> int:
         # both are Hasse diagrams, so the orders differ exactly when the covers do
         if filtered.covers != poset.covers:
             diverged = True
-            rel_f, rel_s = filtered.relation(), poset.relation()
+            n_f, n_s, missing, extra = relation_counts(filtered, poset)
             print(
                 f"bruhat constructions disagree on {cd.spec}: "
-                f"link-filter has {len(rel_f)} relations, subword has {len(rel_s)} "
-                f"(missing {len(rel_s - rel_f)}, extra {len(rel_f - rel_s)})",
+                f"link-filter has {n_f} relations, subword has {n_s} "
+                f"(missing {missing}, extra {extra})",
                 file=sys.stderr,
             )
     if args.dot:

@@ -12,8 +12,9 @@ Identities doing the heavy lifting:
 Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
 of the nodes below it: by pairwise comparison of P-vectors (componentwise) or
 by the products of the subwords of one reduced word (subword property).
-`Poset.relation` rebuilds those bitmasks from the covers in one pass in node
-order, since every cover goes up in it.
+`Poset.below_masks` rebuilds those bitmasks from the covers in one pass in
+node order, since every cover goes up in it; `Poset.relation` lists their bits
+and `relation_counts` compares two orders by popcounts of them.
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root
@@ -55,8 +56,8 @@ class Poset:
     def cover_vectors(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return sorted((self.nodes[a], self.nodes[b]) for a, b in self.covers)
 
-    def relation(self) -> frozenset[tuple[int, int]]:
-        """Strict reachability over covers, as ordered index pairs.
+    def below_masks(self) -> list[int]:
+        """Bitmask per node of the nodes strictly below it, reached over the covers.
 
         Covers go up in node order: both orders lie inside the componentwise
         order, and the nodes are sorted.  One that goes down raises InvariantError.
@@ -72,11 +73,28 @@ class Poset:
             for a in lower:
                 mask |= down[a] | 1 << a
             down.append(mask)
-        rows = (enumerate(bin(mask)[:1:-1]) for mask in down)  # (a, "1") for each a below w
+        return down
+
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """Strict reachability over covers, as ordered index pairs."""
+        # (a, "1") for each a below w
+        rows = (enumerate(bin(mask)[:1:-1]) for mask in self.below_masks())
         return frozenset((a, w) for w, row in enumerate(rows) for a, bit in row if bit == "1")
 
     def relation_vectors(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
         return frozenset((self.nodes[a], self.nodes[b]) for a, b in self.relation())
+
+
+def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
+    """(|found|, |truth|, |truth - found|, |found - truth|) for the relations of two
+    posets on the same nodes, by popcounts of their masks: no pair set is built."""
+    f, t = found.below_masks(), truth.below_masks()
+    return (
+        sum(m.bit_count() for m in f),
+        sum(m.bit_count() for m in t),
+        sum((y & ~x).bit_count() for x, y in zip(f, t)),
+        sum((x & ~y).bit_count() for x, y in zip(f, t)),
+    )
 
 
 def _hasse(down: list[int]) -> set[tuple[int, int]]:

@@ -130,13 +130,15 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     """The involution T_i: shift coordinate i (1-based) of x by h(x)_i.
 
     Requires x on the primary quadric; returns x unchanged where h_i = 0.
+    Since A delta = 1, twice the primary value of x is -sum k_j x_j (1 + h_j).
     """
     if not 1 <= i <= cd.n:
         raise DimensionMismatchError(f"index {i} out of range 1..{cd.n}")
     x = tuple(x)
-    if primary_form(cd).value(x) != 0:
+    h = h_vector(x, cd)
+    if sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h)):
         raise NotOnEllipsoidError(f"{x} is not on the primary quadric of {cd.spec}")
-    return x[: i - 1] + (x[i - 1] + h_vector(x, cd)[i - 1],) + x[i:]
+    return x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
 
 
 def _strip_descents(x, cd: CartanData):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weylipse import (
     BadIndexSetError,
     DimensionMismatchError,
+    InvariantError,
     NotARootError,
     RankOutOfRangeError,
     UnknownFamilyError,
@@ -19,6 +21,7 @@ from weylipse import (
     positive_roots,
     weyl_order,
 )
+from weylipse.cartan import RootClosure
 from weylipse.exact import mat_mul, mat_vec
 
 from oracles import group_order_by_closure
@@ -216,6 +219,12 @@ def test_weyl_order_catalog():
     assert weyl_order(cd_of("F4")) == 1152
     assert weyl_order(cd_of("D5")) == 2**4 * factorial(5)
     assert weyl_order(cd_of("B2xG2")) == 8 * 12
+    assert weyl_order(cd_of("A9")) == factorial(10)
+    assert weyl_order(cd_of("B8")) == weyl_order(cd_of("C8")) == 2**8 * factorial(8)
+    assert weyl_order(cd_of("D9")) == 2**8 * factorial(9)
+    assert weyl_order(cd_of("E8xA1")) == 2 * 696729600
+    assert weyl_order(cd_of("E7xA2")) == 6 * 2903040
+    assert weyl_order(cd_of("E6xA3")) == 24 * 51840
 
 
 def test_parabolic_order_errors():
@@ -224,19 +233,49 @@ def test_parabolic_order_errors():
         parabolic_order(cd, [0])
     with pytest.raises(BadIndexSetError):
         parabolic_order(cd, [4])
-    with pytest.raises(BadIndexSetError):
-        weyl_order(cd, excluded=[5])
     assert parabolic_order(cd, []) == 1
+    # a root-height product that is not an integer raises InvariantError
+    cd.__dict__["root_closure"] = RootClosure(roots={}, positive=(), support_heights=((1, 2),))
+    with pytest.raises(InvariantError):
+        parabolic_order(cd, [1])
 
 
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "B2xA1"])
 def test_parabolic_orders_match_matrix_closure(text):
-    # catalog-based orders against raw matrix-group closure, every subdiagram
+    # root-height orders against raw matrix-group closure, every subdiagram
     cd = cd_of(text)
     verts = range(1, cd.n + 1)
     for size in range(cd.n + 1):
         for subset in combinations(verts, size):
             assert parabolic_order(cd, subset) == group_order_by_closure(cd, subset)
-    excluded = (1,) if cd.n > 1 else ()
-    kept = [i for i in verts if i not in excluded]
-    assert weyl_order(cd, excluded=excluded) == group_order_by_closure(cd, kept)
+
+
+# sha256 of repr(sorted((type, subset, parabolic_order(cd, subset)))) over every
+# subset, recorded with the Dynkin-shape classifier that the root-height
+# product replaced.  Each row reads: digest, type.
+ORDER_GOLDENS = """
+af5e0ccf02a6273dad5d2aea709db2f8bfee41a16286daa1f6d6bfaabefe569d A9
+45f6621642f55904aef2c557e2511c435fb89b0dd1518c2ec3fa9a462f306c65 B8
+ccb463edde9e9d8c2f5236c20bc552ab912c5eeeba8581dca68fde9fd2c24ff7 C8
+b3af261faef4806968f8e5bfff0b5a829f5416ec64079b8eed85ef023d3583f7 D9
+42ea65527f8bb94d1d8088538e4bfeb03ca5b2b1458e6abbd4523bc65130b6f1 E6
+6d1bb9896a0823d0d1d8ea6299be75aefc9f2f11b80f6738799d864c310b9632 E7
+a1fad1b79098a3c7a6da49a647add8bda3e733e3a5609205f8bcb6348edb6583 E8
+a7b37f89254e2bc7a3e2ca35ebb7ffa653f8857ca0876a76c69175275020193b E8xA1
+370bd5e93cae1b3c6936f18cb4575b526cc6f292e9a61868774f2207a0b4201e E7xA2
+6993f213e1bc9c0c9bdbc1d544a9f54cb6c5a99cce87516523cefb8c3ecd99d2 E6xA3
+ce1257303c7b2ddaa4c6b4bb0ff0125dd5838fd52b0affc3faf0c13ec52212c5 F4
+96637084c2ffe639b098069c50e2dbfba0c9d66e5ab647366a5827f523710803 G2xA1
+"""
+ORDER_ROWS = [line.split() for line in ORDER_GOLDENS.strip().splitlines()]
+
+
+@pytest.mark.parametrize("digest, text", ORDER_ROWS, ids=[text for _, text in ORDER_ROWS])
+def test_parabolic_order_golden(digest, text):
+    cd = cd_of(text)
+    rows = sorted(
+        (text, subset, parabolic_order(cd, subset))
+        for size in range(cd.n + 1)
+        for subset in combinations(range(1, cd.n + 1), size)
+    )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -259,10 +260,16 @@ def test_byte_identical_runs(capsys):
 
 
 def test_console_entrypoint_subprocess():
+    import weylipse
+
+    # the child finds the package where this process did, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(weylipse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weylipse.cli", "orbits", "A3", "--csv"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "h;minimal;size\n1,1,1;0,0,0;24\n"

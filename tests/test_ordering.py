@@ -17,7 +17,7 @@ from weylipse import (
     simple_reflection,
     word_to_element,
 )
-from weylipse.ordering import Poset
+from weylipse.ordering import Poset, relation_counts
 
 from oracles import a3_bruhat_pairs, exhaustive_word_search, reachability_by_dfs
 
@@ -260,6 +260,16 @@ def test_relation_matches_dfs_reachability(text):
     table = table_of(text)
     for poset in (primary_poset(table), bruhat_from_primary(table), bruhat_from_subwords(table)):
         assert poset.relation() == reachability_by_dfs(poset.covers, len(poset.nodes))
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "D4"])
+def test_relation_counts_match_pair_sets(text):
+    table = table_of(text)
+    filtered, subword = bruhat_from_primary(table), bruhat_from_subwords(table)
+    for found, truth in ((filtered, subword), (subword, filtered), (subword, subword)):
+        rel_f, rel_t = found.relation(), truth.relation()
+        expected = (len(rel_f), len(rel_t), len(rel_t - rel_f), len(rel_f - rel_t))
+        assert relation_counts(found, truth) == expected
 
 
 def test_relation_rejects_cover_going_down_in_node_order():

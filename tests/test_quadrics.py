@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,3 +137,28 @@ def test_apply_T_involution_walk(data):
         assert apply_T(i, y, cd) == x
         assert h_vector(y, cd)[i - 1] == -h_vector(x, cd)[i - 1]
         x = y
+
+
+@pytest.mark.parametrize("text", ["A2", "B3", "G2xA1", "F4", "E6", "E6xA2"])
+def test_apply_T_membership_matches_primary_form(text):
+    # apply_T decides membership from h alone; it must agree with the form on
+    # points of a random T-walk, on their unit neighbours and on box points
+    cd = cd_of(text)
+    form = primary_form(cd)
+    rng = random.Random(7)
+    x, seen = (0,) * cd.n, set()
+    for _ in range(150):
+        j = rng.randrange(cd.n)
+        near = x[:j] + (x[j] + rng.choice((-1, 1)),) + x[j + 1 :]
+        box = tuple(rng.randint(-1, t + 1) for t in cd.two_delta)
+        for p in (x, near, box):
+            i = rng.randint(1, cd.n)
+            on = form.value(p) == 0
+            seen.add(on)
+            if on:
+                assert apply_T(i, p, cd) == p[: i - 1] + (p[i - 1] + h_vector(p, cd)[i - 1],) + p[i:]
+            else:
+                with pytest.raises(NotOnEllipsoidError):
+                    apply_T(i, p, cd)
+        x = apply_T(rng.randint(1, cd.n), x, cd)
+    assert seen == {True, False}
