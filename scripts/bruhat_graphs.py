@@ -18,6 +18,7 @@ from weylipse import (
     parse_type,
     primary_poset,
 )
+from weylipse.ordering import relation_counts
 
 
 def main() -> None:
@@ -32,12 +33,12 @@ def main() -> None:
         base = primary_poset(table)
         filtered = bruhat_from_primary(table)
         subword = bruhat_from_subwords(table)
-        rel_f, rel_s = filtered.relation(), subword.relation()
-        comp = base.relation()
+        n_filter, n_subword, missing, _ = relation_counts(filtered, subword)
+        comp = sum(mask.bit_count() for mask in base.below_masks())
         print(
-            f"{text}: |W|={table.order} componentwise={len(comp)} "
-            f"link-filter={len(rel_f)} subword={len(rel_s)} "
-            f"agree={rel_f == rel_s} filter-missing={len(rel_s - rel_f)}"
+            f"{text}: |W|={table.order} componentwise={comp} "
+            f"link-filter={n_filter} subword={n_subword} "
+            f"agree={filtered.covers == subword.covers} filter-missing={missing}"
         )
         if args.dot_dir:
             os.makedirs(args.dot_dir, exist_ok=True)

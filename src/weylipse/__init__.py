@@ -2,8 +2,8 @@
 
 Exact (integer/fraction) Cartan data for the families A-G and their products;
 the primary and secondary integer quadrics; enumeration of the Diophantine
-orbits of the coordinate involutions T_i; the matrix Weyl group with its
-transfer onto the main orbit; componentwise and Bruhat orders; and reduced
+orbits of the coordinate involutions T_i; the Weyl group as words, with
+matrices built when read, and its transfer onto the main orbit; componentwise and Bruhat orders; and reduced
 word enumeration via descent sets.
 """
 
@@ -65,7 +65,6 @@ from .weyl import (
     build_group_table,
     element_from_pvector,
     p_alpha_b,
-    simple_reflection,
     star,
     word_to_element,
 )

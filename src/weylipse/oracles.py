@@ -1,16 +1,16 @@
 """Brute-force oracles shared by `verify` and the test suite, independent of
 the code they check: a box scan with the primary quadric written out term by
-term (no `primary_form`), matrix products of all words up to a length (no
-T-moves, no group table), and the closure of a point under every T_i with a
-set of seen points (no h carried, no ascent rule)."""
+term (no `primary_form`), matrix products of all words up to a length with
+their own P-vectors (no T-moves, no group table, nothing from `weyl`), and the
+closure of a point under every T_i with a set of seen points (no h carried,
+no ascent rule)."""
 
 from __future__ import annotations
 
 from math import isqrt
 
 from .cartan import CartanData
-from .exact import Matrix, identity, mat_mul
-from .weyl import P_map, WeylElement
+from .exact import Matrix, identity, mat_mul, mat_vec
 
 
 def reflection_matrices(cd: CartanData) -> list[Matrix]:
@@ -83,13 +83,15 @@ def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:
 def exhaustive_word_search(cd: CartanData, max_len: int):
     """All words up to max_len over the generators, multiplied out as matrices.
 
+    Each product M is keyed by its P-vector (2 delta - M 2 delta) / 2.
     Returns {pvector: (min_length, first_letters_at_min, reduced_words_set)}.
     """
     gens = reflection_matrices(cd)
+    two_delta = cd.two_delta
     best = {}
 
     def visit(mat, word):
-        p = P_map(WeylElement(mat=mat), cd)
+        p = tuple((t - v) // 2 for t, v in zip(two_delta, mat_vec(mat, two_delta)))
         depth = len(word)
         if p not in best or depth < best[p][0]:
             best[p] = (depth, {word[0]} if word else set(), {word})

@@ -143,15 +143,14 @@ def _is_positive_root_multiple(diff, roots: tuple[Root, ...]) -> bool:
     return False
 
 
-def bruhat_from_primary(table: GroupTable, roots: tuple[Root, ...] | None = None) -> Poset:
+def bruhat_from_primary(table: GroupTable) -> Poset:
     """Keep the componentwise cover links whose difference is a root multiple.
 
     The kept links are covers of the filtered relation as well: a kept link
     cannot become redundant because no third node sits componentwise between
     its endpoints.
     """
-    if roots is None:
-        roots = positive_roots(table.cd)
+    roots = positive_roots(table.cd)
     base = primary_poset(table)
     kept = frozenset(
         (a, b)
@@ -204,11 +203,6 @@ class ReducedWordSet:
     words: tuple[tuple[int, ...], ...]
 
 
-def _descend(p, i, cd: CartanData):
-    # T_i on the P-vector: strip the descent s_i from the element
-    return _t_walk((i,), p, cd)
-
-
 def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     """All reduced expressions of w, by first-letter recursion on P-vectors.
 
@@ -230,7 +224,7 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
         else:
             collected = []
             for i in letters:
-                for tail in words_for(_descend(p, i, cd)):
+                for tail in words_for(_t_walk((i,), p, cd)):
                     collected.append((i,) + tail)
             result = tuple(collected)
         memo[p] = result

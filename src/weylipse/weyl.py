@@ -1,8 +1,10 @@
-"""Matrix realization of the Weyl group and its transfer onto the main orbit.
+"""The Weyl group as words, its matrix realization, and its transfer onto the main orbit.
 
-Matrices act on column vectors of simple-root coordinates; the simple
-reflection s_i sends e_j to e_j - A_ij e_i.  Words multiply left to right,
-so word_to_element([1, 2]) is s_1 s_2 acting as x |-> s_1(s_2(x)).
+An element is a word in the simple reflections; its matrix is built from the
+word on first read.  Matrices act on column vectors of simple-root
+coordinates; the simple reflection s_i sends e_j to e_j - A_ij e_i.  Words
+multiply left to right, so word_to_element([1, 2]) is s_1 s_2 acting as
+x |-> s_1(s_2(x)).
 
 P(w) = delta - w delta = (2 delta - w 2 delta) / 2 maps the group bijectively
 onto the main orbit of the primary quadric (the identity goes to the origin);
@@ -12,14 +14,14 @@ positive roots.
 
 Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
 main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
-prepending a letter to the word and changing one row of the matrix, and
-`element_from_pvector` strips descents back to the origin.  The one T-walk
-`_t_walk` gives `star` and the word checks of `ordering.reduced_words`.
+prepending a letter to the word, and `element_from_pvector` strips descents
+back to the origin.  The one T-walk `_t_walk` gives `star` and the word
+checks of `ordering.reduced_words`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cartan import CartanData, Root, weyl_order
@@ -37,7 +39,6 @@ __all__ = [
     "WeylElement",
     "GroupTable",
     "DEFAULT_TABLE_CAP",
-    "simple_reflection",
     "word_to_element",
     "P_map",
     "S_map",
@@ -52,24 +53,27 @@ DEFAULT_TABLE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class WeylElement:
-    """An integer matrix in the simple-root basis, with a word that produced it."""
+    """The product s_{i1} s_{i2} ... of a word of 1-based indices, over the Cartan matrix A.
 
-    mat: Matrix
-    word: tuple[int, ...] | None = None
+    Elements compare by word.  The integer matrix in the simple-root basis is
+    built from the word the first time `mat` is read.
+    """
 
+    word: tuple[int, ...]
+    A: Matrix = field(compare=False, repr=False)
 
-def simple_reflection(i: int, cd: CartanData) -> WeylElement:
-    """s_i as a WeylElement; i is 1-based."""
-    return word_to_element((i,), cd)
-
-
-def _reflect_rows(mat: Matrix, i: int, A: Matrix) -> Matrix:
-    # s_i * mat for 0-based i: only row i changes, to row i - sum_j A_ij row j
-    row = mat[i]
-    for j, a in enumerate(A[i]):
-        if a:
-            row = [v - a * r for v, r in zip(row, mat[j])]
-    return mat[:i] + (tuple(row),) + mat[i + 1 :]
+    @cached_property
+    def mat(self) -> Matrix:
+        # s_i * mat changes only row i, to row i - sum_j A_ij row j
+        mat = identity(len(self.A))
+        for i in reversed(self.word):
+            i -= 1
+            row = mat[i]
+            for j, a in enumerate(self.A[i]):
+                if a:
+                    row = [v - a * r for v, r in zip(row, mat[j])]
+            mat = mat[:i] + (tuple(row),) + mat[i + 1 :]
+        return mat
 
 
 def word_to_element(word, cd: CartanData) -> WeylElement:
@@ -78,10 +82,7 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
     for i in word:
         if not isinstance(i, int) or not 1 <= i <= cd.n:
             raise IndexOutOfRangeError(f"reflection index {i} out of range 1..{cd.n}")
-    mat = identity(cd.n)
-    for i in reversed(word):
-        mat = _reflect_rows(mat, i - 1, cd.A)
-    return WeylElement(mat=mat, word=word)
+    return WeylElement(word, cd.A)
 
 
 def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
@@ -137,9 +138,9 @@ def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTabl
     """The main orbit by the canonical ascent walk from the origin, one element per point.
 
     The step from P(w) to T_i(P(w)) = P(s_i w) gives s_i w the word
-    (i,) + word(w) and the matrix s_i * w, whose rows other than i are shared
-    with w's.  Since i is the smallest left descent of s_i w, every word is
-    the lexicographically smallest reduced word of its element.
+    (i,) + word(w); no matrix is built.  Since i is the smallest left descent
+    of s_i w, every word is the lexicographically smallest reduced word of its
+    element (its ShortLex normal form).
     InvariantError is raised unless the walk gives |W| distinct P-vectors.
     """
     total = weyl_order(cd)
@@ -147,11 +148,10 @@ def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTabl
         raise CapExceededError(f"|W({cd.spec})| = {total} exceeds cap {cap}")
     n, A = cd.n, cd.A
     origin = (0,) * n
-    elements = {origin: WeylElement(mat=identity(n), word=())}
+    elements = {origin: WeylElement((), A)}
 
     def visit(x, i, y):
-        w = elements[x]
-        elements[y] = WeylElement(mat=_reflect_rows(w.mat, i, A), word=(i + 1,) + w.word)
+        elements[y] = WeylElement((i + 1,) + elements[x].word, A)
 
     ascend(origin, (1,) * n, cd, visit)
     if len(elements) != total:

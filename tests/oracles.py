@@ -54,13 +54,16 @@ def group_table_by_matrix_closure(cd):
                     first[prod] = first[m] + (g + 1,)
                     nxt.append(prod)
         frontier = nxt
-    table = {}
-    for m, word in first.items():
-        p = tuple(d - v for d, v in zip(cd.delta, mat_vec(m, cd.delta)))
-        assert all(v.denominator == 1 for v in p)
-        table[tuple(int(v) for v in p)] = (word, m)
+    table = {pvector_of_matrix(m, cd): (word, m) for m, word in first.items()}
     assert len(table) == len(first)
     return table
+
+
+def pvector_of_matrix(m, cd):
+    """P = delta - m delta, evaluated over fractions and asserted integral."""
+    p = tuple(d - v for d, v in zip(cd.delta, mat_vec(m, cd.delta)))
+    assert all(v.denominator == 1 for v in p)
+    return tuple(int(v) for v in p)
 
 
 def group_order_by_closure(cd, indices=None):

@@ -14,7 +14,6 @@ from weylipse import (
     parse_type,
     primary_poset,
     reduced_words,
-    simple_reflection,
     word_to_element,
 )
 from weylipse.ordering import Poset, relation_counts
@@ -45,7 +44,7 @@ def componentwise_pairs(nodes):
 def test_first_letters_examples():
     b2 = cd_of("B2")
     assert first_letters(word_to_element([], b2), b2) == frozenset()
-    assert first_letters(simple_reflection(1, b2), b2) == {1}
+    assert first_letters(word_to_element((1,), b2), b2) == {1}
     assert first_letters(word_to_element([1, 2, 1, 2], b2), b2) == {1, 2}
 
 
@@ -98,13 +97,13 @@ def test_reduced_words_t_walk_rejects_wrong_descent(monkeypatch):
     a3 = cd_of("A3")
     w = word_to_element([1, 3], a3)
     start = P_map(w, a3)
-    descend = weylipse.ordering._descend
+    t_walk = weylipse.ordering._t_walk
 
-    def corrupted(p, i, cd):
+    def corrupted(word, p, cd):
         # stripping s_3 lands on P(s_2) instead of P(s_1); the first word (1, 3) stays right
-        return (0, 1, 0) if (p, i) == (start, 3) else descend(p, i, cd)
+        return (0, 1, 0) if (word, p) == ((3,), start) else t_walk(word, p, cd)
 
-    monkeypatch.setattr(weylipse.ordering, "_descend", corrupted)
+    monkeypatch.setattr(weylipse.ordering, "_t_walk", corrupted)
     with pytest.raises(InvariantError, match=r"word \(3, 2\)"):
         reduced_words(w, a3)
 

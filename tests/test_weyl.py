@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -11,7 +12,6 @@ from weylipse import (
     NotInMainOrbitError,
     P_map,
     S_map,
-    WeylElement,
     apply_T,
     build_cartan,
     build_group_table,
@@ -21,14 +21,13 @@ from weylipse import (
     p_alpha_b,
     parse_type,
     positive_roots,
-    simple_reflection,
     star,
     weyl_order,
     word_to_element,
 )
 from weylipse.exact import identity, mat_mul
 
-from oracles import group_table_by_matrix_closure, mulclose, reflection_matrices
+from oracles import group_table_by_matrix_closure, mulclose, pvector_of_matrix, reflection_matrices
 
 ENGINE_TYPES = ["A1", "A2", "A3", "A4", "B3", "C3", "G2", "D4", "F4", "B2xA1"]
 
@@ -46,16 +45,16 @@ def table_of(text):
 
 def test_simple_reflection_examples():
     a2 = cd_of("A2")
-    assert simple_reflection(1, a2).mat == ((-1, 1), (0, 1))
+    assert word_to_element((1,), a2).mat == ((-1, 1), (0, 1))
     b2 = cd_of("B2")
-    assert simple_reflection(2, b2).mat == ((1, 0), (2, -1))
+    assert word_to_element((2,), b2).mat == ((1, 0), (2, -1))
     for i in (1, 2):
-        s = simple_reflection(i, b2).mat
+        s = word_to_element((i,), b2).mat
         assert mat_mul(s, s) == identity(2)
     with pytest.raises(IndexOutOfRangeError):
-        simple_reflection(3, a2)
+        word_to_element((3,), a2)
     with pytest.raises(IndexOutOfRangeError):
-        simple_reflection(0, a2)
+        word_to_element((0,), a2)
 
 
 def test_word_products_and_braids():
@@ -92,8 +91,8 @@ def test_p_s_examples():
     b2 = cd_of("B2")
     assert P_map(word_to_element([], b2), b2) == (0, 0)
     assert S_map(word_to_element([], b2), b2) == (1, 1)
-    assert P_map(simple_reflection(1, b2), b2) == (1, 0)
-    assert S_map(simple_reflection(1, b2), b2) == (-1, 3)
+    assert P_map(word_to_element((1,), b2), b2) == (1, 0)
+    assert S_map(word_to_element((1,), b2), b2) == (-1, 3)
     w0 = word_to_element([1, 2, 1, 2], b2)
     assert P_map(w0, b2) == (3, 4) == b2.two_delta
     assert S_map(w0, b2) == (-1, -1)
@@ -104,13 +103,14 @@ def test_p_of_simple_reflection_is_basis_vector():
         cd = cd_of(text)
         for i in range(1, cd.n + 1):
             expected = tuple(1 if j == i - 1 else 0 for j in range(cd.n))
-            assert P_map(simple_reflection(i, cd), cd) == expected
+            assert P_map(word_to_element((i,), cd), cd) == expected
 
 
 @pytest.mark.parametrize(
     "error, call",
     [
-        ("InvariantError", "P_map(WeylElement(mat=((2,),)), build_cartan(parse_type('A1')))"),
+        # a word over the 1x1 matrix (3) gives the matrix (-2), and 1 - (-2) = 3 is odd
+        ("InvariantError", "P_map(WeylElement((1,), ((3,),)), build_cartan(parse_type('A1')))"),
         ("MalformedFormError", "QuadForm(n=1, quad=((1,),), linear=(0,), constant=0)"),
     ],
     ids=["P_map", "QuadForm"],
@@ -182,6 +182,27 @@ def test_table_words_are_geodesic():
         assert word_to_element(w.word, cd).mat == w.mat
 
 
+def test_table_builds_no_matrix():
+    cd = cd_of("D4")
+    table = build_group_table(cd)
+    assert not any("mat" in vars(w) for w in table.elements.values())
+    w = table.elements[cd.two_delta]
+    assert w.mat == word_to_element(w.word, cd).mat and "mat" in vars(w)
+
+
+def test_oracles_import_nothing_from_weyl():
+    # the word-search oracle checks weyl's P_map, so it must compute P itself
+    import weylipse.oracles
+
+    with open(weylipse.oracles.__file__) as fh:
+        tree = ast.parse(fh.read())
+    nodes = list(ast.walk(tree))
+    modules = {"." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported = {m for m in modules if m.startswith(".") or m.startswith("weylipse")}
+    assert imported == {".cartan", ".exact"}
+
+
 def test_table_cap():
     with pytest.raises(CapExceededError):
         build_group_table(cd_of("E8"))
@@ -223,7 +244,7 @@ def test_star_matches_matrix_product(text):
     closure = group_table_by_matrix_closure(cd)
     for a, (_, ma) in closure.items():
         for b, (_, mb) in closure.items():
-            assert star(a, b, table) == P_map(WeylElement(mat=mat_mul(ma, mb)), cd)
+            assert star(a, b, table) == pvector_of_matrix(mat_mul(ma, mb), cd)
     with pytest.raises(NotInMainOrbitError):
         star((0,) * cd.n, (5,) * cd.n, table)
 
