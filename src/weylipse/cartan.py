@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import (
@@ -266,7 +266,7 @@ def bilinear(x: Vector, y: Vector, cd: CartanData):
     """The inner product x^T gram y; exact, integer-valued on integer input."""
     if len(x) != cd.n or len(y) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vectors, got {len(x)} and {len(y)}")
-    return sum(x[i] * cd.gram[i][j] * y[j] for i in range(cd.n) for j in range(cd.n))
+    return sum(map(mul, x, mat_vec(cd.gram, y)))
 
 
 @dataclass(frozen=True)
@@ -309,6 +309,11 @@ def _root_closure(cd: CartanData) -> RootClosure:
                 if s not in roots:
                     roots[s] = roots[r]
                     work.append((s, tuple(q - p * a for q, a in zip(pairings, cols[i]))))
+    # every root is primitive, since W acts unimodularly on the root lattice;
+    # the root-multiple test of `ordering.bruhat_from_primary` relies on it
+    for r in roots:
+        if gcd(*r) != 1:
+            raise InvariantError(f"root {r} of {cd.spec} is not primitive")
     pos = sorted(r for r in roots if all(c >= 0 for c in r))
     expected = cd.positive_root_count
     if len(roots) != 2 * len(pos) or len(pos) != expected:

@@ -1,14 +1,17 @@
 """Small exact linear-algebra helpers over integers and fractions.
 
-Matrices are tuples of row tuples.  Everything here is dimension-agnostic and
-allocation-happy; the matrices in this project are at most rank ~10, so
-clarity wins over cleverness.
+Matrices are tuples of row tuples.  Everything here is dimension-agnostic.
+Each entry of a product is one `sum(map(mul, row, column))`, so the loop over
+a row runs inside the interpreter's builtins, not as a Python generator; the
+matrices in this project are at most rank ~10, but the checking paths call
+these once per group element or per sampled point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
@@ -19,15 +22,12 @@ def identity(n: int) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(p))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_inv(m: Matrix) -> tuple[Matrix, Fraction]:

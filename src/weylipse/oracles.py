@@ -1,27 +1,18 @@
 """Brute-force oracles shared by `verify` and the test suite, independent of
 the code they check: a box scan with the primary quadric written out term by
-term (no `primary_form`), matrix products of all words up to a length with
-their own P-vectors (no T-moves, no group table, nothing from `weyl`), and the
-closure of a point under every T_i with a set of seen points (no h carried,
-no ascent rule)."""
+term from k and the links, carried as one partial sum per coordinate (no
+`primary_form`); matrix products of all words up to a length, each extended
+by the sparse s_g as a row update, with their own P-vectors (no T-moves, no
+group table, nothing from `weyl`); and the closure of a point under every T_i
+with a set of seen points (no h carried, no ascent rule).  They import only
+`cartan` and `exact`."""
 
 from __future__ import annotations
 
 from math import isqrt
 
 from .cartan import CartanData
-from .exact import Matrix, identity, mat_mul, mat_vec
-
-
-def reflection_matrices(cd: CartanData) -> list[Matrix]:
-    """s_1, ..., s_n as matrices: row i of the identity minus row i of A."""
-    out = []
-    for i in range(cd.n):
-        m = [[1 if r == c else 0 for c in range(cd.n)] for r in range(cd.n)]
-        for c in range(cd.n):
-            m[i][c] -= cd.A[i][c]
-        out.append(tuple(tuple(row) for row in m))
-    return out
+from .exact import identity, mat_vec
 
 
 def primary_box(cd: CartanData) -> tuple[list[int], list[int]]:
@@ -41,29 +32,33 @@ def primary_box(cd: CartanData) -> tuple[list[int], list[int]]:
 
 
 def primary_solutions_by_box_scan(cd: CartanData) -> list[tuple[int, ...]]:
-    """All integral primary solutions, sorted, by scanning `primary_box`."""
-    n = cd.n
+    """All integral primary solutions, sorted, by scanning `primary_box`.
+
+    The polynomial sum_i k_i (x_i^2 - x_i) - sum_{i<j} l_ij x_i x_j is summed
+    one coordinate at a time: fixing x_i = v adds k_i (v^2 - v) - s_i v, where
+    s_i = sum_{j<i} l_ji x_j over the coordinates already fixed.
+    """
+    n, k = cd.n, cd.k
     lo, hi = primary_box(cd)
-    links = [(i, j, cd.links[i][j]) for i in range(n) for j in range(i + 1, n) if cd.links[i][j]]
-    found = []
-    point = [0] * n
+    earlier = [[(j, cd.links[j][i]) for j in range(i) if cd.links[j][i]] for i in range(n)]
+    last = n - 1
+    found = []  # in lexicographic order, since every coordinate counts up
+    point = [0] * last
 
-    def value(x):
-        # sum k_i (x_i^2 - x_i) - sum_links l_ij x_i x_j, written out directly
-        total = sum(k * (v * v - v) for k, v in zip(cd.k, x))
-        return total - sum(w * x[i] * x[j] for i, j, w in links)
-
-    def rec(i):
-        if i == n:
-            if value(point) == 0:
-                found.append(tuple(point))
+    def rec(i, acc):
+        s = sum(w * point[j] for j, w in earlier[i])
+        ki = k[i]
+        if i == last:
+            for v in range(lo[i], hi[i] + 1):
+                if acc + ki * (v * v - v) - s * v == 0:
+                    found.append((*point, v))
             return
         for v in range(lo[i], hi[i] + 1):
             point[i] = v
-            rec(i + 1)
+            rec(i + 1, acc + ki * (v * v - v) - s * v)
 
-    rec(0)
-    return sorted(found)
+    rec(0, 0)
+    return found
 
 
 def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:
@@ -83,10 +78,12 @@ def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:
 def exhaustive_word_search(cd: CartanData, max_len: int):
     """All words up to max_len over the generators, multiplied out as matrices.
 
-    Each product M is keyed by its P-vector (2 delta - M 2 delta) / 2.
+    A word is extended by s_g on the right: s_g = 1 - e_g A[g] is sparse, so
+    (M s_g)[r][c] = M[r][c] - M[r][g] A[g][c] changes only the rows with
+    M[r][g] != 0.  Each product M is keyed by its P-vector (2 delta - M 2 delta) / 2.
     Returns {pvector: (min_length, first_letters_at_min, reduced_words_set)}.
     """
-    gens = reflection_matrices(cd)
+    A = cd.A
     two_delta = cd.two_delta
     best = {}
 
@@ -101,8 +98,11 @@ def exhaustive_word_search(cd: CartanData, max_len: int):
             best[p][2].add(word)
         if depth == max_len:
             return
-        for g in range(cd.n):
-            visit(mat_mul(mat, gens[g]), word + (g + 1,))
+        for g, a in enumerate(A):
+            product = tuple(
+                tuple(v - row[g] * x for v, x in zip(row, a)) if row[g] else row for row in mat
+            )
+            visit(product, word + (g + 1,))
 
     visit(identity(cd.n), ())
     return best

@@ -28,8 +28,8 @@ from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
-from .exact import max_shifted_root
-from .quadrics import _strip_descents, ascend, primary_form, secondary_form
+from .exact import mat_vec, max_shifted_root
+from .quadrics import _on_primary, _strip_descents, ascend, h_vector, primary_form, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -155,7 +155,9 @@ def orbit_size(h, cd: CartanData) -> int:
     """|W| / |W_h|, where W_h is generated by the reflections at the zeros of h."""
     h = tuple(h)
     valid = len(h) == cd.n and all(isinstance(v, int) and v >= 0 for v in h)
-    if not valid or secondary_form(cd).value(h) != 0:
+    # h is on the secondary quadric iff x_h = Ainv (1 - h) is on the primary one,
+    # and h_vector(x_h) = h; adjA (1 - h) = detA x_h keeps the test in integers
+    if not valid or not _on_primary(mat_vec(cd.adjA, tuple(1 - v for v in h)), h, cd):
         raise NotASolutionError(f"{h} is not a nonnegative integral secondary solution of {cd.spec}")
     return _size_at(h, cd, weyl_order(cd), {})
 
@@ -191,7 +193,7 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     cap, and InvariantError unless the walk lists that many distinct points.
     """
     a = tuple(a)
-    if any(not isinstance(v, int) for v in a) or primary_form(cd).value(a) != 0:
+    if any(not isinstance(v, int) for v in a) or not _on_primary(a, h_vector(a, cd), cd):
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
     minimal, h, _ = _strip_descents(a, cd)
     size = _size_at(h, cd, weyl_order(cd), {})

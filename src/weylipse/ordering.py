@@ -10,24 +10,25 @@ Identities doing the heavy lifting:
   integer vectors, memoized per query, and each word is checked by a T-walk.
 
 Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
-of the nodes below it: by pairwise comparison of P-vectors (componentwise) or
-by the products of the subwords of one reduced word (subword property).
-`Poset.below_masks` rebuilds those bitmasks from the covers in one pass in
-node order, since every cover goes up in it; `Poset.relation` lists their bits
-and `relation_counts` compares two orders by popcounts of them.
+of the nodes below it: the AND over coordinates of the nodes no larger there
+(componentwise), or the products of the subwords of one reduced word (subword
+property).  `Poset.below_masks` rebuilds those bitmasks from the covers in one
+pass in node order, since every cover goes up in it; `Poset.relation` lists
+their bits and `relation_counts` compares two orders by popcounts of them.
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
-cover links whose difference is a positive multiple of a positive root
-(tested by integer cross-multiplication); `bruhat_from_subwords` is the
-independent subword-property construction used as ground truth when the two
-are compared.
+cover links whose difference is a positive multiple of a positive root: since
+every root is primitive, the difference divided by its gcd must be one.
+`bruhat_from_subwords` is the independent subword-property construction used
+as ground truth when the two are compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .cartan import CartanData, Root, positive_roots
+from .cartan import CartanData
 from .errors import InvariantError, NotInMainOrbitError
 from .quadrics import h_vector
 from .weyl import GroupTable, P_map, WeylElement, _t_walk, word_to_element
@@ -117,30 +118,42 @@ def _hasse(down: list[int]) -> set[tuple[int, int]]:
     return covers
 
 
+def _componentwise_down(nodes) -> list[int]:
+    """Bitmask per node of the nodes componentwise below it.
+
+    Per coordinate, ``at_most[v]`` is the bitmask of the nodes whose entry
+    there is at most v; the nodes below x are the AND of those masks at the
+    entries of x, less x itself.
+    """
+    down = [~(1 << j) for j in range(len(nodes))]
+    for column in zip(*nodes):
+        groups: dict[int, int] = {}
+        for j, v in enumerate(column):
+            groups[v] = groups.get(v, 0) | 1 << j
+        at_most, mask = {}, 0
+        for v in sorted(groups):
+            mask |= groups[v]
+            at_most[v] = mask
+        for j, v in enumerate(column):
+            down[j] &= at_most[v]
+    return down
+
+
 def primary_poset(table: GroupTable) -> Poset:
     """Hasse diagram of the componentwise order on the P-vector set."""
-    nodes = table.nodes
-    # nodes are sorted, so a componentwise smaller node comes earlier
-    down = [
-        sum(1 << i for i in range(j) if all(x <= y for x, y in zip(nodes[i], b)))
-        for j, b in enumerate(nodes)
-    ]
     return Poset(
-        nodes=nodes,
-        covers=frozenset(_hasse(down)),
+        nodes=table.nodes,
+        covers=frozenset(_hasse(_componentwise_down(table.nodes))),
         kind="primary",
         ranks=table.lengths(),
     )
 
 
-def _is_positive_root_multiple(diff, roots: tuple[Root, ...]) -> bool:
-    # diff = (d0 / r0) * root with d0 / r0 > 0, cross-multiplied at the root's pivot
-    for root in roots:
-        pivot = next(i for i, c in enumerate(root.coords) if c)
-        d0, r0 = diff[pivot], root.coords[pivot]
-        if d0 * r0 > 0 and all(d * r0 == d0 * c for d, c in zip(diff, root.coords)):
-            return True
-    return False
+def _is_positive_root_multiple(diff, roots: dict[tuple[int, ...], int]) -> bool:
+    # every root is primitive, so diff is a positive multiple of a positive root
+    # exactly when diff / gcd(diff) is a root with no negative coordinate
+    g = gcd(*diff)
+    return g > 0 and min(diff) >= 0 and tuple(d // g for d in diff) in roots
 
 
 def bruhat_from_primary(table: GroupTable) -> Poset:
@@ -150,7 +163,7 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
     cannot become redundant because no third node sits componentwise between
     its endpoints.
     """
-    roots = positive_roots(table.cd)
+    roots = table.cd.root_closure.roots
     base = primary_poset(table)
     kept = frozenset(
         (a, b)

@@ -15,7 +15,7 @@ the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .cartan import CartanData, bilinear
 from .errors import DimensionMismatchError, InvariantError, MalformedFormError, NotOnEllipsoidError
@@ -121,24 +121,30 @@ def h_vector(x, cd: CartanData) -> tuple:
     """h = 1 - A x.  Integral whenever x is; maps the primary quadric onto the secondary."""
     if len(x) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
-    return tuple(
-        1 - sum(cd.A[i][j] * x[j] for j in range(cd.n)) for i in range(cd.n)
-    )
+    return tuple(1 - sum(map(mul, row, x)) for row in cd.A)
 
 
 def apply_T(i: int, x, cd: CartanData) -> tuple:
     """The involution T_i: shift coordinate i (1-based) of x by h(x)_i.
 
     Requires x on the primary quadric; returns x unchanged where h_i = 0.
-    Since A delta = 1, twice the primary value of x is -sum k_j x_j (1 + h_j).
     """
     if not 1 <= i <= cd.n:
         raise DimensionMismatchError(f"index {i} out of range 1..{cd.n}")
     x = tuple(x)
     h = h_vector(x, cd)
-    if sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h)):
+    if not _on_primary(x, h, cd):
         raise NotOnEllipsoidError(f"{x} is not on the primary quadric of {cd.spec}")
     return x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
+
+
+def _on_primary(x, h, cd: CartanData) -> bool:
+    """Whether x is on the primary quadric, given h = h_vector(x).
+
+    Since A delta = 1, twice the primary value of x is -sum k_j x_j (1 + h_j).
+    For fixed h the test is homogeneous in x, so any multiple of x may be passed.
+    """
+    return not sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h))
 
 
 def _strip_descents(x, cd: CartanData):
@@ -197,6 +203,11 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
 
 
 def sphere_identity_holds(x, cd: CartanData) -> bool:
-    """Independent membership oracle: <x - delta, x - delta> == <delta, delta>."""
-    centered = tuple(Fraction(xi) - di for xi, di in zip(x, cd.delta))
-    return bilinear(centered, centered, cd) == cd.delta_norm_sq
+    """Independent membership oracle: <x - delta, x - delta> == <delta, delta>.
+
+    Tested at twice the scale, <2x - 2 delta, 2x - 2 delta> == <2 delta, 2 delta>,
+    so that every entry is an integer.
+    """
+    two_delta = cd.two_delta
+    centered = tuple(2 * xi - t for xi, t in zip(x, two_delta))
+    return bilinear(centered, centered, cd) == bilinear(two_delta, two_delta, cd)

@@ -5,19 +5,118 @@ paths: group orders and the group table come from raw matrix closure,
 solution sets from direct box scans, Bruhat comparisons from the permutation
 rank-matrix criterion, and descent data from brute-force word search.
 
-The primary box scan, the word search and the reflection matrices come from
-`weylipse.oracles`, which `weylipse verify` runs too; it keeps the same rule
-(no `primary_form`, no T-moves, no group table), so they stay independent.
+The primary box scan and the word search come from `weylipse.oracles`,
+which `weylipse verify` runs too; it keeps the same rule (no `primary_form`,
+no T-moves, no group table), so they stay independent.
+
+The plain forms of the library's exact kernels are kept here as references
+for `test_kernels.py`: pairwise componentwise comparison, the scan over all
+positive roots, the box scan that evaluates the polynomial at every point,
+the sphere test over fractions, and the word search by dense products.
 """
 
+from fractions import Fraction
 from math import isqrt
 
+from weylipse.cartan import bilinear
 from weylipse.exact import identity, mat_mul, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
     exhaustive_word_search,
+    primary_box,
     primary_solutions_by_box_scan,
-    reflection_matrices,
 )
+
+
+def reflection_matrices(cd):
+    """s_1, ..., s_n as matrices: row i of the identity minus row i of A."""
+    out = []
+    for i in range(cd.n):
+        m = [[1 if r == c else 0 for c in range(cd.n)] for r in range(cd.n)]
+        for c in range(cd.n):
+            m[i][c] -= cd.A[i][c]
+        out.append(tuple(tuple(row) for row in m))
+    return out
+
+
+# --- the plain kernels that the library's exact kernels replaced ---
+
+
+def componentwise_down_sets(nodes):
+    """Bitmask per node of the nodes componentwise below it, by pairwise comparison
+    (nodes sorted, so a componentwise smaller node comes earlier)."""
+    return [
+        sum(1 << i for i in range(j) if all(x <= y for x, y in zip(nodes[i], b)))
+        for j, b in enumerate(nodes)
+    ]
+
+
+def is_positive_root_multiple_by_scan(diff, roots):
+    """diff = (d0 / r0) * root with d0 / r0 > 0, cross-multiplied at the root's
+    pivot, tried against every positive root."""
+    for root in roots:
+        pivot = next(i for i, c in enumerate(root.coords) if c)
+        d0, r0 = diff[pivot], root.coords[pivot]
+        if d0 * r0 > 0 and all(d * r0 == d0 * c for d, c in zip(diff, root.coords)):
+            return True
+    return False
+
+
+def primary_solutions_by_pointwise_scan(cd):
+    """All integral primary solutions, sorted, evaluating the polynomial afresh at
+    every point of `primary_box`."""
+    n = cd.n
+    lo, hi = primary_box(cd)
+    links = [(i, j, cd.links[i][j]) for i in range(n) for j in range(i + 1, n) if cd.links[i][j]]
+    found = []
+    point = [0] * n
+
+    def value(x):
+        # sum k_i (x_i^2 - x_i) - sum_links l_ij x_i x_j, written out directly
+        total = sum(k * (v * v - v) for k, v in zip(cd.k, x))
+        return total - sum(w * x[i] * x[j] for i, j, w in links)
+
+    def rec(i):
+        if i == n:
+            if value(point) == 0:
+                found.append(tuple(point))
+            return
+        for v in range(lo[i], hi[i] + 1):
+            point[i] = v
+            rec(i + 1)
+
+    rec(0)
+    return sorted(found)
+
+
+def sphere_identity_over_fractions(x, cd):
+    """<x - delta, x - delta> == <delta, delta> with delta as fractions."""
+    centered = tuple(Fraction(xi) - di for xi, di in zip(x, cd.delta))
+    return bilinear(centered, centered, cd) == cd.delta_norm_sq
+
+
+def word_search_by_dense_products(cd, max_len):
+    """`exhaustive_word_search` with each word extended by a full product with
+    the reflection matrix."""
+    gens = reflection_matrices(cd)
+    two_delta = cd.two_delta
+    best = {}
+
+    def visit(mat, word):
+        p = tuple((t - v) // 2 for t, v in zip(two_delta, mat_vec(mat, two_delta)))
+        depth = len(word)
+        if p not in best or depth < best[p][0]:
+            best[p] = (depth, {word[0]} if word else set(), {word})
+        elif depth == best[p][0]:
+            if word:
+                best[p][1].add(word[0])
+            best[p][2].add(word)
+        if depth == max_len:
+            return
+        for g in range(cd.n):
+            visit(mat_mul(mat, gens[g]), word + (g + 1,))
+
+    visit(identity(cd.n), ())
+    return best
 
 
 def mulclose(mats):

@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,7 @@ from weylipse import (
     positive_roots,
     weyl_order,
 )
-from weylipse.cartan import RootClosure
+from weylipse.cartan import RootClosure, _root_closure
 from weylipse.exact import mat_mul, mat_vec
 
 from oracles import group_order_by_closure
@@ -192,6 +192,21 @@ def test_positive_root_counts(text, count):
         assert r.grade >= 1
         assert (r.grade == 1) == (sum(r.coords) == 1)
         assert r.length_sq == bilinear(r.coords, r.coords, cd)
+
+
+@pytest.mark.parametrize("text", IRREDUCIBLE_LE8 + PRODUCTS + ["E8xA1", "E6xG2"])
+def test_root_closure_roots_are_primitive(text):
+    # the gcd lookup of ordering.bruhat_from_primary needs every root primitive
+    cd = cd_of(text)
+    roots = _root_closure(cd).roots
+    assert len(roots) == 2 * cd.positive_root_count
+    assert all(gcd(*r) == 1 for r in roots)
+
+
+def test_root_closure_raises_on_a_non_primitive_root(monkeypatch):
+    monkeypatch.setattr("weylipse.cartan.gcd", lambda *r: 2)
+    with pytest.raises(InvariantError, match="not primitive"):
+        _root_closure(cd_of("A2"))
 
 
 def test_grade_examples():

@@ -1,0 +1,197 @@
+"""Each exact kernel of the checking paths against the plain code it replaced.
+
+The references live in `oracles.py`: pairwise componentwise comparison,
+the cross-multiplied scan over every positive root, the box scan that
+evaluates the primary polynomial at every point, the sphere test over
+fractions, the word search by dense matrix products, index-loop row
+products, and membership through `primary_form` / `secondary_form`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from weylipse import (
+    NotASolutionError,
+    NotOnEllipsoidError,
+    bilinear,
+    build_cartan,
+    build_group_table,
+    expand_orbit,
+    h_vector,
+    orbit_size,
+    parse_type,
+    positive_roots,
+    primary_form,
+    secondary_form,
+)
+from weylipse.exact import mat_mul, mat_vec
+from weylipse.ordering import _componentwise_down, _is_positive_root_multiple, primary_poset
+from weylipse.quadrics import sphere_identity_holds
+
+from oracles import (
+    componentwise_down_sets,
+    exhaustive_word_search,
+    is_positive_root_multiple_by_scan,
+    primary_solutions_by_box_scan,
+    primary_solutions_by_pointwise_scan,
+    sphere_identity_over_fractions,
+    word_search_by_dense_products,
+)
+
+
+def cd_of(text):
+    return build_cartan(parse_type(text))
+
+
+# --- row products ---
+
+
+def test_row_products_match_index_loops():
+    rng = random.Random(9)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(20):
+            a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            b = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            assert mat_vec(a, v) == tuple(sum(row[j] * v[j] for j in range(n)) for row in a)
+            assert mat_mul(a, b) == tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+            )
+
+
+@pytest.mark.parametrize("text", ["A1", "B3", "G2xA1", "F4", "E8"])
+def test_bilinear_and_h_vector_match_index_loops(text):
+    cd = cd_of(text)
+    n = cd.n
+    rng = random.Random(10)
+    for _ in range(50):
+        x = tuple(rng.randint(-20, 20) for _ in range(n))
+        y = tuple(rng.randint(-20, 20) for _ in range(n))
+        assert bilinear(x, y, cd) == sum(
+            x[i] * cd.gram[i][j] * y[j] for i in range(n) for j in range(n)
+        )
+        assert h_vector(x, cd) == tuple(
+            1 - sum(cd.A[i][j] * x[j] for j in range(n)) for i in range(n)
+        )
+    assert bilinear(cd.delta, cd.delta, cd) == cd.delta_norm_sq
+
+
+# --- componentwise order by bitsets ---
+
+
+@pytest.mark.parametrize("text", ["A4", "B4", "C3", "D4", "G2xA1", "F4"])
+def test_componentwise_masks_match_pairwise_comparison(text):
+    table = build_group_table(cd_of(text))
+    down = _componentwise_down(table.nodes)
+    assert down == componentwise_down_sets(table.nodes)
+    # the order is transitive, so its Hasse diagram gives the masks back
+    assert primary_poset(table).below_masks() == down
+
+
+# --- root multiples by gcd ---
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "F4"])
+def test_gcd_root_lookup_matches_scan_on_every_cover(text):
+    cd = cd_of(text)
+    poset = primary_poset(build_group_table(cd))
+    roots, scanned = cd.root_closure.roots, positive_roots(cd)
+    kept = 0
+    for a, b in poset.covers:
+        diff = tuple(y - x for x, y in zip(poset.nodes[a], poset.nodes[b]))
+        found = _is_positive_root_multiple(diff, roots)
+        assert found == is_positive_root_multiple_by_scan(diff, scanned)
+        kept += found
+    assert 0 < kept < len(poset.covers)
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "G2", "F4"])
+def test_gcd_root_lookup_matches_scan_off_the_covers(text):
+    # multiples of either sign, the zero vector and random vectors
+    cd = cd_of(text)
+    roots, scanned = cd.root_closure.roots, positive_roots(cd)
+    rng = random.Random(11)
+    cases = [(0,) * cd.n]
+    for root in scanned:
+        cases += [tuple(m * c for c in root.coords) for m in (-3, -1, 1, 2, 5)]
+    cases += [tuple(rng.randint(-3, 3) for _ in range(cd.n)) for _ in range(300)]
+    for diff in cases:
+        assert _is_positive_root_multiple(diff, roots) == is_positive_root_multiple_by_scan(
+            diff, scanned
+        )
+
+
+# --- box scan by partial sums ---
+
+
+@pytest.mark.parametrize("text", ["A1", "A3", "B3", "C3", "G2xA1", "B2xA1", "A4", "D4"])
+def test_partial_sum_box_scan_matches_pointwise_scan(text):
+    cd = cd_of(text)
+    assert primary_solutions_by_box_scan(cd) == primary_solutions_by_pointwise_scan(cd)
+
+
+# --- sphere oracle in integers ---
+
+
+@pytest.mark.parametrize("text", ["A1", "A3", "B3", "C3", "G2", "D4", "F4", "B2xA1", "E6"])
+def test_integer_sphere_matches_fraction_sphere(text):
+    cd = cd_of(text)
+    prim = primary_form(cd)
+    rng = random.Random(12)
+    points = [tuple(rng.randint(-8, 8) for _ in range(cd.n)) for _ in range(300)]
+    on = expand_orbit((0,) * cd.n, cd)[:100] + [cd.two_delta]
+    points += on
+    for x in points:
+        assert sphere_identity_holds(x, cd) == sphere_identity_over_fractions(x, cd)
+    assert all(sphere_identity_holds(x, cd) for x in on)
+    assert any(not sphere_identity_holds(x, cd) for x in points)
+    assert all(sphere_identity_holds(x, cd) == (prim.value(x) == 0) for x in points)
+
+
+# --- word search by sparse row updates ---
+
+
+@pytest.mark.parametrize("text,length", [("A2", 3), ("A3", 6), ("B2xA1", 5), ("G2", 6)])
+def test_sparse_word_search_matches_dense_products(text, length):
+    cd = cd_of(text)
+    assert exhaustive_word_search(cd, length) == word_search_by_dense_products(cd, length)
+
+
+# --- membership tests of orbit_size and expand_orbit ---
+
+
+@pytest.mark.parametrize("text", ["A2", "B3", "C3", "G2xA1", "F4"])
+def test_orbit_size_membership_matches_secondary_form(text):
+    cd = cd_of(text)
+    sec = secondary_form(cd)
+    rng = random.Random(13)
+    cases = [tuple(rng.randint(0, 6) for _ in range(cd.n)) for _ in range(300)]
+    cases += [(1,) * cd.n, (0,) * cd.n]
+    solutions = 0
+    for h in cases:
+        if sec.value(h) == 0:
+            solutions += 1
+            assert orbit_size(h, cd) >= 1
+        else:
+            with pytest.raises(NotASolutionError):
+                orbit_size(h, cd)
+    assert solutions >= 1
+
+
+@pytest.mark.parametrize("text", ["A2", "B3", "G2xA1", "F4"])
+def test_expand_orbit_membership_matches_primary_form(text):
+    cd = cd_of(text)
+    prim = primary_form(cd)
+    rng = random.Random(14)
+    on = 0
+    for _ in range(200):
+        x = tuple(rng.randint(-2, 3) for _ in range(cd.n))
+        if prim.value(x) == 0:
+            on += 1
+            assert x in expand_orbit(x, cd)
+        else:
+            with pytest.raises(NotOnEllipsoidError):
+                expand_orbit(x, cd)
+    assert on >= 1

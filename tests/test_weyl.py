@@ -190,17 +190,40 @@ def test_table_builds_no_matrix():
     assert w.mat == word_to_element(w.word, cd).mat and "mat" in vars(w)
 
 
+def _package_imports(path):
+    """The weylipse modules imported by the module at ``path``, as (names, tree)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylipse"):
+            names.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[2] for a in node.names if a.name.startswith("weylipse.")}
+    return names, tree
+
+
 def test_oracles_import_nothing_from_weyl():
-    # the word-search oracle checks weyl's P_map, so it must compute P itself
+    # the oracles check weyl's P_map, the quadrics' T-moves and primary form, the
+    # orbit walk and the orders, so none of those may reach them, even indirectly
     import weylipse.oracles
 
-    with open(weylipse.oracles.__file__) as fh:
-        tree = ast.parse(fh.read())
+    package = os.path.dirname(weylipse.oracles.__file__)
+    direct, tree = _package_imports(weylipse.oracles.__file__)
+    assert direct == {"cartan", "exact"}
+    reached, todo = set(), list(direct)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_package_imports(os.path.join(package, name + ".py"))[0])
+    assert reached.isdisjoint({"weyl", "quadrics", "orbits", "ordering"})
     nodes = list(ast.walk(tree))
-    modules = {"." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)}
-    modules |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
-    imported = {m for m in modules if m.startswith(".") or m.startswith("weylipse")}
-    assert imported == {".cartan", ".exact"}
+    used = {n.id for n in nodes if isinstance(n, ast.Name)}
+    used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert used.isdisjoint({"primary_form", "secondary_form", "QuadForm", "apply_T", "ascend", "_t_walk"})
 
 
 def test_table_cap():
