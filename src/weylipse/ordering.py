@@ -12,9 +12,13 @@ Identities doing the heavy lifting:
 Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
 of the nodes below it: the AND over coordinates of the nodes no larger there
 (componentwise), or the products of the subwords of one reduced word (subword
-property).  `Poset.below_masks` rebuilds those bitmasks from the covers in one
-pass in node order, since every cover goes up in it; `Poset.relation` lists
-their bits and `relation_counts` compares two orders by popcounts of them.
+property), built for each element from the interval of its table parent as
+[e, s w] together with its image under s (lifting property).  Node order
+extends both orders, so `_hasse` takes the highest node left below w as a
+cover and clears it with everything below it: one step per cover, not per
+related pair.  `Poset.below_masks` rebuilds those bitmasks from the covers in
+one pass in node order, since every cover goes up in it; `Poset.relation`
+lists their bits and `relation_counts` compares two orders by popcounts of them.
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root: since
@@ -26,6 +30,7 @@ as ground truth when the two are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .cartan import CartanData
@@ -98,23 +103,24 @@ def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
     )
 
 
-def _hasse(down: list[int]) -> set[tuple[int, int]]:
+def _hasse(down: list[int]) -> list[tuple[int, int]]:
     """Covers (u, w) of a strict order given by down[w], the bitmask of the nodes below w.
 
-    The covers under w are the nodes below w that lie below no other node below w.
+    Node order must extend the order: every node in down[w] comes before w,
+    and one that does not raises InvariantError.  Then the highest node left
+    in down[w] is a cover of w, since a node between them would come later and
+    still be left.  It is recorded and cleared with everything below it, and
+    the highest node left after that is the next cover: one step per cover.
     """
-    covers = set()
+    covers = []
     for w, below in enumerate(down):
-        shadow, rest = 0, below
+        if below >> w:
+            raise InvariantError(f"down set of node {w} holds a node not below it in node order")
+        rest = below
         while rest:
-            low = rest & -rest
-            shadow |= down[low.bit_length() - 1]
-            rest ^= low
-        rest = below & ~shadow
-        while rest:
-            low = rest & -rest
-            covers.add((low.bit_length() - 1, w))
-            rest ^= low
+            u = rest.bit_length() - 1
+            covers.append((u, w))
+            rest &= ~(down[u] | 1 << u)
     return covers
 
 
@@ -175,28 +181,54 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
     return Poset(nodes=base.nodes, covers=kept, kind="bruhat_primary_filtered", ranks=base.ranks)
 
 
+# maps the characters of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _subword_down(table: GroupTable) -> list[int]:
+    """Bitmask per node of the nodes below it in the subword order.
+
+    The table word of w is (i,) + word(v) for its parent v = s_i w, and the
+    products of the subwords of it are those of word(v), with or without s_i
+    in front: [e, w] = [e, v] | s_i [e, v].  T_i lowers coordinate i, so v
+    comes before w in node order and its interval is known; a parent that
+    does not raises InvariantError.  The image under s_i is written into a
+    binary numeral, most significant node first.
+    """
+    nodes, lmul = table.nodes, table.left_multiplication
+    size = len(nodes)
+    # position in the numeral of s_g times each node
+    places = [[size - 1 - u for u in row] for row in lmul]
+    zeros = b"0" * size
+    interval = [0] * size
+    for w, p in enumerate(nodes):
+        word = table.elements[p].word
+        if not word:
+            interval[w] = 1 << w
+            continue
+        i = word[0] - 1
+        v = lmul[i][w]
+        if v >= w:
+            raise InvariantError(f"parent {nodes[v]} of {p} in {table.cd.spec} is not before it")
+        lower = interval[v]
+        in_lower = bin(lower)[:1:-1].encode().translate(_BIT_BYTES)  # byte u: is u in [e, v]
+        image = bytearray(zeros)
+        for place in compress(places[i], in_lower):
+            image[place] = 49  # "1"
+        interval[w] = lower | int(image, 2)
+    return [mask ^ 1 << w for w, mask in enumerate(interval)]
+
+
 def bruhat_from_subwords(table: GroupTable) -> Poset:
     """Bruhat order via the subword property of one fixed reduced word per element.
 
     The set of products of all subsequences of a reduced word of w is exactly
     the lower interval [identity, w]; covers are the transitive reduction.
-    Each word is read right to left, and every letter s_i multiplies the
-    products collected so far on the left, which on P-vectors is T_i.
+    Each interval is built from that of the word's tail, the table parent.
     """
-    nodes = table.nodes
-    index = table.index
-    lmul = table.left_multiplication
-    identity_idx = index[(0,) * table.cd.n]
-    down = [0] * len(nodes)
-    for w_idx, p in enumerate(nodes):
-        reachable = {identity_idx}
-        for letter in reversed(table.elements[p].word):
-            reachable |= {lmul[letter - 1][u] for u in reachable}
-        reachable.discard(w_idx)
-        down[w_idx] = sum(1 << u for u in reachable)
     return Poset(
-        nodes=nodes,
-        covers=frozenset(_hasse(down)),
+        nodes=table.nodes,
+        covers=frozenset(_hasse(_subword_down(table))),
         kind="bruhat_subword",
         ranks=table.lengths(),
     )

@@ -12,16 +12,23 @@ no T-moves, no group table), so they stay independent.
 The plain forms of the library's exact kernels are kept here as references
 for `test_kernels.py`: pairwise componentwise comparison, the scan over all
 positive roots, the box scan that evaluates the polynomial at every point,
-the sphere test over fractions, and the word search by dense products.
+the sphere test over fractions, the word search by dense products, the
+Hasse diagram by the union of the down sets of the nodes below, and the
+subword intervals by a walk over each whole word from the identity.
+
+The Bruhat covers by reflections use no words, no group table and no Hasse
+routine: the nodes come from the T_i closure of the origin, and lengths and
+reflections from pairings with the coroots.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from weylipse.cartan import bilinear
+from weylipse.cartan import bilinear, positive_roots
 from weylipse.exact import identity, mat_mul, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
     exhaustive_word_search,
+    orbit_by_closure,
     primary_box,
     primary_solutions_by_box_scan,
 )
@@ -117,6 +124,73 @@ def word_search_by_dense_products(cd, max_len):
 
     visit(identity(cd.n), ())
     return best
+
+
+def hasse_by_shadows(down):
+    """Covers (u, w) of a strict order given by down[w], the bitmask of the nodes
+    below w: the nodes below w that lie below no other node below w, found by
+    OR-ing the down set of every node below w."""
+    covers = set()
+    for w, below in enumerate(down):
+        shadow, rest = 0, below
+        while rest:
+            low = rest & -rest
+            shadow |= down[low.bit_length() - 1]
+            rest ^= low
+        rest = below & ~shadow
+        while rest:
+            low = rest & -rest
+            covers.add((low.bit_length() - 1, w))
+            rest ^= low
+    return covers
+
+
+def subword_down_sets_by_words(table):
+    """Bitmask per node of the products of the proper subwords of its table word,
+    collected from the identity: read right to left, each letter s_i adds its
+    left multiple of every product so far."""
+    lmul = table.left_multiplication
+    identity_idx = table.index[(0,) * table.cd.n]
+    down = []
+    for w_idx, p in enumerate(table.nodes):
+        reachable = {identity_idx}
+        for letter in reversed(table.elements[p].word):
+            reachable |= {lmul[letter - 1][u] for u in reachable}
+        reachable.discard(w_idx)
+        down.append(sum(1 << u for u in reachable))
+    return down
+
+
+def bruhat_covers_by_reflections(cd):
+    """Bruhat covers of W as pairs of P-vectors, from reflections (Bjorner-Brenti
+    Def. 2.1.1 and the chain property, Thm 2.2.6): u < s_a u is a cover exactly
+    when l(s_a u) = l(u) + 1.
+
+    The nodes are the T_i closure of the origin.  With x = delta - P(w) = w delta,
+    <x, a^v> = 2 (x, a) / (a, a) is negative exactly when w^-1 a is, so l(w)
+    counts the positive roots a with (2x, a) < 0, and
+    P(s_a w) = P(w) + (grade a - <P(w), a^v>) a = P(w) + <x, a^v> a.
+    """
+    roots = [r.coords for r in positive_roots(cd)]
+    norms = [bilinear(a, a, cd) for a in roots]
+    two_delta = cd.two_delta
+    nodes = orbit_by_closure((0,) * cd.n, cd)
+    pairings, lengths = {}, {}
+    for p in nodes:
+        # gram (2x), so that (2x, a) is one dot product per root
+        g = mat_vec(cd.gram, tuple(t - 2 * v for t, v in zip(two_delta, p)))
+        pairs = [sum(gi * ai for gi, ai in zip(g, a)) for a in roots]
+        pairings[p] = pairs
+        lengths[p] = sum(1 for b in pairs if b < 0)
+    covers = set()
+    for p in nodes:
+        for a, norm, b in zip(roots, norms, pairings[p]):
+            # b = (2x, a) and <x, a^v> = 2 (x, a) / (a, a) = b / (a, a)
+            q = tuple(v + b // norm * c for v, c in zip(p, a))
+            assert b % norm == 0 and q in lengths
+            if lengths[q] == lengths[p] + 1:
+                covers.add((p, q))
+    return covers
 
 
 def mulclose(mats):

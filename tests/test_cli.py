@@ -200,6 +200,23 @@ def test_bruhat_unwritable_dot_is_exit_2(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("method", ["subword", "both"])
+def test_bruhat_failed_check_is_one_line_exit_2(capsys, monkeypatch, method):
+    import weylipse.cli
+    from weylipse import WeylElement, build_group_table
+
+    def corrupted(cd, cap):
+        # s_2 is no descent of s_1, so the subword intervals refuse this word
+        table = build_group_table(cd, cap=cap)
+        table.elements[(1, 0)] = WeylElement((2,), cd.A)
+        return table
+
+    monkeypatch.setattr(weylipse.cli, "build_group_table", corrupted)
+    code, out, err = run_cli(capsys, "bruhat", "A2", "--method", method)
+    assert code == 2 and out == ""
+    assert err == "error: parent (1, 2) of (1, 0) in A2 is not before it\n"
+
+
 def test_bruhat_cap(capsys):
     code, _, err = run_cli(capsys, "bruhat", "E8")
     assert code == 2 and "cap" in err

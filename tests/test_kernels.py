@@ -4,7 +4,8 @@ The references live in `oracles.py`: pairwise componentwise comparison,
 the cross-multiplied scan over every positive root, the box scan that
 evaluates the primary polynomial at every point, the sphere test over
 fractions, the word search by dense matrix products, index-loop row
-products, and membership through `primary_form` / `secondary_form`.
+products, membership through `primary_form` / `secondary_form`, the Hasse
+diagram by shadows, and the subword intervals by a walk over each word.
 """
 
 import random
@@ -27,16 +28,25 @@ from weylipse import (
     secondary_form,
 )
 from weylipse.exact import mat_mul, mat_vec
-from weylipse.ordering import _componentwise_down, _is_positive_root_multiple, primary_poset
+from weylipse.ordering import (
+    _componentwise_down,
+    _hasse,
+    _is_positive_root_multiple,
+    _subword_down,
+    bruhat_from_subwords,
+    primary_poset,
+)
 from weylipse.quadrics import sphere_identity_holds
 
 from oracles import (
     componentwise_down_sets,
     exhaustive_word_search,
+    hasse_by_shadows,
     is_positive_root_multiple_by_scan,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
     sphere_identity_over_fractions,
+    subword_down_sets_by_words,
     word_search_by_dense_products,
 )
 
@@ -88,6 +98,47 @@ def test_componentwise_masks_match_pairwise_comparison(text):
     assert down == componentwise_down_sets(table.nodes)
     # the order is transitive, so its Hasse diagram gives the masks back
     assert primary_poset(table).below_masks() == down
+
+
+# --- Hasse diagrams by peeling, subword intervals from the parent's ---
+
+POSET_TYPES = ["A3", "B3", "C3", "D4", "G2xA1", "F4"]
+
+
+@pytest.mark.parametrize("text", POSET_TYPES)
+def test_peeled_covers_match_shadows(text):
+    table = build_group_table(cd_of(text))
+    for down in (_componentwise_down(table.nodes), _subword_down(table)):
+        covers = _hasse(down)
+        assert len(covers) == len(set(covers))
+        assert set(covers) == hasse_by_shadows(down)
+
+
+@pytest.mark.parametrize("text", POSET_TYPES)
+def test_parent_intervals_match_word_walk(text):
+    table = build_group_table(cd_of(text))
+    down = _subword_down(table)
+    assert down == subword_down_sets_by_words(table)
+    # the order is transitive, so its Hasse diagram gives the masks back
+    assert bruhat_from_subwords(table).below_masks() == down
+
+
+def test_peeled_covers_match_shadows_on_random_closed_dags():
+    # each node is put above random earlier nodes and everything below them,
+    # so the masks are transitively closed and node order extends the order
+    rng = random.Random(15)
+    for size in (1, 2, 5, 20, 60, 200):
+        for density in (0.02, 0.1, 0.3, 0.7):
+            down = []
+            for w in range(size):
+                mask = 0
+                for u in range(w):
+                    if rng.random() < density:
+                        mask |= down[u] | 1 << u
+                down.append(mask)
+            covers = _hasse(down)
+            assert len(covers) == len(set(covers))
+            assert set(covers) == hasse_by_shadows(down)
 
 
 # --- root multiples by gcd ---

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import weylipse.ordering
@@ -5,6 +9,7 @@ from weylipse import (
     InvariantError,
     NotInMainOrbitError,
     P_map,
+    WeylElement,
     build_cartan,
     build_group_table,
     bruhat_from_primary,
@@ -16,9 +21,14 @@ from weylipse import (
     reduced_words,
     word_to_element,
 )
-from weylipse.ordering import Poset, relation_counts
+from weylipse.ordering import Poset, _hasse, relation_counts
 
-from oracles import a3_bruhat_pairs, exhaustive_word_search, reachability_by_dfs
+from oracles import (
+    a3_bruhat_pairs,
+    bruhat_covers_by_reflections,
+    exhaustive_word_search,
+    reachability_by_dfs,
+)
 
 
 def cd_of(text):
@@ -221,6 +231,16 @@ def test_a3_comparability_discrepancies_against_subword_order():
     assert link_discrepant == named
 
 
+# A6 (|W| = 5040, 3545879 related pairs) keeps the check at scale
+@pytest.mark.parametrize(
+    "text", ["A3", "A4", "A5", "A6", "B3", "B4", "B5", "C3", "D4", "D5", "F4", "G2xA1"]
+)
+def test_subword_order_matches_reflection_oracle(text):
+    cd = cd_of(text)
+    poset = bruhat_from_subwords(build_group_table(cd))
+    assert set(poset.cover_vectors()) == bruhat_covers_by_reflections(cd)
+
+
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3", "B3", "D4"])
 def test_filter_is_subrelation_of_subword(text):
     table = table_of(text)
@@ -279,6 +299,59 @@ def test_relation_rejects_cover_going_down_in_node_order():
     for covers in ({(1, 0)}, {(0, 1), (2, 1)}, {(1, 1)}):
         with pytest.raises(InvariantError):
             Poset(nodes=nodes, covers=frozenset(covers), kind="chain").relation()
+
+
+def test_hasse_rejects_down_set_reaching_up_in_node_order():
+    assert sorted(_hasse([0, 0b1, 0b11])) == [(0, 1), (1, 2)]
+    # node 0 above node 1, node 1 above itself, node 1 above a node past the end
+    for down in ([0b10, 0], [0, 0b10], [0, 0b101]):
+        with pytest.raises(InvariantError):
+            _hasse(down)
+
+
+def test_subword_order_rejects_parent_after_the_element():
+    cd = cd_of("A2")
+    table = build_group_table(cd)
+    assert table.elements[(1, 0)].word == (1,)
+    # s_2 is no descent of s_1: the parent T_2(1, 0) = (1, 2) comes after (1, 0)
+    table.elements[(1, 0)] = WeylElement((2,), cd.A)
+    with pytest.raises(InvariantError, match=r"parent \(1, 2\) of \(1, 0\)"):
+        bruhat_from_subwords(table)
+
+
+def test_order_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(weylipse.ordering.__file__))
+    code = (
+        "import contextlib, io\n"
+        "import weylipse.ordering as o\n"
+        "from weylipse import InvariantError, WeylElement, build_cartan, build_group_table, parse_type\n"
+        "from weylipse.cli import main\n"
+        "def outcome(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantError:\n"
+        "        return 'raised'\n"
+        "    return 'returned'\n"
+        "print(outcome(lambda: o._hasse([0b10, 0])))\n"
+        "cd = build_cartan(parse_type('A2'))\n"
+        "table = build_group_table(cd)\n"
+        "table.elements[(1, 0)] = WeylElement((2,), cd.A)\n"
+        "print(outcome(lambda: o.bruhat_from_subwords(table)))\n"
+        "o._componentwise_down = lambda nodes: [1 << j for j in range(len(nodes))]\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = main(['bruhat', 'A2', '--method', 'primary'])\n"
+        "print(code, repr(err.getvalue()))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    raised, raised_too, cli = proc.stdout.splitlines()
+    assert (raised, raised_too) == ("raised", "raised")
+    assert cli == "2 'error: down set of node 0 holds a node not below it in node order\\n'"
 
 
 # --- DOT output ---
