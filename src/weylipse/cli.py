@@ -18,6 +18,7 @@ from .cartan import build_cartan, parse_type, weyl_order
 from .errors import ComputationError, UsageError
 from .orbits import DEFAULT_EXPAND_CAP, expand_orbit, orbit_seeds
 from .ordering import (
+    _mask_budget,
     bruhat_from_primary,
     bruhat_from_subwords,
     emit_dot,
@@ -240,6 +241,7 @@ def _cmd_reduced_words(args) -> int:
 
 def _cmd_bruhat(args) -> int:
     cd = build_cartan(parse_type(args.type))
+    _mask_budget(weyl_order(cd))
     table = build_group_table(cd, cap=args.cap)
     diverged = False
     if args.method == "primary":

@@ -25,11 +25,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def mat_inv(m: Matrix) -> tuple[Matrix, Fraction]:
     """Inverse and determinant by Gauss-Jordan over exact fractions.
 

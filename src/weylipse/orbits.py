@@ -53,19 +53,6 @@ class OrbitRecord:
     elements: tuple[tuple[int, ...], ...] | None = None
 
 
-def _scaled_secondary(cd: CartanData) -> tuple[list[list[int]], int]:
-    n = cd.n
-    g = [[cd.k[i] * cd.adjA[i][j] for j in range(n)] for i in range(n)]
-    c = sum(g[i][j] for i in range(n) for j in range(n))
-    for i in range(n):
-        for j in range(n):
-            if g[i][j] != g[j][i] or g[i][j] < 0:
-                raise InvariantError(
-                    f"scaled secondary matrix of {cd.spec} is not symmetric and nonnegative"
-                )
-    return g, c
-
-
 def _dfs_nonneg(g, c):
     """All h >= 0 with sum_ij g_ij h_i h_j == c, in lexicographic order."""
     n = len(g)
@@ -113,9 +100,13 @@ def _dfs_nonneg(g, c):
 
 def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
     """The complete list of nonnegative integral secondary solutions, sorted."""
-    g, c = _scaled_secondary(cd)
-    sols = sorted(_dfs_nonneg(g, c))
     form = secondary_form(cd)
+    # value(h) = h^T g h - c for g = quad / 2 = k_i adjA_ij (checked symmetric by QuadForm)
+    # and c = -constant
+    g = [[q // 2 for q in row] for row in form.quad]
+    if any(v < 0 for row in g for v in row):
+        raise InvariantError(f"scaled secondary matrix of {cd.spec} is not nonnegative")
+    sols = sorted(_dfs_nonneg(g, -form.constant))
     for h in sols:
         if form.value(h) != 0:
             raise InvariantError(

@@ -19,6 +19,8 @@ cover and clears it with everything below it: one step per cover, not per
 related pair.  `Poset.below_masks` rebuilds those bitmasks from the covers in
 one pass in node order, since every cover goes up in it; `Poset.relation`
 lists their bits and `relation_counts` compares two orders by popcounts of them.
+Both orders refuse, before any mask is built, a group whose masks would take
+more than MASK_BYTE_CAP bytes (`_mask_budget`).
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root: since
@@ -34,7 +36,7 @@ from itertools import compress
 from math import gcd
 
 from .cartan import CartanData
-from .errors import InvariantError, NotInMainOrbitError
+from .errors import CapExceededError, InvariantError, NotInMainOrbitError
 from .quadrics import h_vector
 from .weyl import GroupTable, P_map, WeylElement, _t_walk, word_to_element
 
@@ -87,9 +89,6 @@ class Poset:
         rows = (enumerate(bin(mask)[:1:-1]) for mask in self.below_masks())
         return frozenset((a, w) for w, row in enumerate(rows) for a, bit in row if bit == "1")
 
-    def relation_vectors(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return frozenset((self.nodes[a], self.nodes[b]) for a, b in self.relation())
-
 
 def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
     """(|found|, |truth|, |truth - found|, |found - truth|) for the relations of two
@@ -101,6 +100,25 @@ def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
         sum((y & ~x).bit_count() for x, y in zip(f, t)),
         sum((x & ~y).bit_count() for x, y in zip(f, t)),
     )
+
+
+# Node w's down-set mask has up to w bits, so the masks of |W| nodes take about
+# |W|^2/2 bits: 168 MB on E6, 6.5 GB on D7, which passes the table cap.
+MASK_BYTE_CAP = 2**30
+
+
+def _mask_budget(size: int) -> int:
+    """|W|^2/16, the estimated bytes of the down-set masks of ``size`` nodes.
+
+    Raises CapExceededError past MASK_BYTE_CAP, so that no mask is built.
+    """
+    estimate = size * size // 16
+    if estimate > MASK_BYTE_CAP:
+        raise CapExceededError(
+            f"down-set masks of {size} nodes need about {estimate} bytes, "
+            f"exceeding cap MASK_BYTE_CAP = {MASK_BYTE_CAP}"
+        )
+    return estimate
 
 
 def _hasse(down: list[int]) -> list[tuple[int, int]]:
@@ -131,6 +149,7 @@ def _componentwise_down(nodes) -> list[int]:
     there is at most v; the nodes below x are the AND of those masks at the
     entries of x, less x itself.
     """
+    _mask_budget(len(nodes))
     down = [~(1 << j) for j in range(len(nodes))]
     for column in zip(*nodes):
         groups: dict[int, int] = {}
@@ -195,6 +214,7 @@ def _subword_down(table: GroupTable) -> list[int]:
     does not raises InvariantError.  The image under s_i is written into a
     binary numeral, most significant node first.
     """
+    _mask_budget(len(table.nodes))
     nodes, lmul = table.nodes, table.left_multiplication
     size = len(nodes)
     # position in the numeral of s_g times each node

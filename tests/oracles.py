@@ -14,7 +14,8 @@ for `test_kernels.py`: pairwise componentwise comparison, the scan over all
 positive roots, the box scan that evaluates the polynomial at every point,
 the sphere test over fractions, the word search by dense products, the
 Hasse diagram by the union of the down sets of the nodes below, and the
-subword intervals by a walk over each whole word from the identity.
+subword intervals by a walk over each whole word from the identity.  The
+matrix product lives here too: only the tests multiply two matrices.
 
 The Bruhat covers by reflections use no words, no group table and no Hasse
 routine: the nodes come from the T_i closure of the origin, and lengths and
@@ -23,15 +24,22 @@ reflections from pairings with the coroots.
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from weylipse.cartan import bilinear, positive_roots
-from weylipse.exact import identity, mat_mul, mat_vec
+from weylipse.exact import identity, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
     exhaustive_word_search,
     orbit_by_closure,
     primary_box,
     primary_solutions_by_box_scan,
 )
+
+
+def mat_mul(a, b):
+    """The matrix product of two tuples of row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def reflection_matrices(cd):

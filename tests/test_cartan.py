@@ -22,9 +22,9 @@ from weylipse import (
     weyl_order,
 )
 from weylipse.cartan import RootClosure, _root_closure
-from weylipse.exact import mat_mul, mat_vec
+from weylipse.exact import mat_vec
 
-from oracles import group_order_by_closure
+from oracles import group_order_by_closure, mat_mul
 
 IRREDUCIBLE_LE8 = (
     ["A%d" % n for n in range(1, 9)]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -222,6 +223,18 @@ def test_bruhat_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_bruhat_d7_refuses_its_masks_at_once(capsys):
+    # |W(D7)| = 322560 passes the table cap, but its down-set masks would not fit
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bruhat", "D7")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: down-set masks of 322560 nodes need about 6502809600 bytes, "
+        "exceeding cap MASK_BYTE_CAP = 1073741824\n"
+    )
+
+
 # --- verify ---
 
 
@@ -240,12 +253,19 @@ def test_verify_e8_census_target_passes(capsys):
 
 
 def test_verify_skip_rows_name_their_gate(capsys):
+    import weylipse.verify as verify
+
     names = {}
-    for text in ("D5", "E6"):
-        code, out, _ = run_cli(capsys, "verify", text)
-        assert code == 0 and "SKIP" in out
+    for text in ("A4", "D4", "D5", "E6"):
+        _, out, _ = run_cli(capsys, "verify", text)
+        assert "SKIP" in out
         rows = out.splitlines()[:-1]  # the last line is the summary
-        assert all("GATE" in line or "rank" in line for line in rows if line.startswith("SKIP"))
+        for line in rows:
+            if line.startswith("SKIP"):
+                found = re.match(r"^SKIP \S+: .+ (\d+) > ([A-Z_]+_GATE) (\d+)$", line)
+                assert found, line
+                value, name, limit = found.groups()
+                assert int(limit) == getattr(verify, name) and int(value) > int(limit), line
         names[text] = [line.split()[1].rstrip(":") for line in rows]
     # E6 is past TABLE_GATE: each table check still reports, as a SKIP naming |W|
     assert names["E6"] == names["D5"]

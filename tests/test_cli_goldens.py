@@ -2,7 +2,10 @@
 
 The digests were recorded before the order, product and oracle paths were
 merged (one Hasse routine, one T-walk, one oracle module), so any byte of
-drift in those commands fails here.  Each row reads: exit code, digest, argv.
+drift in those commands fails here.  The `verify` rows from A1 to E8 were
+recorded before `verify` became one table of gated checks; together they
+reach every gate, a FAIL row and the E8 census row.  Each row reads: exit
+code, digest, argv.
 """
 
 import contextlib
@@ -24,6 +27,16 @@ GOLDENS = """
 0 73fac306852c27240766f3ad7d6a77950aaa8a801a75e06c738ca97a5b4388a4 verify A2
 3 6d12ad09386642ede3e7ec717c1fc12f8553ce1179723c140a5bb648e231120d verify B3
 0 c7cb9d380f35bd73263b3c7610fd56822234b48ff5466fd286feb39f6fa606d9 verify G2xA1
+0 bf01bb1055b7241e3bf13b8b4f5452e8219de2950fbeae19e507b7c36d1eb092 verify A1
+3 29bcbc9e4bff6d594c254754907ad2fa27736057eb67a692242309747eb20338 verify A3
+3 998df72362973d8cc8eab2e5ec54cc634f52a60841f4d89d84aa6cf47b11414c verify A4
+3 86be0f9858cdb667c2ee39cd937f3e5ba8eee547ec4839e927a24406c09369f5 verify C3
+3 8ca2a1ee4dc7a515fa873ee797aff0ae8f4b1ea8e80ad8dc4625d9c985cb6768 verify D4
+0 9213118e0090fe42934f620411614a2e7f0b5a6eb9c718301af859bca620008e verify D5
+0 a68ebebd2751890965e2fd4a37b37c98242c945ddbe488dade283313cae1ee85 verify F4
+0 b60a0e40880ea9c8c6161dca7351d3eaa22f073cb2907aef3720bc6bf1f7c674 verify B2xA1
+0 8f3ce91ff462a19fd5fe307648bf36f4c2de0504b3549535f6c471b142986ec1 verify E6
+0 14f4d2c0224bd11c5134c276e5cfc01ceab8d7699f45f8661512233028f87bb0 verify E8
 0 dc080cdebbc756eb36c26663a8c74359b78acddbce8e889a439576114fdbad87 reduced-words A3 --word 1,2,1,3,2,1 --json
 """
 ROWS = [line.split(maxsplit=2) for line in GOLDENS.strip().splitlines()]

@@ -27,7 +27,7 @@ from weylipse import (
     primary_form,
     secondary_form,
 )
-from weylipse.exact import mat_mul, mat_vec
+from weylipse.exact import mat_vec
 from weylipse.ordering import (
     _componentwise_down,
     _hasse,
@@ -43,6 +43,7 @@ from oracles import (
     exhaustive_word_search,
     hasse_by_shadows,
     is_positive_root_multiple_by_scan,
+    mat_mul,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
     sphere_identity_over_fractions,

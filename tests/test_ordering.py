@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import weylipse.ordering
 from weylipse import (
+    CapExceededError,
     InvariantError,
     NotInMainOrbitError,
     P_map,
@@ -19,9 +21,17 @@ from weylipse import (
     parse_type,
     primary_poset,
     reduced_words,
+    weyl_order,
     word_to_element,
 )
-from weylipse.ordering import Poset, _hasse, relation_counts
+from weylipse.ordering import (
+    Poset,
+    _componentwise_down,
+    _hasse,
+    _mask_budget,
+    _subword_down,
+    relation_counts,
+)
 
 from oracles import (
     a3_bruhat_pairs,
@@ -265,7 +275,7 @@ def test_subword_order_within_componentwise_order(text):
 def test_subword_poset_extremes():
     table = table_of("A2")
     poset = bruhat_from_subwords(table)
-    rel = poset.relation_vectors()
+    rel = {(poset.nodes[a], poset.nodes[b]) for a, b in poset.relation()}
     bottom, top = (0, 0), (2, 2)
     for v in poset.nodes:
         if v != bottom:
@@ -317,6 +327,20 @@ def test_subword_order_rejects_parent_after_the_element():
     table.elements[(1, 0)] = WeylElement((2,), cd.A)
     with pytest.raises(InvariantError, match=r"parent \(1, 2\) of \(1, 0\)"):
         bruhat_from_subwords(table)
+
+
+def test_down_set_masks_refuse_past_their_byte_cap(monkeypatch):
+    # E6 stays under the cap, D7 does not: both are read off |W|, neither is built
+    assert _mask_budget(weyl_order(cd_of("E6"))) == 51840**2 // 16 <= weylipse.ordering.MASK_BYTE_CAP
+    with pytest.raises(CapExceededError, match="322560 nodes need about 6502809600 bytes"):
+        _mask_budget(weyl_order(cd_of("D7")))
+    # past a lowered cap, both constructions refuse before a mask is built
+    monkeypatch.setattr(weylipse.ordering, "MASK_BYTE_CAP", 3)
+    nodes = [(0,)] * 8  # 8 * 8 // 16 = 4 bytes
+    with pytest.raises(CapExceededError, match="8 nodes need about 4 bytes"):
+        _componentwise_down(nodes)
+    with pytest.raises(CapExceededError, match="8 nodes need about 4 bytes"):
+        _subword_down(SimpleNamespace(nodes=nodes))
 
 
 def test_order_checks_survive_optimized_mode():

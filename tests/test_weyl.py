@@ -25,9 +25,15 @@ from weylipse import (
     weyl_order,
     word_to_element,
 )
-from weylipse.exact import identity, mat_mul
+from weylipse.exact import identity
 
-from oracles import group_table_by_matrix_closure, mulclose, pvector_of_matrix, reflection_matrices
+from oracles import (
+    group_table_by_matrix_closure,
+    mat_mul,
+    mulclose,
+    pvector_of_matrix,
+    reflection_matrices,
+)
 
 ENGINE_TYPES = ["A1", "A2", "A3", "A4", "B3", "C3", "G2", "D4", "F4", "B2xA1"]
 
