@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
 
@@ -157,12 +157,34 @@ def _component_cartan(fam: str, n: int) -> tuple[list[list[int]], list[int]]:
     return a, k
 
 
+# bounded, since `weyl.WeylElement` may be built over any matrix
+@lru_cache(maxsize=64)
+def sparse_cartan(A: Matrix) -> tuple[tuple, tuple, tuple]:
+    """The sparse view (keep, rows, cols) of a square matrix A: what one
+    reflection step at node i reads of it, built once per matrix.
+
+    ``keep[i]`` is 1 - A_ii, the factor s_i puts on coordinate i itself (no
+    diagonal entry is assumed); ``rows[i]`` holds the off-diagonal nonzeros of
+    row i as (j, A_ij), and ``cols[i]`` those of column i as (k, A_ki).  A
+    Cartan matrix has at most three of them per row or column, so a step
+    costs a few terms, not n.
+    """
+    n = len(A)
+    keep = tuple(1 - A[i][i] for i in range(n))
+    rows = tuple(tuple((j, a) for j, a in enumerate(A[i]) if a and j != i) for i in range(n))
+    cols = tuple(tuple((k, A[k][i]) for k in range(n) if A[k][i] and k != i) for i in range(n))
+    return keep, rows, cols
+
+
 @dataclass(frozen=True)
 class CartanData:
     """Everything exact about one (product) type.
 
     ``gram[i][j] = k[i] * A[i][j]`` is the symmetric integer matrix of the
     inner product of simple roots; ``adjA = detA * Ainv`` is integral.
+    ``sparse`` is the one sparse view of A (`sparse_cartan`) that every step
+    by one T_i or one s_i reads: the T-walk, the matrix of a word, descent
+    stripping, the ascent walk and the root closure.
     """
 
     spec: LieTypeSpec
@@ -188,6 +210,10 @@ class CartanData:
     def positive_root_count(self) -> int:
         # |Phi+| from the catalog; the root closure checks itself against it
         return sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in self.spec.components)
+
+    @cached_property
+    def sparse(self) -> tuple[tuple, tuple, tuple]:
+        return sparse_cartan(self.A)
 
     @cached_property
     def root_closure(self) -> RootClosure:
@@ -293,14 +319,16 @@ class RootClosure:
 
 
 def _root_closure(cd: CartanData) -> RootClosure:
-    n, cols = cd.n, tuple(zip(*cd.A))
+    n = cd.n
+    keep, _, cols = cd.sparse
     # each root carries its pairings A r with the simple coroots, and keeps the
-    # length of the simple root it came from, since s_i preserves length
+    # length of the simple root it came from, since s_i preserves length;
+    # s_i r = r - p e_i takes p times column i of A off the pairings
     roots, work = {}, []
     for i in range(n):
         r = tuple(int(i == j) for j in range(n))
         roots[r] = cd.gram[i][i]
-        work.append((r, cols[i]))
+        work.append((r, tuple(row[i] for row in cd.A)))
     while work:
         r, pairings = work.pop()
         for i, p in enumerate(pairings):
@@ -308,7 +336,11 @@ def _root_closure(cd: CartanData) -> RootClosure:
                 s = r[:i] + (r[i] - p,) + r[i + 1 :]
                 if s not in roots:
                     roots[s] = roots[r]
-                    work.append((s, tuple(q - p * a for q, a in zip(pairings, cols[i]))))
+                    moved = list(pairings)
+                    moved[i] = keep[i] * p
+                    for k, a in cols[i]:
+                        moved[k] -= p * a
+                    work.append((s, tuple(moved)))
     # every root is primitive, since W acts unimodularly on the root lattice;
     # the root-multiple test of `ordering.bruhat_from_primary` relies on it
     for r in roots:

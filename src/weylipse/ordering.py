@@ -24,7 +24,8 @@ more than MASK_BYTE_CAP bytes (`_mask_budget`).
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root: since
-every root is primitive, the difference divided by its gcd must be one.
+every root is primitive, the difference divided by its gcd must be one.  The
+test runs once per distinct difference.
 `bruhat_from_subwords` is the independent subword-property construction used
 as ground truth when the two are compared.
 """
@@ -32,8 +33,10 @@ as ground truth when the two are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from math import gcd
+from operator import sub
 
 from .cartan import CartanData
 from .errors import CapExceededError, InvariantError, NotInMainOrbitError
@@ -189,13 +192,12 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
     its endpoints.
     """
     roots = table.cd.root_closure.roots
+    # the covers have few distinct differences (E6: 457322 covers, 4285 differences)
+    is_link = cache(lambda diff: _is_positive_root_multiple(diff, roots))
     base = primary_poset(table)
+    nodes = base.nodes
     kept = frozenset(
-        (a, b)
-        for a, b in base.covers
-        if _is_positive_root_multiple(
-            tuple(y - x for x, y in zip(base.nodes[a], base.nodes[b])), roots
-        )
+        (a, b) for a, b in base.covers if is_link(tuple(map(sub, nodes[b], nodes[a])))
     )
     return Poset(nodes=base.nodes, covers=kept, kind="bruhat_primary_filtered", ranks=base.ranks)
 

@@ -10,6 +10,8 @@ coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
 Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
 one point without descents, its componentwise minimum, and two walks link
 the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
+A step by T_i changes h by -h_i times column i of A, so both walks update h
+over the sparse column of `CartanData.sparse`, not the whole vector.
 """
 
 from __future__ import annotations
@@ -150,17 +152,24 @@ def _on_primary(x, h, cd: CartanData) -> bool:
 def _strip_descents(x, cd: CartanData):
     """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
 
-    Each step crosses one of the |Phi+| reflecting hyperplanes of x - delta, so
-    a descent left after |Phi+| steps raises InvariantError.
+    T_k adds h_k to x_k, which changes h by -h_k times column k of A: h_k
+    becomes (1 - A_kk) h_k and each h_j of the sparse column ``cd.sparse.cols[k]``
+    drops by A_jk h_k, in place.  Each step crosses one of the |Phi+|
+    reflecting hyperplanes of x - delta, so a descent left after |Phi+| steps
+    raises InvariantError.
     """
+    keep, _, cols = cd.sparse
     cur, h, word = list(x), list(h_vector(x, cd)), []
     for _ in range(cd.positive_root_count + 1):
-        k = next((k for k, v in enumerate(h) if v < 0), None)
-        if k is None:
+        for k, hk in enumerate(h):
+            if hk < 0:
+                break
+        else:
             return tuple(cur), tuple(h), word
-        hk = h[k]
         cur[k] += hk
-        h = [v - hk * row[k] for v, row in zip(h, cd.A)]
+        h[k] = keep[k] * hk
+        for j, a in cols[k]:
+            h[j] -= a * hk
         word.append(k + 1)
     raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
 
@@ -172,11 +181,12 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
     the walk steps from x to y = T_i(x) only when h_i(x) > 0 and no k < i is a
     descent of y: T_i adds -h_i A_ki >= 0 to h_k (k != i), so a descent k of x
     stays one when h_k < h_i A_ki.  No point is looked up or reached twice.
+    The step sets h_i to (1 - A_ii) h_i and changes only the h_k of the sparse
+    column ``cd.sparse.cols[i]``.
     ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
     """
-    n, A = cd.n, cd.A
-    # the h_k other than h_i that T_i changes, with A_ki
-    links = [tuple((k, A[k][i]) for k in range(n) if k != i and A[k][i]) for i in range(n)]
+    A = cd.A
+    keep, _, cols = cd.sparse
     points = [tuple(minimal)]
     stack = [(points[0], list(h))]
     while stack:
@@ -195,8 +205,8 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
                     if visit is not None:
                         visit(x, i, y)
                     g = h.copy()
-                    g[i] = -hi
-                    for k, a in links[i]:
+                    g[i] = keep[i] * hi
+                    for k, a in cols[i]:
                         g[k] -= hi * a
                     stack.append((y, g))
     return points

@@ -13,8 +13,9 @@ type against each in turn, with the constant read as it runs, and the first
 one exceeded gives the SKIP row.  Otherwise the body returns (ok, detail), or
 None where the check does not apply to the type.  One `_Run` holds what the
 checks share: the roots, the two forms, |W|, the census and its seeds from the
-start; the group table, the subword order and each seed's orbit from first
-use.  Its one `rng` is drawn from in report order.
+start; the group table, the subword order, each seed's orbit and the oracle
+closure of each start point from first use.  Its one `rng` is drawn from in
+report order.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class _Run:
         self.sols = enumerate_secondary_nonneg(cd)
         self.seeds = _seeds_from(cd, self.sols)
         self.orbit = cache(lambda minimal: expand_orbit(minimal, cd))
+        self.closure = cache(lambda start: orbit_by_closure(start, cd))
 
     @cached_property
     def table(self):
@@ -224,7 +226,7 @@ def _orbit_size_law(run):
         elements = run.orbit(rec.minimal)
         ok &= len(elements) == rec.size
         ok &= all(all(m <= v for m, v in zip(rec.minimal, e)) for e in elements)
-        ok &= orbit_by_closure(rec.minimal, run.cd) == elements
+        ok &= run.closure(rec.minimal) == elements
     return ok, "" if ok else "size or closure mismatch"
 
 
@@ -233,7 +235,7 @@ def _group_bijections(run):
     svecs = {p: S_map(table.elements[p], cd) for p in table.nodes}
     ok = len(set(svecs.values())) == run.order
     ok &= all(svecs[p] == h_vector(p, cd) for p in table.nodes)
-    main_orbit = orbit_by_closure((0,) * cd.n, cd)
+    main_orbit = run.closure((0,) * cd.n)
     ok &= list(table.nodes) == main_orbit
     ok &= sorted(svecs.values()) == sorted(h_vector(x, cd) for x in main_orbit)
     ok &= sum(1 for s in svecs.values() if all(v >= 0 for v in s)) == 1

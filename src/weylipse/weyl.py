@@ -15,16 +15,21 @@ positive roots.
 Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
 main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
 prepending a letter to the word, and `element_from_pvector` strips descents
-back to the origin.  The one T-walk `_t_walk` gives `star` and the word
-checks of `ordering.reduced_words`.
+back to the origin.  The one T-walk `_t_walk` gives `star`, `p_alpha_b`, the
+table's left multiplication and the recursion and word checks of
+`ordering.reduced_words`.  Its step p_i <- 1 + (1 - A_ii) p_i - sum_j A_ij p_j
+and the row step of `WeylElement.mat` read only the off-diagonal nonzeros of
+row i, from the sparse view `cartan.sparse_cartan` of A; no diagonal entry is
+assumed, so an element over any square matrix is multiplied out as written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
-from .cartan import CartanData, Root, weyl_order
+from .cartan import CartanData, Root, sparse_cartan, weyl_order
 from .errors import (
     CapExceededError,
     IndexOutOfRangeError,
@@ -64,16 +69,16 @@ class WeylElement:
 
     @cached_property
     def mat(self) -> Matrix:
-        # s_i * mat changes only row i, to row i - sum_j A_ij row j
-        mat = identity(len(self.A))
+        # s_i * mat changes only row i, to (1 - A_ii) row i - sum_{j != i} A_ij row j
+        keep, rows, _ = sparse_cartan(self.A)
+        mat = list(identity(len(self.A)))
         for i in reversed(self.word):
             i -= 1
-            row = mat[i]
-            for j, a in enumerate(self.A[i]):
-                if a:
-                    row = [v - a * r for v, r in zip(row, mat[j])]
-            mat = mat[:i] + (tuple(row),) + mat[i + 1 :]
-        return mat
+            row = [keep[i] * v for v in mat[i]]
+            for j, a in rows[i]:
+                row = [v - a * r for v, r in zip(row, mat[j])]
+            mat[i] = tuple(row)
+        return tuple(mat)
 
 
 def word_to_element(word, cd: CartanData) -> WeylElement:
@@ -94,7 +99,7 @@ def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
     two_delta = cd.two_delta
     out = []
     for t, row in zip(two_delta, w.mat):
-        v = t - sum(m * d for m, d in zip(row, two_delta))
+        v = t - sum(map(mul, row, two_delta))
         if v % 2:
             raise InvariantError(
                 f"delta - w delta is not integral for the matrix {w.mat} of {cd.spec}"
@@ -160,11 +165,18 @@ def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTabl
 
 
 def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
-    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w)."""
-    A = cd.A
+    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
+
+    T_i sets p_i to 1 + (1 - A_ii) p_i - sum_{j != i} A_ij p_j, read from the sparse view.
+    """
+    keep, rows, _ = cd.sparse
     p = list(start)
     for i in reversed(word):
-        p[i - 1] += 1 - sum(a * x for a, x in zip(A[i - 1], p))
+        i -= 1
+        v = 1 + keep[i] * p[i]
+        for j, a in rows[i]:
+            v -= a * p[j]
+        p[i] = v
     return tuple(p)
 
 

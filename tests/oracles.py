@@ -5,30 +5,30 @@ paths: group orders and the group table come from raw matrix closure,
 solution sets from direct box scans, Bruhat comparisons from the permutation
 rank-matrix criterion, and descent data from brute-force word search.
 
-The primary box scan and the word search come from `weylipse.oracles`,
-which `weylipse verify` runs too; it keeps the same rule (no `primary_form`,
-no T-moves, no group table), so they stay independent.
+The primary box scan, the word search, the T_i closure and the Bruhat
+covers by reflections come from `weylipse.oracles`, which `weylipse verify`
+runs too; it keeps the same rule (no `primary_form`, no T-moves, no group
+table, no sparse view of A), so they stay independent.
 
 The plain forms of the library's exact kernels are kept here as references
 for `test_kernels.py`: pairwise componentwise comparison, the scan over all
 positive roots, the box scan that evaluates the polynomial at every point,
 the sphere test over fractions, the word search by dense products, the
-Hasse diagram by the union of the down sets of the nodes below, and the
-subword intervals by a walk over each whole word from the identity.  The
-matrix product lives here too: only the tests multiply two matrices.
-
-The Bruhat covers by reflections use no words, no group table and no Hasse
-routine: the nodes come from the T_i closure of the origin, and lengths and
-reflections from pairings with the coroots.
+Hasse diagram by the union of the down sets of the nodes below, the
+subword intervals by a walk over each whole word from the identity, and the
+T-walk, the matrix of a word and descent stripping by dense index loops over
+whole rows and columns of A, with no diagonal entry assumed.  The matrix
+product lives here too: only the tests multiply two matrices.
 """
 
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from weylipse.cartan import bilinear, positive_roots
+from weylipse.cartan import bilinear
 from weylipse.exact import identity, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
+    bruhat_covers_by_reflections,
     exhaustive_word_search,
     orbit_by_closure,
     primary_box,
@@ -44,11 +44,17 @@ def mat_mul(a, b):
 
 def reflection_matrices(cd):
     """s_1, ..., s_n as matrices: row i of the identity minus row i of A."""
+    return simple_reflections(cd.A)
+
+
+def simple_reflections(A):
+    """`reflection_matrices` over any square matrix A."""
+    n = len(A)
     out = []
-    for i in range(cd.n):
-        m = [[1 if r == c else 0 for c in range(cd.n)] for r in range(cd.n)]
-        for c in range(cd.n):
-            m[i][c] -= cd.A[i][c]
+    for i in range(n):
+        m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for c in range(n):
+            m[i][c] -= A[i][c]
         out.append(tuple(tuple(row) for row in m))
     return out
 
@@ -134,6 +140,47 @@ def word_search_by_dense_products(cd, max_len):
     return best
 
 
+def t_walk_by_index_loops(word, start, A):
+    """T_{i1}(... T_{ik}(start)) over any square matrix A: T_i adds
+    1 - sum_j A_ij p_j to p_i, summed over every j, the diagonal included."""
+    n = len(A)
+    p = list(start)
+    for i in reversed(word):
+        r = i - 1
+        total = 0
+        for j in range(n):
+            total += A[r][j] * p[j]
+        p[r] += 1 - total
+    return tuple(p)
+
+
+def word_matrix_by_dense_products(word, A):
+    """s_{i1} s_{i2} ... over any square matrix A, multiplied left to right with
+    `mat_mul` over the dense `simple_reflections`."""
+    gens = simple_reflections(A)
+    m = identity(len(A))
+    for i in word:
+        m = mat_mul(m, gens[i - 1])
+    return m
+
+
+def strip_descents_by_index_loops(x, A, steps):
+    """(end, h(end), letters k + 1 applied) for T_k at the smallest k with h_k < 0,
+    where h = 1 - A x is recomputed over every entry after each step; None if a
+    descent is left after ``steps`` steps."""
+    n = len(A)
+    cur, word = list(x), []
+    for _ in range(steps + 1):
+        h = [1 - sum(A[i][j] * cur[j] for j in range(n)) for i in range(n)]
+        descents = [k for k in range(n) if h[k] < 0]
+        if not descents:
+            return tuple(cur), tuple(h), word
+        k = descents[0]
+        cur[k] += h[k]
+        word.append(k + 1)
+    return None
+
+
 def hasse_by_shadows(down):
     """Covers (u, w) of a strict order given by down[w], the bitmask of the nodes
     below w: the nodes below w that lie below no other node below w, found by
@@ -167,38 +214,6 @@ def subword_down_sets_by_words(table):
         reachable.discard(w_idx)
         down.append(sum(1 << u for u in reachable))
     return down
-
-
-def bruhat_covers_by_reflections(cd):
-    """Bruhat covers of W as pairs of P-vectors, from reflections (Bjorner-Brenti
-    Def. 2.1.1 and the chain property, Thm 2.2.6): u < s_a u is a cover exactly
-    when l(s_a u) = l(u) + 1.
-
-    The nodes are the T_i closure of the origin.  With x = delta - P(w) = w delta,
-    <x, a^v> = 2 (x, a) / (a, a) is negative exactly when w^-1 a is, so l(w)
-    counts the positive roots a with (2x, a) < 0, and
-    P(s_a w) = P(w) + (grade a - <P(w), a^v>) a = P(w) + <x, a^v> a.
-    """
-    roots = [r.coords for r in positive_roots(cd)]
-    norms = [bilinear(a, a, cd) for a in roots]
-    two_delta = cd.two_delta
-    nodes = orbit_by_closure((0,) * cd.n, cd)
-    pairings, lengths = {}, {}
-    for p in nodes:
-        # gram (2x), so that (2x, a) is one dot product per root
-        g = mat_vec(cd.gram, tuple(t - 2 * v for t, v in zip(two_delta, p)))
-        pairs = [sum(gi * ai for gi, ai in zip(g, a)) for a in roots]
-        pairings[p] = pairs
-        lengths[p] = sum(1 for b in pairs if b < 0)
-    covers = set()
-    for p in nodes:
-        for a, norm, b in zip(roots, norms, pairings[p]):
-            # b = (2x, a) and <x, a^v> = 2 (x, a) / (a, a) = b / (a, a)
-            q = tuple(v + b // norm * c for v, c in zip(p, a))
-            assert b % norm == 0 and q in lengths
-            if lengths[q] == lengths[p] + 1:
-                covers.add((p, q))
-    return covers
 
 
 def mulclose(mats):

@@ -5,15 +5,19 @@ the cross-multiplied scan over every positive root, the box scan that
 evaluates the primary polynomial at every point, the sphere test over
 fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
-diagram by shadows, and the subword intervals by a walk over each word.
+diagram by shadows, the subword intervals by a walk over each word, and the
+T-walk, the matrix of a word and descent stripping by dense index loops over
+whole rows of A, against the kernels that read the sparse view of A.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from weylipse import (
+    InvariantError,
     NotASolutionError,
     NotOnEllipsoidError,
     bilinear,
@@ -27,6 +31,8 @@ from weylipse import (
     primary_form,
     secondary_form,
 )
+from weylipse import ordering
+from weylipse.cartan import sparse_cartan
 from weylipse.exact import mat_vec
 from weylipse.ordering import (
     _componentwise_down,
@@ -36,7 +42,8 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
-from weylipse.quadrics import sphere_identity_holds
+from weylipse.quadrics import _strip_descents, sphere_identity_holds
+from weylipse.weyl import WeylElement, _t_walk
 
 from oracles import (
     componentwise_down_sets,
@@ -47,7 +54,10 @@ from oracles import (
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
     sphere_identity_over_fractions,
+    strip_descents_by_index_loops,
     subword_down_sets_by_words,
+    t_walk_by_index_loops,
+    word_matrix_by_dense_products,
     word_search_by_dense_products,
 )
 
@@ -87,6 +97,109 @@ def test_bilinear_and_h_vector_match_index_loops(text):
             1 - sum(cd.A[i][j] * x[j] for j in range(n)) for i in range(n)
         )
     assert bilinear(cd.delta, cd.delta, cd) == cd.delta_norm_sq
+
+
+# --- one sparse step: T-walk, word matrix, descent stripping ---
+
+STEP_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "G2xA1", "B2xA1"
+]
+
+# not a Cartan matrix: diagonal 3, 2, 0, -1, so no kernel may assume A_ii = 2
+ODD_DIAGONAL = ((3, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 0, -3), (0, 0, -1, -1))
+
+
+def step_cd(name):
+    # the odd matrix rides on A4's data: the kernels read only A, n and |Phi+|
+    return replace(cd_of("A4"), A=ODD_DIAGONAL) if name == "odd-diagonal" else cd_of(name)
+
+
+def random_words(cd, rng, count, longest):
+    return [
+        tuple(rng.randint(1, cd.n) for _ in range(rng.randint(0, longest))) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+def test_sparse_view_rebuilds_the_matrix(name):
+    cd = step_cd(name)
+    keep, rows, cols = cd.sparse
+    n = cd.n
+    from_rows = [[0] * n for _ in range(n)]
+    from_cols = [[0] * n for _ in range(n)]
+    for i in range(n):
+        from_rows[i][i] = from_cols[i][i] = 1 - keep[i]
+        for j, a in rows[i]:
+            assert a and j != i
+            from_rows[i][j] = a
+        for k, a in cols[i]:
+            assert a and k != i
+            from_cols[k][i] = a
+    assert from_rows == from_cols == [list(row) for row in cd.A]
+    assert cd.sparse is sparse_cartan(cd.A)
+    if name != "odd-diagonal":
+        assert max(map(len, rows + cols)) <= 3
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+def test_sparse_t_walk_matches_index_loops(name):
+    cd = step_cd(name)
+    rng = random.Random(16)
+    starts = [(0,) * cd.n] + [tuple(rng.randint(-5, 5) for _ in range(cd.n)) for _ in range(9)]
+    for word in random_words(cd, rng, 30, 40):
+        for start in starts[:3]:
+            assert _t_walk(word, start, cd) == t_walk_by_index_loops(word, start, cd.A)
+    for start in starts:
+        for i in range(1, cd.n + 1):
+            assert _t_walk((i,), start, cd) == t_walk_by_index_loops((i,), start, cd.A)
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+def test_sparse_word_matrix_matches_dense_products(name):
+    cd = step_cd(name)
+    rng = random.Random(17)
+    for word in random_words(cd, rng, 25, 24):
+        assert WeylElement(word, cd.A).mat == word_matrix_by_dense_products(word, cd.A)
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+def test_sparse_descent_stripping_matches_index_loops(name):
+    cd = step_cd(name)
+    rng = random.Random(18)
+    origin = (0,) * cd.n
+    # main-orbit points, and arbitrary integer points on and off the quadric
+    starts = [t_walk_by_index_loops(word, origin, cd.A) for word in random_words(cd, rng, 40, 40)]
+    starts += [tuple(rng.randint(-4, 4) for _ in range(cd.n)) for _ in range(40)]
+    stuck = 0
+    for x in starts:
+        expected = strip_descents_by_index_loops(x, cd.A, cd.positive_root_count)
+        if expected is None:
+            stuck += 1
+            with pytest.raises(InvariantError, match=r"descent after \|Phi\+\| steps"):
+                _strip_descents(x, cd)
+        else:
+            assert _strip_descents(x, cd) == expected
+    # a Cartan matrix strips every point within |Phi+| steps; the odd one both
+    # strips some and trips the step bound on others
+    assert (0 < stuck < len(starts)) if name == "odd-diagonal" else stuck == 0
+
+
+def test_link_filter_tests_each_difference_once(monkeypatch):
+    calls = []
+    real = ordering._is_positive_root_multiple
+    def counted(diff, roots):
+        calls.append(diff)
+        return real(diff, roots)
+
+    monkeypatch.setattr(ordering, "_is_positive_root_multiple", counted)
+    cd = cd_of("D4")
+    table = build_group_table(cd)
+    filtered = ordering.bruhat_from_primary(table)
+    nodes, covers, roots = table.nodes, primary_poset(table).covers, cd.root_closure.roots
+    diff = {(a, b): tuple(y - x for x, y in zip(nodes[a], nodes[b])) for a, b in covers}
+    assert len(calls) == len(set(calls)) < len(covers)
+    assert set(calls) == set(diff.values())
+    assert filtered.covers == {c for c in covers if real(diff[c], roots)}
 
 
 # --- componentwise order by bitsets ---

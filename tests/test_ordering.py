@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import weylipse.oracles
 import weylipse.ordering
 from weylipse import (
     CapExceededError,
@@ -249,6 +250,13 @@ def test_subword_order_matches_reflection_oracle(text):
     cd = cd_of(text)
     poset = bruhat_from_subwords(build_group_table(cd))
     assert set(poset.cover_vectors()) == bruhat_covers_by_reflections(cd)
+
+
+def test_reflection_oracle_refuses_a_reflection_off_its_nodes(monkeypatch):
+    real = weylipse.oracles.orbit_by_closure
+    monkeypatch.setattr(weylipse.oracles, "orbit_by_closure", lambda a, cd: real(a, cd)[:-1])
+    with pytest.raises(InvariantError, match="leaves the main orbit"):
+        bruhat_covers_by_reflections(cd_of("A2"))
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3", "B3", "D4"])

@@ -34,6 +34,18 @@ def test_each_seed_is_expanded_once(monkeypatch):
     assert sorted(calls) == sorted(r.minimal for r in orbit_seeds(cd))
 
 
+def test_each_start_point_is_closed_once(monkeypatch):
+    # the origin starts both the main orbit of `group-bijections` and the main
+    # seed's orbit of `orbit-size-law`
+    calls = []
+    real = verify.orbit_by_closure
+    monkeypatch.setattr(verify, "orbit_by_closure", lambda a, cd: calls.append(a) or real(a, cd))
+    cd = cd_of("A3")
+    status = {r.name: r.status for r in verify.run_verification(cd)}
+    assert status["orbit-size-law"] == status["group-bijections"] == "PASS"
+    assert sorted(calls) == sorted(r.minimal for r in orbit_seeds(cd))
+
+
 def test_e6_builds_no_group_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify E6 built the group table")
