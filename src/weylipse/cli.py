@@ -15,9 +15,10 @@ import os
 import sys
 
 from .cartan import build_cartan, parse_type, weyl_order
-from .errors import ComputationError, UsageError
+from .errors import ComputationError, UsageError, WeylipseError
 from .orbits import DEFAULT_EXPAND_CAP, expand_orbit, orbit_seeds
 from .ordering import (
+    MASK_BYTE_CAP,
     _mask_budget,
     bruhat_from_primary,
     bruhat_from_subwords,
@@ -52,26 +53,29 @@ def _vec(v) -> str:
     return ",".join(str(x) for x in v)
 
 
-def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse {what} {text!r}: expected comma-separated integers")
+def _cartan(text: str):
+    return build_cartan(parse_type(text))
+
+
+def _ints(what: str, unit: str = "integers"):
+    """An argparse type: comma-separated integers, the empty tuple for a blank text."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        if not text.strip():
+            return ()
+        try:
+            return tuple(int(part) for part in text.split(","))
+        except ValueError:
+            message = f"cannot parse {what} {text!r}: expected comma-separated {unit}"
+            raise UsageError(message) from None
+
+    return parse
 
 
 def _cap(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _parse_word(text: str) -> tuple[int, ...]:
-    if text.strip() == "":
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse word {text!r}: expected comma-separated indices")
 
 
 def _quadform_json(form: QuadForm) -> dict:
@@ -92,8 +96,7 @@ def _poset_json(p) -> dict:
     }
 
 
-def _cmd_info(args) -> int:
-    cd = build_cartan(parse_type(args.type))
+def _cmd_info(cd, args) -> int:
     out = sys.stdout
     print(f"type: {cd.spec}", file=out)
     print(f"rank: {cd.n}", file=out)
@@ -107,10 +110,9 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_equation(args, which: str) -> int:
-    cd = build_cartan(parse_type(args.type))
-    form = primary_form(cd) if which == "primary" else secondary_form(cd)
-    var = "x" if which == "primary" else "h"
+def _cmd_equation(cd, args) -> int:
+    primary = args.command == "primary-eq"
+    form, var = (primary_form(cd), "x") if primary else (secondary_form(cd), "h")
     if args.json:
         payload = {"type": str(cd.spec), "equation": form.equation_text(var)}
         payload.update(_quadform_json(form))
@@ -120,10 +122,9 @@ def _cmd_equation(args, which: str) -> int:
     return 0
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(cd, args) -> int:
     if args.csv and args.expand:
         raise UsageError("--expand is not available with --csv output")
-    cd = build_cartan(parse_type(args.type))
     records = orbit_seeds(cd)
     if args.expand:
         expanded = []
@@ -172,9 +173,8 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _cmd_expand(args) -> int:
-    cd = build_cartan(parse_type(args.type))
-    point = _parse_int_vector(args.point, "point") if args.point else (0,) * cd.n
+def _cmd_expand(cd, args) -> int:
+    point = (0,) * cd.n if args.point is None else args.point
     elements = expand_orbit(point, cd, cap=args.cap)
     if args.json:
         print(json.dumps({"type": str(cd.spec), "elements": [list(e) for e in elements]}))
@@ -184,9 +184,8 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_realize(args) -> int:
-    cd = build_cartan(parse_type(args.type))
-    w = word_to_element(_parse_word(args.word), cd)
+def _cmd_realize(cd, args) -> int:
+    w = word_to_element(args.word, cd)
     p = P_map(w, cd)
     s = S_map(w, cd)
     length = len(element_from_pvector(p, cd).word)
@@ -212,14 +211,13 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _cmd_reduced_words(args) -> int:
-    cd = build_cartan(parse_type(args.type))
+def _cmd_reduced_words(cd, args) -> int:
     if (args.word is None) == (args.pvector is None):
         raise UsageError("provide exactly one of --word or --pvector")
     if args.word is not None:
-        w = word_to_element(_parse_word(args.word), cd)
+        w = word_to_element(args.word, cd)
     else:
-        w = element_from_pvector(_parse_int_vector(args.pvector, "pvector"), cd)
+        w = element_from_pvector(args.pvector, cd)
     rws = reduced_words(w, cd)
     if args.json:
         payload = {
@@ -239,8 +237,7 @@ def _cmd_reduced_words(args) -> int:
     return 0
 
 
-def _cmd_bruhat(args) -> int:
-    cd = build_cartan(parse_type(args.type))
+def _cmd_bruhat(cd, args) -> int:
     _mask_budget(weyl_order(cd))
     table = build_group_table(cd, cap=args.cap)
     diverged = False
@@ -279,8 +276,7 @@ def _cmd_bruhat(args) -> int:
     return 3 if diverged else 0
 
 
-def _cmd_verify(args) -> int:
-    cd = build_cartan(parse_type(args.type))
+def _cmd_verify(cd, args) -> int:
     results = run_verification(cd)
     failed = 0
     for res in results:
@@ -301,15 +297,15 @@ def build_parser() -> _Parser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("type", help="type string, e.g. A3 or B2xG2")
+        p.add_argument("cd", metavar="type", type=_cartan, help="type string, e.g. A3 or B2xG2")
         p.set_defaults(func=func)
         return p
 
     add("info", _cmd_info, help="rank, Cartan matrix, weights, delta, detA, |W|")
 
-    p = add("primary-eq", lambda a: _cmd_equation(a, "primary"), help="primary quadric equation")
+    p = add("primary-eq", _cmd_equation, help="primary quadric equation")
     p.add_argument("--json", action="store_true")
-    p = add("secondary-eq", lambda a: _cmd_equation(a, "secondary"), help="secondary quadric equation")
+    p = add("secondary-eq", _cmd_equation, help="secondary quadric equation")
     p.add_argument("--json", action="store_true")
 
     p = add("orbits", _cmd_orbits, help="orbit census: h, minimal vector, size")
@@ -317,27 +313,35 @@ def build_parser() -> _Parser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--expand", action="store_true", help="include orbit elements (subject to cap)")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP)
+    cap_help = "largest orbit that --expand lists, the rest named on stderr (default %(default)s)"
+    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP, help=cap_help)
 
     p = add("expand", _cmd_expand, help="expand one orbit from a starting point")
-    p.add_argument("--point", default=None, help="comma-separated start, default origin")
+    p.add_argument("--point", type=_ints("point"), help="comma-separated start, default origin")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP)
+    cap_help = "exit 2, before the walk, on an orbit of more than CAP points (default %(default)s)"
+    p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP, help=cap_help)
 
+    word = _ints("word", "indices")
     p = add("realize", _cmd_realize, help="matrix, P- and S-vector of a word")
-    p.add_argument("--word", required=True, help='comma-separated indices, "" for identity')
+    p.add_argument(
+        "--word", type=word, required=True, help='comma-separated indices, "" for identity'
+    )
     p.add_argument("--json", action="store_true")
 
     p = add("reduced-words", _cmd_reduced_words, help="all reduced expressions of an element")
-    p.add_argument("--word", default=None)
-    p.add_argument("--pvector", default=None)
+    p.add_argument("--word", type=word)
+    p.add_argument("--pvector", type=_ints("pvector"))
     p.add_argument("--json", action="store_true")
 
-    p = add("bruhat", _cmd_bruhat, help="Bruhat order poset (exit 3 if methods disagree)")
+    about = "Bruhat order poset (exit 3 if methods disagree)"
+    masks = f"{about}; exit 2 at once if its bitmasks, |W|^2/16 bytes, pass {MASK_BYTE_CAP} bytes"
+    p = add("bruhat", _cmd_bruhat, help=about, description=masks)
     p.add_argument("--method", choices=["primary", "subword", "both"], default="both")
     p.add_argument("--dot", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_TABLE_CAP)
+    cap_help = "exit 2, before the group table, if |W| is more than CAP (default %(default)s)"
+    p.add_argument("--cap", type=_cap, default=DEFAULT_TABLE_CAP, help=cap_help)
 
     add("verify", _cmd_verify, help="run the invariant suite sized to this type")
 
@@ -348,13 +352,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
+        return args.func(args.cd, args)
+    except WeylipseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def entrypoint() -> None:

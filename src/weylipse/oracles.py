@@ -1,7 +1,8 @@
 """Brute-force oracles shared by `verify` and the test suite, independent of
 the code they check: a box scan with the primary quadric written out term by
 term from k and the links, carried as one partial sum per coordinate (no
-`primary_form`); matrix products of all words up to a length, each extended
+`primary_form`); membership as the sphere identity around delta (no
+`primary_form`, no h); matrix products of all words up to a length, each extended
 by the sparse s_g as a row update, with their own P-vectors (no T-moves, no
 group table, nothing from `weyl`); the closure of a point under every T_i
 with a set of seen points (no h carried, no ascent rule); and the Bruhat
@@ -63,6 +64,17 @@ def primary_solutions_by_box_scan(cd: CartanData) -> list[tuple[int, ...]]:
 
     rec(0, 0)
     return found
+
+
+def sphere_identity_holds(x, cd: CartanData) -> bool:
+    """Membership in the primary quadric as <x - delta, x - delta> == <delta, delta>.
+
+    Tested at twice the scale, <2x - 2 delta, 2x - 2 delta> == <2 delta, 2 delta>,
+    so that every entry is an integer.
+    """
+    two_delta = cd.two_delta
+    centered = tuple(2 * xi - t for xi, t in zip(x, two_delta))
+    return bilinear(centered, centered, cd) == bilinear(two_delta, two_delta, cd)
 
 
 def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:

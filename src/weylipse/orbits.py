@@ -3,13 +3,16 @@
 The nonnegative integral solutions of the secondary equation are found by a
 depth-first search with exact interval pruning.  Writing the constraint as
 h^T G h = c with G = detA * diag(k) * Ainv (a positive-definite integer matrix
-which is entrywise nonnegative for every catalog type), every partial
-assignment of nonnegative coordinates already accounts for a monotone part of
-the sum, so a prefix is viable only while its value stays <= c and each new
-coordinate ranges over an exactly-computed integer interval.  The last
-coordinate is not searched: once all others are fixed it solves a quadratic,
-which one integer square root settles in place.  No floating point is
-involved anywhere, so points on the quadric surface cannot be missed.
+which is entrywise nonnegative for every catalog type), each node carries the
+budget b >= 0 that its prefix of nonnegative coordinates leaves.  With g = G_ii
+and s >= 0 the cross term of the prefix, the next coordinate t ranges over
+g t^2 + 2 s t <= b, i.e. (g t + s)^2 <= s^2 + g b; as g t + s is an integer,
+the largest t is exactly (isqrt(s^2 + g b) - s) // g, with nothing to adjust.
+The last coordinate is not searched: it is the one nonnegative root of a
+quadratic with linear coefficient 2 s >= 0, which one integer square root
+settles.  As every coordinate counts up and each prefix has at most one
+completion, the solutions come out in lexicographic order.  No floating point
+is involved anywhere, so points on the quadric surface cannot be missed.
 
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
@@ -27,8 +30,14 @@ from itertools import pairwise
 from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
-from .errors import CapExceededError, InvariantError, NotASolutionError, NotOnEllipsoidError
-from .exact import mat_vec, max_shifted_root
+from .errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvariantError,
+    NotASolutionError,
+    NotOnEllipsoidError,
+)
+from .exact import mat_vec
 from .quadrics import _on_primary, _strip_descents, ascend, h_vector, primary_form, secondary_form
 
 __all__ = [
@@ -58,27 +67,27 @@ def _dfs_nonneg(g, c):
     n = len(g)
     last = n - 1
     if last == 0:
-        return [(v,) for v in range(isqrt(c // g[0][0]) + 1) if g[0][0] * v * v == c]
+        v = isqrt(c // g[0][0])  # the one candidate root v >= 0 of g_00 v^2 == c
+        return [(v,)] if g[0][0] * v * v == c else []
     g_last = g[last][last]
     out = []
     h = [0] * n
     cross = [0] * n  # cross[j] = sum over fixed i of g_ij h_i
 
-    def rec(depth, acc):
+    def rec(depth, budget):
         gi = g[depth][depth]
         s = cross[depth]
-        budget = c - acc
-        top = max_shifted_root(gi, s, budget)
+        top = (isqrt(s * s + gi * budget) - s) // gi
         if depth == last - 1:
             # h_last = t solves g_last t^2 + 2 s_v t == rest: t = (r - s_v) / g_last with
-            # r^2 = s_v^2 + g_last rest.  v <= top keeps rest >= 0; t >= 0 iff r >= s_v.
+            # r^2 = s_v^2 + g_last rest.  v <= top keeps rest >= 0, so r >= s_v >= 0.
             s_last, g_cross = cross[last], g[depth][last]
             for v in range(top + 1):
                 rest = budget - gi * v * v - 2 * s * v
                 s_v = s_last + g_cross * v
                 disc = s_v * s_v + g_last * rest
                 r = isqrt(disc)
-                if r * r == disc and r >= s_v and not (r - s_v) % g_last:
+                if r * r == disc and not (r - s_v) % g_last:
                     h[depth] = v
                     out.append((*h[:last], (r - s_v) // g_last))
             h[depth] = 0
@@ -88,25 +97,25 @@ def _dfs_nonneg(g, c):
             if v:
                 for j in range(depth + 1, n):
                     cross[j] += g[depth][j] * v
-            rec(depth + 1, acc + gi * v * v + 2 * s * v)
+            rec(depth + 1, budget - gi * v * v - 2 * s * v)
             if v:
                 for j in range(depth + 1, n):
                     cross[j] -= g[depth][j] * v
         h[depth] = 0
 
-    rec(0, 0)
+    rec(0, c)
     return out
 
 
 def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
-    """The complete list of nonnegative integral secondary solutions, sorted."""
+    """The complete list of nonnegative integral secondary solutions, in lexicographic order."""
     form = secondary_form(cd)
     # value(h) = h^T g h - c for g = quad / 2 = k_i adjA_ij (checked symmetric by QuadForm)
     # and c = -constant
     g = [[q // 2 for q in row] for row in form.quad]
     if any(v < 0 for row in g for v in row):
         raise InvariantError(f"scaled secondary matrix of {cd.spec} is not nonnegative")
-    sols = sorted(_dfs_nonneg(g, -form.constant))
+    sols = _dfs_nonneg(g, -form.constant)
     for h in sols:
         if form.value(h) != 0:
             raise InvariantError(
@@ -145,7 +154,9 @@ def _size_at(h, cd: CartanData, order: int, sizes: dict) -> int:
 def orbit_size(h, cd: CartanData) -> int:
     """|W| / |W_h|, where W_h is generated by the reflections at the zeros of h."""
     h = tuple(h)
-    valid = len(h) == cd.n and all(isinstance(v, int) and v >= 0 for v in h)
+    if len(h) != cd.n:
+        raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(h)}")
+    valid = all(isinstance(v, int) and v >= 0 for v in h)
     # h is on the secondary quadric iff x_h = Ainv (1 - h) is on the primary one,
     # and h_vector(x_h) = h; adjA (1 - h) = detA x_h keeps the test in integers
     if not valid or not _on_primary(mat_vec(cd.adjA, tuple(1 - v for v in h)), h, cd):
@@ -184,9 +195,10 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     cap, and InvariantError unless the walk lists that many distinct points.
     """
     a = tuple(a)
-    if any(not isinstance(v, int) for v in a) or not _on_primary(a, h_vector(a, cd), cd):
+    h = h_vector(a, cd)
+    if any(not isinstance(v, int) for v in a) or not _on_primary(a, h, cd):
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
-    minimal, h, _ = _strip_descents(a, cd)
+    minimal, h, _ = _strip_descents(a, h, cd)
     size = _size_at(h, cd, weyl_order(cd), {})
     if size > cap:
         raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")

@@ -271,7 +271,7 @@ class ReducedWordSet:
 
 
 def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
-    """All reduced expressions of w, by first-letter recursion on P-vectors.
+    """All reduced expressions of w in lexicographic order, by first-letter recursion on P-vectors.
 
     Every word is checked by a T-walk from the origin, which must land on
     P(w); the first word is also multiplied out once and compared with w, so
@@ -297,7 +297,8 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
         memo[p] = result
         return result
 
-    words = sorted(words_for(start))
+    # ascending first letters, each before its sorted tails of one length: no sort
+    words = words_for(start)
     lengths = {len(word) for word in words}
     if len(lengths) != 1:
         raise InvariantError(f"reduced words of {start} in {cd.spec} differ in length")
@@ -307,7 +308,7 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
             raise InvariantError(f"word {word} does not reproduce the element {start}")
     if word_to_element(words[0], cd).mat != w.mat:
         raise InvariantError(f"word {words[0]} does not reproduce the element {start}")
-    return ReducedWordSet(element=start, length=lengths.pop(), words=tuple(words))
+    return ReducedWordSet(element=start, length=lengths.pop(), words=words)
 
 
 def emit_dot(p: Poset) -> str:

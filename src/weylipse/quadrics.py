@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .cartan import CartanData, bilinear
+from .cartan import CartanData
 from .errors import DimensionMismatchError, InvariantError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
 
@@ -129,14 +129,14 @@ def h_vector(x, cd: CartanData) -> tuple:
 def apply_T(i: int, x, cd: CartanData) -> tuple:
     """The involution T_i: shift coordinate i (1-based) of x by h(x)_i.
 
-    Requires x on the primary quadric; returns x unchanged where h_i = 0.
+    Requires x integral and on the primary quadric; returns x unchanged where h_i = 0.
     """
     if not 1 <= i <= cd.n:
         raise DimensionMismatchError(f"index {i} out of range 1..{cd.n}")
     x = tuple(x)
     h = h_vector(x, cd)
-    if not _on_primary(x, h, cd):
-        raise NotOnEllipsoidError(f"{x} is not on the primary quadric of {cd.spec}")
+    if any(not isinstance(v, int) for v in x) or not _on_primary(x, h, cd):
+        raise NotOnEllipsoidError(f"{x} is not an integral primary solution of {cd.spec}")
     return x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
 
 
@@ -149,17 +149,17 @@ def _on_primary(x, h, cd: CartanData) -> bool:
     return not sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h))
 
 
-def _strip_descents(x, cd: CartanData):
+def _strip_descents(x, h, cd: CartanData):
     """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
 
-    T_k adds h_k to x_k, which changes h by -h_k times column k of A: h_k
-    becomes (1 - A_kk) h_k and each h_j of the sparse column ``cd.sparse.cols[k]``
-    drops by A_jk h_k, in place.  Each step crosses one of the |Phi+|
-    reflecting hyperplanes of x - delta, so a descent left after |Phi+| steps
-    raises InvariantError.
+    Given h = h_vector(x), T_k adds h_k to x_k, which changes h by -h_k times
+    column k of A: h_k becomes (1 - A_kk) h_k and each h_j of the sparse column
+    ``cd.sparse.cols[k]`` drops by A_jk h_k, in place.  Each step crosses one of
+    the |Phi+| reflecting hyperplanes of x - delta, so a descent left after
+    |Phi+| steps raises InvariantError.
     """
     keep, _, cols = cd.sparse
-    cur, h, word = list(x), list(h_vector(x, cd)), []
+    cur, h, word = list(x), list(h), []
     for _ in range(cd.positive_root_count + 1):
         for k, hk in enumerate(h):
             if hk < 0:
@@ -210,14 +210,3 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
                         g[k] -= hi * a
                     stack.append((y, g))
     return points
-
-
-def sphere_identity_holds(x, cd: CartanData) -> bool:
-    """Independent membership oracle: <x - delta, x - delta> == <delta, delta>.
-
-    Tested at twice the scale, <2x - 2 delta, 2x - 2 delta> == <2 delta, 2 delta>,
-    so that every entry is an integer.
-    """
-    two_delta = cd.two_delta
-    centered = tuple(2 * xi - t for xi, t in zip(x, two_delta))
-    return bilinear(centered, centered, cd) == bilinear(two_delta, two_delta, cd)

@@ -27,9 +27,14 @@ from functools import cache, cached_property
 
 from .cartan import CartanData, bilinear, positive_roots, weyl_order
 from .exact import mat_vec
-from .oracles import exhaustive_word_search, orbit_by_closure, primary_solutions_by_box_scan
+from .oracles import (
+    exhaustive_word_search,
+    orbit_by_closure,
+    primary_solutions_by_box_scan,
+    sphere_identity_holds,
+)
 from .orbits import expand_orbit, _seeds_from, enumerate_secondary_nonneg
-from .quadrics import apply_T, h_vector, primary_form, secondary_form, sphere_identity_holds
+from .quadrics import apply_T, h_vector, primary_form, secondary_form
 from .weyl import S_map, build_group_table, p_alpha_b, star
 from .ordering import (
     bruhat_from_primary,

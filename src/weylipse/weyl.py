@@ -221,10 +221,10 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
     word of the element, which is multiplied out and checked against a.
     """
     a = tuple(a)
-    n = cd.n
-    if len(a) != n or any(not isinstance(v, int) for v in a):
-        raise NotInMainOrbitError(f"{a} is not an integer {n}-vector")
-    end, _, word = _strip_descents(a, cd)
+    h = h_vector(a, cd)  # DimensionMismatchError on a wrong length
+    if any(not isinstance(v, int) for v in a):
+        raise NotInMainOrbitError(f"{a} is not an integer {cd.n}-vector")
+    end, _, word = _strip_descents(a, h, cd)
     if any(end):
         raise NotInMainOrbitError(f"{a} is not in the main orbit of {cd.spec}")
     elem = word_to_element(word, cd)

@@ -8,6 +8,9 @@ import time
 import pytest
 
 from weylipse.cli import main
+from weylipse.orbits import DEFAULT_EXPAND_CAP
+from weylipse.ordering import MASK_BYTE_CAP
+from weylipse.weyl import DEFAULT_TABLE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -146,12 +149,32 @@ def test_reduced_words_by_word_and_pvector(capsys):
     assert code == 0
     assert out2 == out
 
+    code, out, _ = run_cli(capsys, "reduced-words", "A2", "--word", " ")  # blank: the identity
+    assert code == 0 and out == "element: (0,0)\nlength: 0\ncount: 1\n(empty)\n"
+
     code, _, err = run_cli(capsys, "reduced-words", "A2")
     assert code == 1
     code, _, err = run_cli(capsys, "reduced-words", "A2", "--word", "1", "--pvector", "1,0")
     assert code == 1
     code, _, err = run_cli(capsys, "reduced-words", "A2", "--pvector", "3,0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["reduced-words", "A3", "--pvector", "1,2"], "expected 3-vector, got 2"),
+        (["reduced-words", "A3", "--pvector", ""], "expected 3-vector, got 0"),
+        (["expand", "A3", "--point", "1,2"], "expected 3-vector, got 2"),
+        (["expand", "A3", "--point", ""], "expected 3-vector, got 0"),
+        (["expand", "A3", "--point", "1,x,0"], "cannot parse point '1,x,0'"),
+        (["reduced-words", "A3", "--word", "1,x"], "cannot parse word '1,x'"),
+    ],
+)
+def test_malformed_vectors_are_usage_errors(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {what}") and err.count("\n") == 1
 
 
 # --- bruhat ---
@@ -288,6 +311,29 @@ def test_unknown_type_and_flags(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "info", "E9")
     assert code == 1
+
+
+def test_type_parse_error_wins_over_other_faults(capsys):
+    # the type is parsed with the arguments, before any command checks its options
+    code, out, err = run_cli(capsys, "orbits", "X9", "--csv", "--expand")
+    assert code == 1 and out == ""
+    assert err == "error: cannot parse type token 'X9'\n"
+
+
+@pytest.mark.parametrize(
+    "command, bounds",
+    [
+        ("orbits", [DEFAULT_EXPAND_CAP]),
+        ("expand", [DEFAULT_EXPAND_CAP]),
+        ("bruhat", [DEFAULT_TABLE_CAP, MASK_BYTE_CAP]),
+    ],
+)
+def test_help_states_the_bounds(capsys, command, bounds):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert all(str(bound) in text for bound in bounds)
 
 
 def test_byte_identical_runs(capsys):

@@ -4,7 +4,10 @@ The digests were recorded before the order, product and oracle paths were
 merged (one Hasse routine, one T-walk, one oracle module), so any byte of
 drift in those commands fails here.  The `verify` rows from A1 to E8 were
 recorded before `verify` became one table of gated checks; together they
-reach every gate, a FAIL row and the E8 census row.  Each row reads: exit
+reach every gate, a FAIL row and the E8 census row.  The `orbits`, `expand`,
+`reduced-words --pvector` and `info` rows were recorded before the census
+interval became a closed form and before the census and the reduced words
+stopped re-sorting their output.  Each row reads: exit
 code, digest, argv.
 """
 
@@ -38,6 +41,14 @@ GOLDENS = """
 0 8f3ce91ff462a19fd5fe307648bf36f4c2de0504b3549535f6c471b142986ec1 verify E6
 0 14f4d2c0224bd11c5134c276e5cfc01ceab8d7699f45f8661512233028f87bb0 verify E8
 0 dc080cdebbc756eb36c26663a8c74359b78acddbce8e889a439576114fdbad87 reduced-words A3 --word 1,2,1,3,2,1 --json
+0 cc5af605985bb08fa15166c4ff9b803aa0b3f4a4ec2c0a9da0c1bf86357e1b40 orbits E8
+0 5d89f10b472f07fc523dc69950b9b503f6cbf229846de7d4ccd2e57754c86431 orbits G2xA1 --expand
+0 3442673c9b12900d69f73781cfc817a29a4f9bfaa4b25d22dcebda5b2dafec17 orbits D9 --csv
+0 99bb98d9e85e1552b619961a4bc7150ba6859ac3bb8ebc648f883d17528b3c00 orbits E7xA2 --json
+0 62c34b20580c9a8fc2f2627c2e885eeb06d1f3c7eaea866f3515bf4219154663 expand B3 --json
+0 acb061ef6fdaca41cf4c115217dd9e2c77bf49412633a73abc3130c3e6b8270d reduced-words D4 --pvector 6,10,6,6
+0 37d344265ca667dfd0e3605c73cd8bccc4a1db7be51efcd3f345ea755bf328c2 reduced-words A4 --pvector 4,6,6,4 --json
+0 dfe3ba7f31edbc406c752678ef5db64f13fef5cb2f4292162fedc69014d834e5 info G2xA1
 """
 ROWS = [line.split(maxsplit=2) for line in GOLDENS.strip().splitlines()]
 

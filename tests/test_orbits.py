@@ -5,6 +5,7 @@ import pytest
 
 from weylipse import (
     CapExceededError,
+    DimensionMismatchError,
     InvariantError,
     NotASolutionError,
     NotOnEllipsoidError,
@@ -155,7 +156,7 @@ def test_orbit_size_error_paths():
         orbit_size((0, 1), a2)
     with pytest.raises(NotASolutionError):
         orbit_size((-1, -1), a2)  # solves the equation but is not nonnegative
-    with pytest.raises(NotASolutionError):
+    with pytest.raises(DimensionMismatchError):
         orbit_size((1,), a2)
 
 

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylipse import (
+    DimensionMismatchError,
+    MalformedFormError,
     NotOnEllipsoidError,
+    QuadForm,
     apply_T,
     bilinear,
     build_cartan,
@@ -15,7 +19,7 @@ from weylipse import (
     secondary_form,
 )
 from weylipse.exact import mat_vec
-from weylipse.quadrics import sphere_identity_holds
+from weylipse.oracles import sphere_identity_holds
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "B2xA1", "E6"]
 
@@ -111,8 +115,31 @@ def test_apply_T_examples():
     assert apply_T(1, (1, 0), a2) == (0, 0)
     b2 = cd_of("B2")
     assert apply_T(2, (1, 0), b2) == (1, 3)
-    with pytest.raises(NotOnEllipsoidError):
-        apply_T(1, (1, 1), a2)
+    # (0.0, 0.0) passes the membership identity, but the quadric's points are integral
+    for x in [(1, 1), (0.0, 0.0), (1, 0.0), (Fraction(1), 0)]:
+        with pytest.raises(NotOnEllipsoidError):
+            apply_T(1, x, a2)
+
+
+def test_malformed_forms_are_refused():
+    with pytest.raises(MalformedFormError, match="odd"):
+        QuadForm(n=2, quad=((2, 0), (0, 3)), linear=(0, 0), constant=0)
+    with pytest.raises(MalformedFormError, match="not symmetric at \\(0, 1\\)"):
+        QuadForm(n=2, quad=((2, 1), (0, 2)), linear=(0, 0), constant=0)
+
+
+def test_wrong_lengths_are_dimension_mismatches():
+    a2 = cd_of("A2")
+    calls = [
+        lambda: primary_form(a2).value((1,)),
+        lambda: secondary_form(a2).value((1, 1, 1)),
+        lambda: h_vector((0, 0, 0), a2),
+        lambda: apply_T(1, (0,), a2),
+        lambda: apply_T(3, (0, 0), a2),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 def test_apply_T_fixed_point():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylipse import (
     CapExceededError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotInMainOrbitError,
     P_map,
@@ -323,3 +324,7 @@ def test_element_from_pvector_rejects_junk():
         element_from_pvector((5, 5), cd)
     with pytest.raises(NotInMainOrbitError):
         element_from_pvector((1, 1), cd)  # h(1,1) = (0,0): no descent, yet not the origin
+    with pytest.raises(NotInMainOrbitError):
+        element_from_pvector((1, 0.0), cd)
+    with pytest.raises(DimensionMismatchError):
+        element_from_pvector((1,), cd)
