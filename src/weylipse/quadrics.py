@@ -10,8 +10,11 @@ coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
 Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
 one point without descents, its componentwise minimum, and two walks link
 the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
-A step by T_i changes h by -h_i times column i of A, so both walks update h
-over the sparse column of `CartanData.sparse`, not the whole vector.
+A step by T_i changes h by -h_i times column i of A, so both walks, and the
+reduced-word recursion through `_t_step`, update h over the sparse column of
+`CartanData.sparse`, not the whole vector.  `apply_T` tests membership by
+one sum over the sparse rows of A and reads only h_i, so a single step of a
+walk never computes the whole h either.
 """
 
 from __future__ import annotations
@@ -130,14 +133,37 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     """The involution T_i: shift coordinate i (1-based) of x by h(x)_i.
 
     Requires x integral and on the primary quadric; returns x unchanged where h_i = 0.
+    Neither the membership test nor the step computes the whole h.
     """
-    if not 1 <= i <= cd.n:
+    if not isinstance(i, int) or not 1 <= i <= cd.n:
         raise DimensionMismatchError(f"index {i} out of range 1..{cd.n}")
     x = tuple(x)
-    h = h_vector(x, cd)
-    if any(not isinstance(v, int) for v in x) or not _on_primary(x, h, cd):
+    if len(x) != cd.n:
+        raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
+    if any(not isinstance(v, int) for v in x) or _twice_primary(x, cd):
         raise NotOnEllipsoidError(f"{x} is not an integral primary solution of {cd.spec}")
-    return x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
+    keep, rows, _ = cd.sparse
+    i -= 1
+    v = 1 + keep[i] * x[i]  # x_i + h_i, with h_i = 1 - (A x)_i
+    for j, a in rows[i]:
+        v -= a * x[j]
+    return x[:i] + (v,) + x[i + 1 :]
+
+
+def _twice_primary(x, cd: CartanData) -> int:
+    """Twice the primary value of x, sum_j k_j x_j ((A x)_j - 2) since A delta = 1.
+
+    (A x)_j is summed over the sparse row j, and only for the nonzero x_j.
+    """
+    keep, rows, _ = cd.sparse
+    total = 0
+    for j, (k, xj) in enumerate(zip(cd.k, x)):
+        if xj:
+            ax = (1 - keep[j]) * xj
+            for m, a in rows[j]:
+                ax += a * x[m]
+            total += k * xj * (ax - 2)
+    return total
 
 
 def _on_primary(x, h, cd: CartanData) -> bool:
@@ -172,6 +198,18 @@ def _strip_descents(x, h, cd: CartanData):
             h[j] -= a * hk
         word.append(k + 1)
     raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
+
+
+def _t_step(i, x, h, cd: CartanData):
+    """(T_i x, h(T_i x)) for 0-based i, given h = h_vector(x): the step of
+    `_strip_descents` on tuples, with h updated over the sparse column i."""
+    keep, _, cols = cd.sparse
+    hi = h[i]
+    g = list(h)
+    g[i] = keep[i] * hi
+    for k, a in cols[i]:
+        g[k] -= a * hi
+    return x[:i] + (x[i] + hi,) + x[i + 1 :], tuple(g)
 
 
 def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:

@@ -10,24 +10,26 @@ P(w) = delta - w delta = (2 delta - w 2 delta) / 2 maps the group bijectively
 onto the main orbit of the primary quadric (the identity goes to the origin);
 S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
 quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
-positive roots.
+positive roots.  `P_map` applies the word's reflections to the one vector
+2 delta, right to left, so no P-vector needs the matrix of its element.
 
 Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
 main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
 prepending a letter to the word, and `element_from_pvector` strips descents
 back to the origin.  The one T-walk `_t_walk` gives `star`, `p_alpha_b`, the
-table's left multiplication and the recursion and word checks of
-`ordering.reduced_words`.  Its step p_i <- 1 + (1 - A_ii) p_i - sum_j A_ij p_j
-and the row step of `WeylElement.mat` read only the off-diagonal nonzeros of
-row i, from the sparse view `cartan.sparse_cartan` of A; no diagonal entry is
-assumed, so an element over any square matrix is multiplied out as written.
+table's left multiplication and the word checks of `ordering.reduced_words`
+(whose recursion steps P and h together, as descent stripping does).  Its
+step p_i <- 1 + (1 - A_ii) p_i - sum_j A_ij p_j, the step of s_i on a vector
+in `P_map` and the row step of `WeylElement.mat` read only the off-diagonal
+nonzeros of row i, from the sparse view `cartan.sparse_cartan` of A; no
+diagonal entry is assumed, so an element over any square matrix is
+multiplied out as written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 
 from .cartan import CartanData, Root, sparse_cartan, weyl_order
 from .errors import (
@@ -93,18 +95,29 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
 def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
     """delta - w delta, always an integer vector on the primary quadric.
 
-    Computed as (2 delta - w 2 delta) / 2; an odd coordinate, which no group
-    element gives, raises InvariantError.
+    Computed as (2 delta - w 2 delta) / 2, with w 2 delta the word's
+    reflections applied to the one vector 2 delta, right to left: s_i changes
+    only coordinate i, exactly as it changes row i of `WeylElement.mat`, so
+    no matrix is built.  An odd coordinate, which no group element gives,
+    raises InvariantError.
     """
+    keep, rows, _ = sparse_cartan(w.A)
     two_delta = cd.two_delta
+    v = list(two_delta)
+    for i in reversed(w.word):
+        i -= 1
+        vi = keep[i] * v[i]
+        for j, a in rows[i]:
+            vi -= a * v[j]
+        v[i] = vi
     out = []
-    for t, row in zip(two_delta, w.mat):
-        v = t - sum(map(mul, row, two_delta))
-        if v % 2:
+    for t, u in zip(two_delta, v):
+        d = t - u
+        if d % 2:
             raise InvariantError(
                 f"delta - w delta is not integral for the matrix {w.mat} of {cd.spec}"
             )
-        out.append(v // 2)
+        out.append(d // 2)
     return tuple(out)
 
 
@@ -218,7 +231,8 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
 
     If S(a) = 1 - A a has a negative entry i then a = P(s_i w') with
     P(w') = T_i(a) one step shorter; stripping down to the origin spells a
-    word of the element, which is multiplied out and checked against a.
+    word of the element, whose P-vector is computed afresh from 2 delta by
+    `P_map` and checked against a.
     """
     a = tuple(a)
     h = h_vector(a, cd)  # DimensionMismatchError on a wrong length

@@ -7,7 +7,8 @@ fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
 diagram by shadows, the subword intervals by a walk over each word, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows of A, against the kernels that read the sparse view of A.
+whole rows of A, against the kernels that read the sparse view of A, and P
+by the word's reflections of 2 delta against the dense matrix product.
 """
 
 import random
@@ -20,6 +21,7 @@ from weylipse import (
     InvariantError,
     NotASolutionError,
     NotOnEllipsoidError,
+    P_map,
     bilinear,
     build_cartan,
     build_group_table,
@@ -43,7 +45,7 @@ from weylipse.ordering import (
     primary_poset,
 )
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _strip_descents
+from weylipse.quadrics import _strip_descents, _t_step
 from weylipse.weyl import WeylElement, _t_walk
 
 from oracles import (
@@ -361,3 +363,33 @@ def test_expand_orbit_membership_matches_primary_form(text):
             with pytest.raises(NotOnEllipsoidError):
                 expand_orbit(x, cd)
     assert on >= 1
+
+
+# --- per-element queries on one vector: P by reflections of 2 delta, the
+# (P, h) step of the reduced-word recursion ---
+
+P_TYPES = ["A1", "A5", "B4", "C3", "D5", "E6", "E8", "F4", "G2", "G2xA1", "E6xA2"]
+
+
+@pytest.mark.parametrize("name", P_TYPES + ["odd-diagonal"])
+def test_p_map_matches_dense_matrix_product(name):
+    cd = step_cd(name)
+    rng = random.Random(19)
+    two_delta = cd.two_delta
+    for word in [()] + random_words(cd, rng, 40, 3 * cd.positive_root_count):
+        w = WeylElement(word, cd.A)
+        twice = tuple(t - v for t, v in zip(two_delta, mat_vec(w.mat, two_delta)))
+        # the odd matrix rides on A4, whose 2 delta is even, so P stays integral
+        assert all(v % 2 == 0 for v in twice)
+        assert P_map(w, cd) == tuple(v // 2 for v in twice)
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+def test_t_step_matches_t_walk_and_h_vector(name):
+    cd = step_cd(name)
+    rng = random.Random(20)
+    for _ in range(60):
+        x = tuple(rng.randint(-5, 5) for _ in range(cd.n))
+        i = rng.randrange(cd.n)
+        y = t_walk_by_index_loops((i + 1,), x, cd.A)
+        assert _t_step(i, x, h_vector(x, cd), cd) == (y, h_vector(y, cd))

@@ -6,7 +6,8 @@
   correction loop follows the square root.
 * Rank 1: g v^2 == c has at most one root v >= 0.
 * The census and the reduced words come out in lexicographic order, so
-  neither is sorted.
+  neither is sorted.  The reduced words of w0, from a recursion that carries
+  h instead of recomputing it, are as many as the known counts.
 * Every leading principal minor of a Cartan matrix is positive, so
   Gauss-Jordan in `mat_inv` never needs a row swap.
 """
@@ -62,12 +63,18 @@ def test_census_comes_out_strictly_increasing(text):
     assert sols and strictly_increasing(sols)
 
 
-@pytest.mark.parametrize("text", ["A3", "A4", "A5", "B3", "B4", "D4"])
+# the number of reduced words of w0: for A_n Stanley's hook-length count (Europ. J.
+# Combin. 5, 1984), for B_n the n x n square standard Young tableaux
+W0_WORD_COUNTS = {"A3": 16, "A4": 768, "A5": 292864, "B3": 42, "B4": 24024, "D4": 2316}
+
+
+@pytest.mark.parametrize("text", list(W0_WORD_COUNTS))
 def test_reduced_words_of_w0_come_out_strictly_increasing(text):
     cd = cd_of(text)
     w0 = element_from_pvector(cd.two_delta, cd)  # P(w0) = 2 delta
     words = reduced_words(w0, cd).words
     assert len(words[0]) == cd.positive_root_count
+    assert len(words) == W0_WORD_COUNTS[text]
     assert strictly_increasing(words)
 
 

@@ -19,6 +19,7 @@ from weylipse import (
     bruhat_from_subwords,
     emit_dot,
     first_letters,
+    h_vector,
     parse_type,
     primary_poset,
     reduced_words,
@@ -118,18 +119,22 @@ def test_reduced_words_t_walk_rejects_wrong_descent(monkeypatch):
     a3 = cd_of("A3")
     w = word_to_element([1, 3], a3)
     start = P_map(w, a3)
-    t_walk = weylipse.ordering._t_walk
+    t_step = weylipse.ordering._t_step
+    wrong = (0, 1, 0)  # P(s_2)
 
-    def corrupted(word, p, cd):
-        # stripping s_3 lands on P(s_2) instead of P(s_1); the first word (1, 3) stays right
-        return (0, 1, 0) if (word, p) == ((3,), start) else t_walk(word, p, cd)
+    def corrupted(i, p, h, cd):
+        # stripping s_3 lands on P(s_2), with its own h, instead of P(s_1);
+        # the first word (1, 3) stays right
+        if (i, p) == (2, start):
+            return wrong, h_vector(wrong, cd)
+        return t_step(i, p, h, cd)
 
-    monkeypatch.setattr(weylipse.ordering, "_t_walk", corrupted)
+    monkeypatch.setattr(weylipse.ordering, "_t_step", corrupted)
     with pytest.raises(InvariantError, match=r"word \(3, 2\)"):
         reduced_words(w, a3)
 
 
-@pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3", "B3"])
 def test_reduced_words_match_exhaustive_search(text):
     cd = cd_of(text)
     table = build_group_table(cd)

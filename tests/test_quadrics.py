@@ -136,6 +136,7 @@ def test_wrong_lengths_are_dimension_mismatches():
         lambda: h_vector((0, 0, 0), a2),
         lambda: apply_T(1, (0,), a2),
         lambda: apply_T(3, (0, 0), a2),
+        lambda: apply_T(1.0, (0, 0, 0), cd_of("A3")),  # not an index, though in range
     ]
     for call in calls:
         with pytest.raises(DimensionMismatchError):
@@ -166,10 +167,13 @@ def test_apply_T_involution_walk(data):
         x = y
 
 
-@pytest.mark.parametrize("text", ["A2", "B3", "G2xA1", "F4", "E6", "E6xA2"])
+@pytest.mark.parametrize(
+    "text", ["A1", "A2", "B3", "C3", "D5", "G2", "G2xA1", "F4", "E6", "E8", "E6xA2"]
+)
 def test_apply_T_membership_matches_primary_form(text):
-    # apply_T decides membership from h alone; it must agree with the form on
-    # points of a random T-walk, on their unit neighbours and on box points
+    # apply_T decides membership by a sum over the sparse rows of A; it must
+    # agree with the form on points of a random T-walk, on their unit
+    # neighbours and on box points, and step by h_i
     cd = cd_of(text)
     form = primary_form(cd)
     rng = random.Random(7)
