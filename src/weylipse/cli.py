@@ -9,33 +9,21 @@ ordered, so identical invocations are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from .cartan import build_cartan, parse_type, weyl_order
-from .errors import ComputationError, UsageError, WeylipseError
-from .orbits import DEFAULT_EXPAND_CAP, expand_orbit, orbit_seeds
-from .ordering import (
-    MASK_BYTE_CAP,
-    _mask_budget,
-    bruhat_from_primary,
-    bruhat_from_subwords,
-    emit_dot,
-    reduced_words,
-    relation_counts,
-)
-from .quadrics import QuadForm, primary_form, secondary_form
-from .verify import run_verification
-from .weyl import (
+from .errors import (
+    DEFAULT_EXPAND_CAP,
     DEFAULT_TABLE_CAP,
-    P_map,
-    S_map,
-    build_group_table,
-    element_from_pvector,
-    word_to_element,
+    MASK_BYTE_CAP,
+    ComputationError,
+    UsageError,
+    WeylipseError,
 )
+
+# each _cmd_* imports the layers it runs, so a process loads only those of its command
 
 SAFE_INT = 2**53
 
@@ -78,7 +66,7 @@ def _cap(text: str) -> int:
     return int(text)
 
 
-def _quadform_json(form: QuadForm) -> dict:
+def _quadform_json(form) -> dict:
     return {
         "n": form.n,
         "quad": [list(row) for row in form.quad],
@@ -111,6 +99,8 @@ def _cmd_info(cd, args) -> int:
 
 
 def _cmd_equation(cd, args) -> int:
+    from .quadrics import primary_form, secondary_form
+
     primary = args.command == "primary-eq"
     form, var = (primary_form(cd), "x") if primary else (secondary_form(cd), "h")
     if args.json:
@@ -123,6 +113,10 @@ def _cmd_equation(cd, args) -> int:
 
 
 def _cmd_orbits(cd, args) -> int:
+    from dataclasses import replace
+
+    from .orbits import expand_orbit, orbit_seeds
+
     if args.csv and args.expand:
         raise UsageError("--expand is not available with --csv output")
     records = orbit_seeds(cd)
@@ -131,7 +125,7 @@ def _cmd_orbits(cd, args) -> int:
         for rec in records:
             if rec.size <= args.cap:
                 elements = tuple(expand_orbit(rec.minimal, cd, cap=args.cap))
-                expanded.append(dataclasses.replace(rec, elements=elements))
+                expanded.append(replace(rec, elements=elements))
             else:
                 print(
                     f"orbit at h=({_vec(rec.h)}) has size {rec.size} > cap {args.cap}; "
@@ -174,6 +168,8 @@ def _cmd_orbits(cd, args) -> int:
 
 
 def _cmd_expand(cd, args) -> int:
+    from .orbits import expand_orbit
+
     point = (0,) * cd.n if args.point is None else args.point
     elements = expand_orbit(point, cd, cap=args.cap)
     if args.json:
@@ -185,6 +181,8 @@ def _cmd_expand(cd, args) -> int:
 
 
 def _cmd_realize(cd, args) -> int:
+    from .weyl import P_map, S_map, element_from_pvector, word_to_element
+
     w = word_to_element(args.word, cd)
     p = P_map(w, cd)
     s = S_map(w, cd)
@@ -212,6 +210,9 @@ def _cmd_realize(cd, args) -> int:
 
 
 def _cmd_reduced_words(cd, args) -> int:
+    from .ordering import reduced_words
+    from .weyl import element_from_pvector, word_to_element
+
     if (args.word is None) == (args.pvector is None):
         raise UsageError("provide exactly one of --word or --pvector")
     if args.word is not None:
@@ -238,6 +239,15 @@ def _cmd_reduced_words(cd, args) -> int:
 
 
 def _cmd_bruhat(cd, args) -> int:
+    from .ordering import (
+        _mask_budget,
+        bruhat_from_primary,
+        bruhat_from_subwords,
+        emit_dot,
+        relation_counts,
+    )
+    from .weyl import build_group_table
+
     _mask_budget(weyl_order(cd))
     table = build_group_table(cd, cap=args.cap)
     diverged = False
@@ -277,6 +287,8 @@ def _cmd_bruhat(cd, args) -> int:
 
 
 def _cmd_verify(cd, args) -> int:
+    from .verify import run_verification
+
     results = run_verification(cd)
     failed = 0
     for res in results:

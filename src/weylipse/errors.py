@@ -3,7 +3,19 @@
 Usage errors (bad input shape) and computation errors (valid input, but the
 requested object does not exist or exceeds a configured bound) are kept as
 separate branches so the CLI can map them to distinct exit codes.
+
+The configured bounds live here too, beside `CapExceededError`, the error each
+one raises, so that the CLI can state them in its help without importing the
+layers that enforce them.  `orbits`, `weyl` and `ordering` import them from here.
 """
+
+# largest orbit that `orbits.expand_orbit` walks
+DEFAULT_EXPAND_CAP = 10_000_000
+# largest |W| of which `weyl.build_group_table` lists the group
+DEFAULT_TABLE_CAP = 1_000_000
+# Node w's down-set mask has up to w bits, so the masks of |W| nodes take about
+# |W|^2/2 bits: 168 MB on E6, 6.5 GB on D7, which passes the table cap.
+MASK_BYTE_CAP = 2**30
 
 
 class WeylipseError(Exception):

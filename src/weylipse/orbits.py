@@ -31,6 +31,7 @@ from math import isqrt
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import (
+    DEFAULT_EXPAND_CAP,
     CapExceededError,
     DimensionMismatchError,
     InvariantError,
@@ -48,8 +49,6 @@ __all__ = [
     "orbit_size",
     "expand_orbit",
 ]
-
-DEFAULT_EXPAND_CAP = 10_000_000
 
 
 @dataclass(frozen=True)

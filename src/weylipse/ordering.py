@@ -41,9 +41,10 @@ from math import gcd
 from operator import sub
 
 from .cartan import CartanData
-from .errors import CapExceededError, InvariantError, NotInMainOrbitError
+from .errors import MASK_BYTE_CAP, CapExceededError, InvariantError, NotInMainOrbitError
+from .exact import mat_vec
 from .quadrics import _t_step, h_vector
-from .weyl import GroupTable, P_map, WeylElement, _t_walk, word_to_element
+from .weyl import GroupTable, P_map, WeylElement, _act, _t_walk
 
 __all__ = [
     "Poset",
@@ -107,15 +108,11 @@ def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
     )
 
 
-# Node w's down-set mask has up to w bits, so the masks of |W| nodes take about
-# |W|^2/2 bits: 168 MB on E6, 6.5 GB on D7, which passes the table cap.
-MASK_BYTE_CAP = 2**30
-
-
 def _mask_budget(size: int) -> int:
     """|W|^2/16, the estimated bytes of the down-set masks of ``size`` nodes.
 
-    Raises CapExceededError past MASK_BYTE_CAP, so that no mask is built.
+    Raises CapExceededError past this module's MASK_BYTE_CAP (read at the
+    call), so that no mask is built.
     """
     estimate = size * size // 16
     if estimate > MASK_BYTE_CAP:
@@ -278,9 +275,10 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     The recursion carries h = S of each state: stripping the descent i adds
     h_i to p_i and updates h over the sparse column i (`quadrics._t_step`),
     so h is computed once, for P(w).  Every word is checked by a T-walk from
-    the origin, which must land on P(w); the first word is also multiplied
-    out once and compared with w, so a wrong P(w) is caught too.  A failed
-    check raises InvariantError.
+    the origin, which must land on P(w); the first word and w are also
+    applied to one strictly dominant vector other than 2 delta and must agree
+    there, as only equal elements do, so a wrong P(w) is caught too.  A
+    failed check raises InvariantError.
     """
     start = P_map(w, cd)
     memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
@@ -312,7 +310,10 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     for word in words:
         if _t_walk(word, origin, cd) != start:
             raise InvariantError(f"word {word} does not reproduce the element {start}")
-    if word_to_element(words[0], cd).mat != w.mat:
+    # adjA (1, ..., n) is strictly dominant, as A adjA (1, ..., n) = detA (1, ..., n),
+    # so only the identity fixes it: two elements agree on it exactly when equal
+    regular = mat_vec(cd.adjA, range(1, cd.n + 1))
+    if _act(words[0], regular, cd.A) != _act(w.word, regular, w.A):
         raise InvariantError(f"word {words[0]} does not reproduce the element {start}")
     return ReducedWordSet(element=start, length=lengths.pop(), words=words)
 

@@ -11,7 +11,8 @@ onto the main orbit of the primary quadric (the identity goes to the origin);
 S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
 quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
 positive roots.  `P_map` applies the word's reflections to the one vector
-2 delta, right to left, so no P-vector needs the matrix of its element.
+2 delta, right to left (`_act`, which also checks the first word of
+`ordering.reduced_words`), so no P-vector needs the matrix of its element.
 
 Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
 main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
@@ -20,7 +21,7 @@ back to the origin.  The one T-walk `_t_walk` gives `star`, `p_alpha_b`, the
 table's left multiplication and the word checks of `ordering.reduced_words`
 (whose recursion steps P and h together, as descent stripping does).  Its
 step p_i <- 1 + (1 - A_ii) p_i - sum_j A_ij p_j, the step of s_i on a vector
-in `P_map` and the row step of `WeylElement.mat` read only the off-diagonal
+in `_act` and the row step of `WeylElement.mat` read only the off-diagonal
 nonzeros of row i, from the sparse view `cartan.sparse_cartan` of A; no
 diagonal entry is assumed, so an element over any square matrix is
 multiplied out as written.
@@ -33,6 +34,7 @@ from functools import cached_property
 
 from .cartan import CartanData, Root, sparse_cartan, weyl_order
 from .errors import (
+    DEFAULT_TABLE_CAP,
     CapExceededError,
     IndexOutOfRangeError,
     InvariantError,
@@ -54,8 +56,6 @@ __all__ = [
     "p_alpha_b",
     "element_from_pvector",
 ]
-
-DEFAULT_TABLE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,35 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
     return WeylElement(word, cd.A)
 
 
-def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
-    """delta - w delta, always an integer vector on the primary quadric.
+def _act(word, v, A: Matrix) -> tuple[int, ...]:
+    """s_{i1} ... s_{ik} v: the word's reflections applied to v, right to left.
 
-    Computed as (2 delta - w 2 delta) / 2, with w 2 delta the word's
-    reflections applied to the one vector 2 delta, right to left: s_i changes
-    only coordinate i, exactly as it changes row i of `WeylElement.mat`, so
-    no matrix is built.  An odd coordinate, which no group element gives,
-    raises InvariantError.
+    s_i changes only coordinate i, exactly as it changes row i of
+    `WeylElement.mat`, so this is mat_vec(word_to_element(word).mat, v)
+    with no matrix built.
     """
-    keep, rows, _ = sparse_cartan(w.A)
-    two_delta = cd.two_delta
-    v = list(two_delta)
-    for i in reversed(w.word):
+    keep, rows, _ = sparse_cartan(A)
+    v = list(v)
+    for i in reversed(word):
         i -= 1
         vi = keep[i] * v[i]
         for j, a in rows[i]:
             vi -= a * v[j]
         v[i] = vi
+    return tuple(v)
+
+
+def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
+    """delta - w delta, always an integer vector on the primary quadric.
+
+    Computed as (2 delta - w 2 delta) / 2, with w 2 delta the word's
+    reflections applied to the one vector 2 delta by `_act`, so no matrix is
+    built.  An odd coordinate, which no group element gives, raises
+    InvariantError.
+    """
+    two_delta = cd.two_delta
     out = []
-    for t, u in zip(two_delta, v):
+    for t, u in zip(two_delta, _act(w.word, two_delta, w.A)):
         d = t - u
         if d % 2:
             raise InvariantError(

@@ -226,7 +226,7 @@ def test_bruhat_unwritable_dot_is_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("method", ["subword", "both"])
 def test_bruhat_failed_check_is_one_line_exit_2(capsys, monkeypatch, method):
-    import weylipse.cli
+    import weylipse.weyl
     from weylipse import WeylElement, build_group_table
 
     def corrupted(cd, cap):
@@ -235,7 +235,8 @@ def test_bruhat_failed_check_is_one_line_exit_2(capsys, monkeypatch, method):
         table.elements[(1, 0)] = WeylElement((2,), cd.A)
         return table
 
-    monkeypatch.setattr(weylipse.cli, "build_group_table", corrupted)
+    # the command imports its layers when it runs, so it reads the patched name
+    monkeypatch.setattr(weylipse.weyl, "build_group_table", corrupted)
     code, out, err = run_cli(capsys, "bruhat", "A2", "--method", method)
     assert code == 2 and out == ""
     assert err == "error: parent (1, 2) of (1, 0) in A2 is not before it\n"

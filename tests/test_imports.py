@@ -1,0 +1,171 @@
+"""The package loads its layers on first use: the public names, and what each entry point imports.
+
+Import footprints are read in a fresh interpreter, so that the modules this
+test process already holds do not count.
+"""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import weylipse
+
+PUBLIC = [
+    "BadIndexSetError",
+    "CapExceededError",
+    "CartanData",
+    "ComputationError",
+    "DEFAULT_EXPAND_CAP",
+    "DEFAULT_TABLE_CAP",
+    "DimensionMismatchError",
+    "GroupTable",
+    "IndexOutOfRangeError",
+    "InvariantError",
+    "LieTypeSpec",
+    "MalformedFormError",
+    "NotAMultipleError",
+    "NotARootError",
+    "NotASolutionError",
+    "NotInMainOrbitError",
+    "NotOnEllipsoidError",
+    "OrbitRecord",
+    "P_map",
+    "Poset",
+    "QuadForm",
+    "RankOutOfRangeError",
+    "ReducedWordSet",
+    "Root",
+    "S_map",
+    "UnknownFamilyError",
+    "UsageError",
+    "WeylElement",
+    "WeylipseError",
+    "apply_T",
+    "bilinear",
+    "bruhat_from_primary",
+    "bruhat_from_subwords",
+    "build_cartan",
+    "build_group_table",
+    "element_from_pvector",
+    "emit_dot",
+    "enumerate_secondary_nonneg",
+    "expand_orbit",
+    "first_letters",
+    "grade",
+    "h_vector",
+    "orbit_seeds",
+    "orbit_size",
+    "p_alpha_b",
+    "parabolic_order",
+    "parse_type",
+    "positive_roots",
+    "primary_form",
+    "primary_poset",
+    "reduced_words",
+    "secondary_form",
+    "star",
+    "weyl_order",
+    "word_to_element",
+]
+
+BASE = ["weylipse", "weylipse.cartan", "weylipse.errors", "weylipse.exact"]
+CLI = BASE + ["weylipse.cli"]
+ALL_LAYERS = ["quadrics", "orbits", "weyl", "ordering", "verify", "oracles"]
+
+LIBRARY_USE = """
+import sys
+import weylipse
+{}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "weylipse"))
+"""
+
+CLI_USE = """
+import contextlib, io, json, sys
+from weylipse.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "weylipse")]))
+"""
+
+
+def fresh_python(code, *argv):
+    src = os.path.dirname(os.path.dirname(weylipse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def layers(*names):
+    return [f"weylipse.{name}" for name in names]
+
+
+def test_public_names_are_unchanged():
+    assert sorted(weylipse.__all__) == PUBLIC
+    assert weylipse.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_its_home_modules_object(name):
+    home = import_module(f"weylipse.{weylipse._HOME[name]}")
+    obj = getattr(weylipse, name)
+    assert obj is getattr(home, name)
+    if inspect.isfunction(obj) or inspect.isclass(obj):
+        assert obj.__module__ == home.__name__
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from weylipse import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert set(PUBLIC) <= set(dir(weylipse))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        weylipse.no_such_name
+    assert not hasattr(weylipse, "_HOME_of_nothing")
+
+
+@pytest.mark.parametrize(
+    "call, loaded",
+    [
+        ("", ["weylipse"]),
+        ('weylipse.build_cartan(weylipse.parse_type("E8"))', BASE),
+        ("weylipse.DEFAULT_TABLE_CAP", ["weylipse", "weylipse.errors"]),
+    ],
+)
+def test_the_library_loads_only_what_it_calls(call, loaded):
+    assert fresh_python(LIBRARY_USE.format(call)) == f"{loaded}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["info", "F4"], []),
+        (["primary-eq", "E8"], ["quadrics"]),
+        (["secondary-eq", "E8", "--json"], ["quadrics"]),
+        (["orbits", "A3"], ["quadrics", "orbits"]),
+        (["expand", "B2"], ["quadrics", "orbits"]),
+        (["realize", "A3", "--word", "1,2"], ["quadrics", "weyl"]),
+        (["reduced-words", "A3", "--pvector", "3,4,3"], ["quadrics", "weyl", "ordering"]),
+        (["bruhat", "A2", "--method", "subword"], ["quadrics", "weyl", "ordering"]),
+        (["verify", "A2"], ALL_LAYERS),
+    ],
+)
+def test_each_command_loads_only_its_layers(argv, loaded):
+    code, modules = json.loads(fresh_python(CLI_USE, *argv))
+    assert code == 0
+    assert modules == sorted(CLI + layers(*loaded))

@@ -8,7 +8,8 @@ products, membership through `primary_form` / `secondary_form`, the Hasse
 diagram by shadows, the subword intervals by a walk over each word, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
 whole rows of A, against the kernels that read the sparse view of A, and P
-by the word's reflections of 2 delta against the dense matrix product.
+and the action of a word on any vector by the word's reflections against the
+dense matrix product.
 """
 
 import random
@@ -46,7 +47,7 @@ from weylipse.ordering import (
 )
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _strip_descents, _t_step
-from weylipse.weyl import WeylElement, _t_walk
+from weylipse.weyl import WeylElement, _act, _t_walk
 
 from oracles import (
     componentwise_down_sets,
@@ -376,12 +377,16 @@ def test_p_map_matches_dense_matrix_product(name):
     cd = step_cd(name)
     rng = random.Random(19)
     two_delta = cd.two_delta
+    # the regular vector of the first-word check in `reduced_words`
+    regular = mat_vec(cd.adjA, range(1, cd.n + 1))
     for word in [()] + random_words(cd, rng, 40, 3 * cd.positive_root_count):
         w = WeylElement(word, cd.A)
         twice = tuple(t - v for t, v in zip(two_delta, mat_vec(w.mat, two_delta)))
         # the odd matrix rides on A4, whose 2 delta is even, so P stays integral
         assert all(v % 2 == 0 for v in twice)
         assert P_map(w, cd) == tuple(v // 2 for v in twice)
+        for v in (two_delta, regular, tuple(rng.randint(-9, 9) for _ in range(cd.n))):
+            assert _act(word, v, cd.A) == mat_vec(w.mat, v)
 
 
 @pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
