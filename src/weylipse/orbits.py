@@ -10,9 +10,14 @@ g t^2 + 2 s t <= b, i.e. (g t + s)^2 <= s^2 + g b; as g t + s is an integer,
 the largest t is exactly (isqrt(s^2 + g b) - s) // g, with nothing to adjust.
 The last coordinate is not searched: it is the one nonnegative root of a
 quadratic with linear coefficient 2 s >= 0, which one integer square root
-settles.  As every coordinate counts up and each prefix has at most one
-completion, the solutions come out in lexicographic order.  No floating point
-is involved anywhere, so points on the quadric surface cannot be missed.
+settles.  The coordinates are searched in descending order of G_ii, so the
+tightest ranges come first; the order only permutes a nonnegative G, so every
+bound above stays exact.  Where no entry of G couples the searched prefix to
+the rest (a boundary between factors of a product type), the solutions of
+the rest depend only on the budget left, so the rest is solved once per budget.
+The solutions are mapped back to the original coordinates and sorted once,
+into lexicographic order.  No floating point is involved anywhere, so points
+on the quadric surface cannot be missed.
 
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import isqrt
+from operator import itemgetter
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import (
@@ -39,7 +45,7 @@ from .errors import (
     NotOnEllipsoidError,
 )
 from .exact import mat_vec
-from .quadrics import _on_primary, _strip_descents, ascend, h_vector, primary_form, secondary_form
+from .quadrics import _on_primary, _strip_descents, ascend, h_vector, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -62,18 +68,41 @@ class OrbitRecord:
 
 
 def _dfs_nonneg(g, c):
-    """All h >= 0 with sum_ij g_ij h_i h_j == c, in lexicographic order."""
+    """All h >= 0 with sum_ij g_ij h_i h_j == c, in lexicographic order.
+
+    The coordinates are searched in descending order of g_ii, ties in index
+    order.  At a depth where no entry of g couples the coordinates before it to
+    those from it on, the tails below depend only on the budget, so they are
+    searched once per (depth, budget) and reused from a memo local to the call.
+    The solutions are mapped back to the input's coordinates and sorted once.
+    """
     n = len(g)
     last = n - 1
     if last == 0:
         v = isqrt(c // g[0][0])  # the one candidate root v >= 0 of g_00 v^2 == c
         return [(v,)] if g[0][0] * v * v == c else []
+    axes = sorted(range(n), key=lambda i: -g[i][i])
+    g = [[g[i][j] for j in axes] for i in axes]
     g_last = g[last][last]
+    # split[d]: d is a factor boundary.  A first visit at (d, budget) appends its
+    # solutions under the current prefix, and their tails are kept for the next prefix.
+    split = [
+        0 < d < last and not any(g[i][j] for i in range(d) for j in range(d, n))
+        for d in range(n)
+    ]
+    memo = {}
     out = []
     h = [0] * n
     cross = [0] * n  # cross[j] = sum over fixed i of g_ij h_i
 
     def rec(depth, budget):
+        if split[depth]:
+            tails = memo.get((depth, budget))
+            if tails is not None:
+                head = tuple(h[:depth])
+                out.extend([head + t for t in tails])
+                return
+            mark = len(out)
         gi = g[depth][depth]
         s = cross[depth]
         top = (isqrt(s * s + gi * budget) - s) // gi
@@ -89,21 +118,23 @@ def _dfs_nonneg(g, c):
                 if r * r == disc and not (r - s_v) % g_last:
                     h[depth] = v
                     out.append((*h[:last], (r - s_v) // g_last))
-            h[depth] = 0
-            return
-        for v in range(top + 1):
-            h[depth] = v
-            if v:
-                for j in range(depth + 1, n):
-                    cross[j] += g[depth][j] * v
-            rec(depth + 1, budget - gi * v * v - 2 * s * v)
-            if v:
-                for j in range(depth + 1, n):
-                    cross[j] -= g[depth][j] * v
+        else:
+            for v in range(top + 1):
+                h[depth] = v
+                if v:
+                    for j in range(depth + 1, n):
+                        cross[j] += g[depth][j] * v
+                rec(depth + 1, budget - gi * v * v - 2 * s * v)
+                if v:
+                    for j in range(depth + 1, n):
+                        cross[j] -= g[depth][j] * v
         h[depth] = 0
+        if split[depth]:
+            memo[depth, budget] = [t[depth:] for t in out[mark:]]
 
     rec(0, c)
-    return out
+    unpermute = itemgetter(*sorted(range(n), key=axes.__getitem__))
+    return sorted(map(unpermute, out))
 
 
 def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
@@ -123,18 +154,14 @@ def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
     return sols
 
 
-def _integral_minimal(h, cd: CartanData, row_sums):
-    """x_h = Ainv (1 - h) = (row_sums - adjA h) / detA as an integer tuple, or None.
-
-    ``row_sums[i]`` is the i-th row sum of adjA; only the nonzero h_j are summed.
-    """
-    support = [(j, v) for j, v in enumerate(h) if v]
+def _integral_minimal(h, cd: CartanData):
+    """x_h = Ainv (1 - h) = adjA (1 - h) / detA as an integer tuple, or None."""
     out = []
-    for row, total in zip(cd.adjA, row_sums):
-        num = total - sum(row[j] * v for j, v in support)
-        if num % cd.detA:
+    for num in mat_vec(cd.adjA, tuple(1 - v for v in h)):
+        x, r = divmod(num, cd.detA)
+        if r:
             return None
-        out.append(num // cd.detA)
+        out.append(x)
     return tuple(out)
 
 
@@ -170,16 +197,17 @@ def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
 
 def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
     """`orbit_seeds` over ``sols``, the output of `enumerate_secondary_nonneg(cd)`."""
-    primary, order = primary_form(cd), weyl_order(cd)
-    row_sums = [sum(row) for row in cd.adjA]
+    order = weyl_order(cd)
     sizes: dict[tuple[int, ...], int] = {}
     records = []
     # the census has checked every h against the secondary form before its size is recorded
     for h in sols:
-        minimal = _integral_minimal(h, cd, row_sums)
+        minimal = _integral_minimal(h, cd)
         if minimal is None:
             continue
-        if primary.value(minimal) != 0:
+        # A adjA = detA I (adjA = detA Ainv is checked in build_cartan), so
+        # A minimal = 1 - h and h_vector(minimal) = h, on which `_on_primary` is exact
+        if not _on_primary(minimal, h, cd):
             raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
         records.append(OrbitRecord(h=h, minimal=minimal, size=_size_at(h, cd, order, sizes)))
     records.sort(key=lambda r: r.minimal)

@@ -17,8 +17,11 @@ the sphere test over fractions, the word search by dense products, the
 Hasse diagram by the union of the down sets of the nodes below, the
 subword intervals by a walk over each whole word from the identity, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows and columns of A, with no diagonal entry assumed.  The matrix
-product lives here too: only the tests multiply two matrices.
+whole rows and columns of A, with no diagonal entry assumed.  The census
+search in its plain form is here too: the interval-pruned DFS over the
+coordinates in index order, whose solutions come out in lexicographic order
+with no axis order, factor memo or sort.  The matrix product lives here too:
+only the tests multiply two matrices.
 """
 
 from fractions import Fraction
@@ -292,6 +295,55 @@ def secondary_nonneg_by_box_scan(cd):
 
     rec(0)
     return sorted(found)
+
+
+def secondary_nonneg_by_lex_dfs(g, c):
+    """All h >= 0 with sum_ij g_ij h_i h_j == c for an entrywise nonnegative g.
+
+    The coordinates are searched in index order, each over the closed-form
+    range (isqrt(s^2 + g_ii b) - s) // g_ii that budget b and cross term s
+    leave, and the last one is the one nonnegative root of its quadratic; every
+    coordinate counts up, so the solutions come out in lexicographic order.
+    """
+    n = len(g)
+    last = n - 1
+    if last == 0:
+        v = isqrt(c // g[0][0])
+        return [(v,)] if g[0][0] * v * v == c else []
+    g_last = g[last][last]
+    out = []
+    h = [0] * n
+    cross = [0] * n  # cross[j] = sum over fixed i of g_ij h_i
+
+    def rec(depth, budget):
+        gi = g[depth][depth]
+        s = cross[depth]
+        top = (isqrt(s * s + gi * budget) - s) // gi
+        if depth == last - 1:
+            s_last, g_cross = cross[last], g[depth][last]
+            for v in range(top + 1):
+                rest = budget - gi * v * v - 2 * s * v
+                s_v = s_last + g_cross * v
+                disc = s_v * s_v + g_last * rest
+                r = isqrt(disc)
+                if r * r == disc and not (r - s_v) % g_last:
+                    h[depth] = v
+                    out.append((*h[:last], (r - s_v) // g_last))
+            h[depth] = 0
+            return
+        for v in range(top + 1):
+            h[depth] = v
+            if v:
+                for j in range(depth + 1, n):
+                    cross[j] += g[depth][j] * v
+            rec(depth + 1, budget - gi * v * v - 2 * s * v)
+            if v:
+                for j in range(depth + 1, n):
+                    cross[j] -= g[depth][j] * v
+        h[depth] = 0
+
+    rec(0, c)
+    return out
 
 
 def reachability_by_dfs(covers, size):

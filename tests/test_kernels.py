@@ -7,9 +7,10 @@ fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
 diagram by shadows, the subword intervals by a walk over each word, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows of A, against the kernels that read the sparse view of A, and P
+whole rows of A, against the kernels that read the sparse view of A, P
 and the action of a word on any vector by the word's reflections against the
-dense matrix product.
+dense matrix product, and the census search (axis order, factor memo, one
+sort) against the plain lexicographic DFS.
 """
 
 import random
@@ -45,6 +46,7 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
+from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _strip_descents, _t_step
 from weylipse.weyl import WeylElement, _act, _t_walk
@@ -57,6 +59,7 @@ from oracles import (
     mat_mul,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
+    secondary_nonneg_by_lex_dfs,
     sphere_identity_over_fractions,
     strip_descents_by_index_loops,
     subword_down_sets_by_words,
@@ -398,3 +401,50 @@ def test_t_step_matches_t_walk_and_h_vector(name):
         i = rng.randrange(cd.n)
         y = t_walk_by_index_loops((i + 1,), x, cd.A)
         assert _t_step(i, x, h_vector(x, cd), cd) == (y, h_vector(y, cd))
+
+
+# --- census search: tightest axes first, each factor once per budget, one sort ---
+
+CENSUS_FAMILIES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "D6", "E6", "E7", "F4", "G2",
+]
+CENSUS_BENCH = ["A9", "B8", "C8", "D9", "E8", "E8xA1", "E7xA2", "E6xA3"]
+CENSUS_PRODUCTS = ["A1xE8", "A2xE7", "A2xA2xA2", "G2xB3xA2", "A1xA1xA1xA1"]
+
+
+@pytest.mark.parametrize("text", CENSUS_FAMILIES + CENSUS_BENCH + CENSUS_PRODUCTS)
+def test_census_search_matches_lexicographic_dfs(text):
+    form = secondary_form(cd_of(text))
+    g = [[q // 2 for q in row] for row in form.quad]
+    assert _dfs_nonneg(g, -form.constant) == secondary_nonneg_by_lex_dfs(g, -form.constant)
+
+
+def random_block_diagonal(rng, sizes):
+    """A symmetric nonnegative g, zero off the diagonal blocks of the given sizes."""
+    n = sum(sizes)
+    g = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            g[i][i] = rng.randint(2, 6)
+            for j in range(i + 1, start + size):
+                g[i][j] = g[j][i] = rng.randint(0, 3)
+        start += size
+    return g
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 3, 1), (3, 1, 2), (1, 2, 1), (2, 2, 1), (1, 1, 3, 1, 2)])
+def test_census_search_matches_lexicographic_dfs_on_random_blocks(sizes):
+    rng = random.Random(21)
+    n = sum(sizes)
+    found = 0
+    for _ in range(30):
+        g = random_block_diagonal(rng, sizes)
+        h = [rng.randint(0, 2) for _ in range(n)]
+        on = sum(g[i][j] * h[i] * h[j] for i in range(n) for j in range(n))
+        for c in (on, on + rng.randint(1, 9), rng.randint(0, 40)):
+            expected = secondary_nonneg_by_lex_dfs(g, c)
+            assert _dfs_nonneg(g, c) == expected
+            found += len(expected)
+    assert found > 0

@@ -59,6 +59,22 @@ def test_enumerate_matches_box_scan(text):
     assert [h for h in found if all(v > 0 for v in h)] == [(1,) * cd.n]
 
 
+@pytest.mark.parametrize("left,right", [("E8", "A1"), ("G2", "B2")])
+def test_census_of_a_product_is_invariant_under_swapping_factors(left, right):
+    # left x right has the coordinates of left first; right x left has them last
+    m = cd_of(left).n
+
+    def swap(v):
+        return v[m:] + v[:m]
+
+    ab, ba = cd_of(f"{left}x{right}"), cd_of(f"{right}x{left}")
+    assert enumerate_secondary_nonneg(ba) == sorted(map(swap, enumerate_secondary_nonneg(ab)))
+    swapped = sorted(
+        ((swap(r.h), swap(r.minimal), r.size) for r in orbit_seeds(ab)), key=lambda t: t[1]
+    )
+    assert [(r.h, r.minimal, r.size) for r in orbit_seeds(ba)] == swapped
+
+
 # --- seeds ---
 
 
@@ -115,8 +131,9 @@ def test_seed_invariants(text):
 
 def test_seeds_build_per_type_work_once(monkeypatch):
     import weylipse.orbits as orbits
+    from weylipse.quadrics import QuadForm
 
-    calls = {"parabolic_order": 0, "primary_form": 0, "secondary_form": 0}
+    calls = {"parabolic_order": 0, "secondary_form": 0}
 
     def counting(name):
         real = getattr(orbits, name)
@@ -129,11 +146,15 @@ def test_seeds_build_per_type_work_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(orbits, name, counting(name))
+    # every form built, primary or secondary, whatever module builds it
+    forms = []
+    real_check = QuadForm.__post_init__
+    monkeypatch.setattr(QuadForm, "__post_init__", lambda f: forms.append(f) or real_check(f))
     seeds = orbit_seeds(cd_of("E7xA2"))
     zero_sets = {tuple(i for i, v in enumerate(r.h) if v == 0) for r in seeds}
     assert len(seeds) > len(zero_sets)
     assert calls["parabolic_order"] == len(zero_sets)
-    assert calls["primary_form"] <= 2 and calls["secondary_form"] <= 2
+    assert calls["secondary_form"] <= 2 and len(forms) <= 2
 
 
 def test_verify_runs_the_census_once(monkeypatch):
