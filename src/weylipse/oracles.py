@@ -2,13 +2,14 @@
 the code they check: a box scan with the primary quadric written out term by
 term from k and the links, carried as one partial sum per coordinate (no
 `primary_form`); membership as the sphere identity around delta (no
-`primary_form`, no h); matrix products of all words up to a length, each extended
-by the sparse s_g as a row update, with their own P-vectors (no T-moves, no
-group table, nothing from `weyl`); the closure of a point under every T_i
-with a set of seen points (no h carried, no ascent rule); and the Bruhat
-covers by reflections, from that closure and the pairings with the coroots
-(no words, no group table, no Hasse routine).  They import only `cartan` and
-`exact`, and step by the dense rows of A, not by `CartanData.sparse`."""
+`primary_form`, no h); matrix products of the reduced words up to a length,
+level by level, each product extended by the sparse s_g as a row update, with
+their own P-vectors (no T-moves, no group table, nothing from `weyl`); the
+closure of a point under every T_i with a set of seen points (no h carried, no
+ascent rule); and the Bruhat covers by reflections, from that closure and the
+pairings with the coroots (no words, no group table, no Hasse routine).  They
+import only `cartan` and `exact`, and step by the dense rows of A, not by
+`CartanData.sparse`."""
 
 from __future__ import annotations
 
@@ -129,33 +130,38 @@ def bruhat_covers_by_reflections(cd: CartanData) -> set[tuple[tuple[int, ...], t
 
 
 def exhaustive_word_search(cd: CartanData, max_len: int):
-    """All words up to max_len over the generators, multiplied out as matrices.
+    """All reduced words up to max_len over the generators, multiplied out as matrices.
 
-    A word is extended by s_g on the right: s_g = 1 - e_g A[g] is sparse, so
+    Level by level: the words of one length are grouped by their product, and
+    a product is extended by each s_g on the right.  A product first reached
+    at a shorter length is dropped: its words are not reduced, and neither is
+    any extension of them, since every prefix of a reduced word is reduced
+    (Bjorner-Brenti Sec. 1.4).  So the minimal words of each product are
+    found as by a search over all words.  s_g = 1 - e_g A[g] is sparse, so
     (M s_g)[r][c] = M[r][c] - M[r][g] A[g][c] changes only the rows with
-    M[r][g] != 0.  Each product M is keyed by its P-vector (2 delta - M 2 delta) / 2.
+    M[r][g] != 0.  In the result each product M is keyed by its P-vector
+    (2 delta - M 2 delta) / 2.
     Returns {pvector: (min_length, first_letters_at_min, reduced_words_set)}.
     """
     A = cd.A
     two_delta = cd.two_delta
+    level = {identity(cd.n): [()]}
+    seen = set(level)
     best = {}
-
-    def visit(mat, word):
-        p = tuple((t - v) // 2 for t, v in zip(two_delta, mat_vec(mat, two_delta)))
-        depth = len(word)
-        if p not in best or depth < best[p][0]:
-            best[p] = (depth, {word[0]} if word else set(), {word})
-        elif depth == best[p][0]:
-            if word:
-                best[p][1].add(word[0])
-            best[p][2].add(word)
+    for depth in range(max_len + 1):
+        for mat, words in level.items():
+            p = tuple((t - v) // 2 for t, v in zip(two_delta, mat_vec(mat, two_delta)))
+            best[p] = (depth, {word[0] for word in words if word}, set(words))
         if depth == max_len:
-            return
-        for g, a in enumerate(A):
-            product = tuple(
-                tuple(v - row[g] * x for v, x in zip(row, a)) if row[g] else row for row in mat
-            )
-            visit(product, word + (g + 1,))
-
-    visit(identity(cd.n), ())
+            break
+        reached = {}
+        for mat, words in level.items():
+            for g, a in enumerate(A):
+                product = tuple(
+                    tuple(v - row[g] * x for v, x in zip(row, a)) if row[g] else row for row in mat
+                )
+                if product not in seen:
+                    reached.setdefault(product, []).extend(word + (g + 1,) for word in words)
+        seen.update(reached)
+        level = reached
     return best

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import sub
 
@@ -56,6 +56,10 @@ __all__ = [
     "reduced_words",
     "emit_dot",
 ]
+
+
+# maps the characters of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,12 @@ class Poset:
 
     def relation(self) -> frozenset[tuple[int, int]]:
         """Strict reachability over covers, as ordered index pairs."""
-        # (a, "1") for each a below w
-        rows = (enumerate(bin(mask)[:1:-1]) for mask in self.below_masks())
-        return frozenset((a, w) for w, row in enumerate(rows) for a, bit in row if bit == "1")
+        places = range(len(self.nodes))
+        # byte a of row w: is a below w
+        rows = (bin(mask)[:1:-1].encode().translate(_BIT_BYTES) for mask in self.below_masks())
+        return frozenset(
+            chain.from_iterable(zip(compress(places, row), repeat(w)) for w, row in enumerate(rows))
+        )
 
 
 def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
@@ -199,10 +206,6 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
         (a, b) for a, b in base.covers if is_link(tuple(map(sub, nodes[b], nodes[a])))
     )
     return Poset(nodes=base.nodes, covers=kept, kind="bruhat_primary_filtered", ranks=base.ranks)
-
-
-# maps the characters of a binary numeral to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _subword_down(table: GroupTable) -> list[int]:

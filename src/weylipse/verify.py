@@ -16,6 +16,11 @@ checks share: the roots, the two forms, |W|, the census and its seeds from the
 start; the group table, the subword order, each seed's orbit and the oracle
 closure of each start point from first use.  Its one `rng` is drawn from in
 report order.
+
+The costly bodies do each piece of work once: `quadric-identities` evaluates
+the forms under test once per point and regroups only the reference sides,
+`star-group-axioms` reads its axioms off one table of node indices, and
+`first-letter-exhaustive` searches the reduced words alone.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 
-from .cartan import CartanData, bilinear, positive_roots, weyl_order
+from .cartan import CartanData, positive_roots, weyl_order
 from .exact import mat_vec
 from .oracles import (
     exhaustive_word_search,
@@ -132,21 +138,31 @@ def _root_grades(run):
 
 
 def _quadric_identities(run):
-    cd, n, rng, prim, sec = run.cd, run.cd.n, run.rng, run.prim, run.sec
+    """Three identities per random point, each form under test evaluated as is.
+
+    The reference sides are regrouped by exact bilinear algebra over gram and
+    adjA: <x, x - 2 delta> is x.Gx - x.G(2 delta); with K = adjA^T G adjA, so
+    that <adjA h, adjA h> = h.Kh, and G symmetric (checked by `build_cartan`),
+    <adjA(1 - h), adjA(1 + h)> is 1.K1 - h.Kh.  Per point, x takes n draws
+    and then h takes n.
+    """
+    cd, n, rng, prim, sec = run.cd, run.cd.n, run.rng, run.prim.value, run.sec.value
+    gram, detA = cd.gram, cd.detA
+    g_two_delta = mat_vec(gram, cd.two_delta)
+    cols = tuple(zip(*cd.adjA))
+    adj_gram = tuple(tuple(sum(map(mul, u, mat_vec(gram, v))) for v in cols) for u in cols)
+    ones_norm = sum(map(sum, adj_gram))
     bad = 0
     for _ in range(RANDOM_POINTS):
         x = tuple(rng.randint(-10, 10) for _ in range(n))
-        two_delta = cd.two_delta
-        shifted = tuple(xi - ti for xi, ti in zip(x, two_delta))
-        if 2 * prim.value(x) != bilinear(x, shifted, cd):
-            bad += 1
         h = tuple(rng.randint(-10, 10) for _ in range(n))
-        u = mat_vec(cd.adjA, tuple(1 - v for v in h))
-        v = mat_vec(cd.adjA, tuple(1 + v for v in h))
-        eq4_scaled, rem = divmod(bilinear(u, v, cd), cd.detA)
-        if rem or sec.value(h) != -eq4_scaled:
+        px = prim(x)
+        if 2 * px != sum(map(mul, x, mat_vec(gram, x))) - sum(map(mul, x, g_two_delta)):
             bad += 1
-        if sec.value(h_vector(x, cd)) != 2 * cd.detA * prim.value(x):
+        eq4_scaled, rem = divmod(ones_norm - sum(map(mul, h, mat_vec(adj_gram, h))), detA)
+        if rem or sec(h) != -eq4_scaled:
+            bad += 1
+        if sec(h_vector(x, cd)) != 2 * detA * px:
             bad += 1
     return bad == 0, f"{RANDOM_POINTS} random points" if bad == 0 else f"{bad} mismatches"
 
@@ -248,18 +264,18 @@ def _group_bijections(run):
 
 
 def _star_group_axioms(run):
+    """Closure, identity, associativity and inverses of `star` on the table's
+    nodes, from one product table m[a][b] of node indices."""
     table = run.table
-    nodes = table.nodes
-    by_pair = {(a, b): star(a, b, table) for a in nodes for b in nodes}
-    zero = (0,) * run.cd.n
-    ok = all(by_pair[(zero, b)] == b and by_pair[(b, zero)] == b for b in nodes)
-    ok &= all(
-        by_pair[(by_pair[(a, b)], c)] == by_pair[(a, by_pair[(b, c)])]
-        for a in nodes
-        for b in nodes
-        for c in nodes
-    )
-    ok &= all(any(by_pair[(a, b)] == zero for b in nodes) for a in nodes)
+    nodes, index = table.nodes, table.index
+    m = [[index.get(star(a, b, table)) for b in nodes] for a in nodes]
+    if any(None in row for row in m):
+        return False, "closure broken"
+    e, every = index[(0,) * run.cd.n], range(len(nodes))
+    ok = m[e] == list(every) and all(row[e] == b for b, row in enumerate(m))
+    # (ab)c over all c is row ab of m; a(bc) is row a read at the entries of row b
+    ok &= all(m[ra[b]] == [ra[bc] for bc in m[b]] for ra in m for b in every)
+    ok &= all(e in row for row in m)
     return ok, "" if ok else "axiom broken"
 
 

@@ -325,7 +325,10 @@ def test_integer_sphere_matches_fraction_sphere(text):
 # --- word search by sparse row updates ---
 
 
-@pytest.mark.parametrize("text,length", [("A2", 3), ("A3", 6), ("B2xA1", 5), ("G2", 6)])
+@pytest.mark.parametrize(
+    "text,length",
+    [("A2", 3), ("A3", 4), ("A3", 6), ("B2xA1", 5), ("B3", 5), ("G2", 6), ("G2xA1", 7)],
+)
 def test_sparse_word_search_matches_dense_products(text, length):
     cd = cd_of(text)
     assert exhaustive_word_search(cd, length) == word_search_by_dense_products(cd, length)

@@ -1,7 +1,9 @@
-"""`verify` as a table of gated checks: what the gates rest on, and the work
-the checks share."""
+"""`verify` as a table of gated checks: what the gates rest on, the work the
+checks share, and the faults the costly checks still catch."""
 
 import math
+import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -88,3 +90,68 @@ def test_longest_element_has_length_positive_root_count(text):
     # the word-search gate reads the depth from the Cartan data, not the table
     cd = cd_of(text)
     assert max(build_group_table(cd).lengths()) == cd.positive_root_count
+
+
+# --- each check still catches the fault it is there for ---
+
+
+def _rows(text):
+    return {r.name: r for r in verify.run_verification(cd_of(text))}
+
+
+@pytest.mark.parametrize("form", ["primary_form", "secondary_form"])
+def test_a_form_off_by_a_constant_fails_the_quadric_identities(monkeypatch, form):
+    # each point takes one of the form's two identities with it: 2 per point
+    real = getattr(verify, form)
+    monkeypatch.setattr(verify, form, lambda cd: replace(real(cd), constant=real(cd).constant + 1))
+    row = _rows("A3")["quadric-identities"]
+    assert (row.status, row.detail) == ("FAIL", f"{2 * verify.RANDOM_POINTS} mismatches")
+
+
+def test_quadric_identities_draw_2n_integers_per_point():
+    cd = cd_of("G2xA1")
+    run = verify._Run(cd)
+    assert verify._quadric_identities(run) == (True, f"{verify.RANDOM_POINTS} random points")
+    expected = random.Random(verify.RNG_SEED)
+    for _ in range(2 * cd.n * verify.RANDOM_POINTS):
+        expected.randint(-10, 10)
+    assert run.rng.getstate() == expected.getstate()
+
+
+def _outside(real, a, b, table):
+    # every square of a non-identity element leaves the group
+    return (-1, -1) if a == b != (0, 0) else real(a, b, table)
+
+
+def _non_associative(real, a, b, table):
+    # s1 * s2 answered as s2 s1 (P(s_i) = alpha_i): identity, closure and
+    # inverses still hold, but (s1 * s2) * s2 = s2 s1 s2 is not s1 * (s2 * s2) = s1
+    return real(b, a, table) if (a, b) == ((1, 0), (0, 1)) else real(a, b, table)
+
+
+def _no_inverses(real, a, b, table):
+    # the identity adjoined to a left-zero semigroup: closed and associative,
+    # but no a other than the identity has an inverse
+    return b if a == (0, 0) else a
+
+
+@pytest.mark.parametrize(
+    "fake,detail",
+    [
+        (_outside, "closure broken"),
+        (_non_associative, "axiom broken"),
+        (_no_inverses, "axiom broken"),
+    ],
+)
+def test_a_star_that_is_not_a_group_law_fails_the_group_axioms(monkeypatch, fake, detail):
+    real = verify.star
+    monkeypatch.setattr(verify, "star", lambda a, b, table: fake(real, a, b, table))
+    row = _rows("A2")["star-group-axioms"]
+    assert (row.status, row.detail) == ("FAIL", detail)
+
+
+def test_first_letters_missing_a_letter_fail_the_word_search(monkeypatch):
+    real = verify.first_letters
+    monkeypatch.setattr(verify, "first_letters", lambda w, cd: sorted(real(w, cd))[1:])
+    row = _rows("A3")["first-letter-exhaustive"]
+    assert (row.status, row.detail) == ("FAIL", "descent sets disagree with word search")
