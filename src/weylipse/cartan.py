@@ -8,7 +8,11 @@ Conventions fixed once for the whole project:
   vertex 4 (attached to vertex 2).
 * Short roots are normalized to squared length 2, so the vertex weight
   k_i (half the squared length of simple root i) is 1, 2 or 3.
-* All arithmetic is exact: integers plus `fractions.Fraction`.  No floats.
+* Cartan data is integer: A, the symmetrized gram, adjA, detA and 2 delta.
+  adjA and detA come from a fraction-free sweep per component, and a
+  product's block is (detA / det_f) adj_f.  `Ainv`, `delta` and
+  `delta_norm_sq` are `fractions.Fraction` values made from them when first
+  read; `fractions` is imported only then.  No floats.
 * Simple-root indices in the public API are 1-based, matching the usual
   notation s_1 .. s_n; vectors are plain tuples in the simple-root basis.
 * Weyl group orders come from root heights (Macdonald, "The Poincare series
@@ -27,20 +31,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (
+    MAX_RANK,
     BadIndexSetError,
+    CapExceededError,
     DimensionMismatchError,
     InvariantError,
     NotARootError,
     RankOutOfRangeError,
     UnknownFamilyError,
 )
-from .exact import Matrix, Vector, mat_inv, mat_vec
+from .exact import Matrix, Vector, mat_vec
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RANK_RANGE = {
     "A": (1, None),
@@ -157,6 +166,39 @@ def _component_cartan(fam: str, n: int) -> tuple[list[list[int]], list[int]]:
     return a, k
 
 
+def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj m, det m) of an integer matrix by fraction-free Gauss-Jordan on [m | I].
+
+    Bareiss (Math. Comp. 22, 1968): step k takes every other row r to
+    (p r - r[k] row_k) / p', with p the pivot m_kk as it stands and p' the one
+    before, and each division is exact.  The pivots are the leading principal
+    minors, positive for a Cartan matrix, so no row is swapped; a pivot <= 0
+    raises.  Columns left of k are never read again and those of I right of
+    n + k are still zero, so a step updates only columns k+1 .. n+k, and row
+    k's own entry at n + k, the scale of its I column so far, is set to p'.
+    """
+    n = len(m)
+    work = [list(row) + [0] * n for row in m]
+    before = 1
+    for k in range(n):
+        pivot_row = work[k]
+        pivot_row[n + k] = before
+        p = pivot_row[k]
+        if p <= 0:
+            raise InvariantError(f"leading principal minor {k + 1} of a Cartan matrix is {p}")
+        lo, hi = k + 1, n + k + 1
+        pivot_seg = pivot_row[lo:hi]
+        for i, row in enumerate(work):
+            if i != k:
+                f = row[k]
+                if f:
+                    row[lo:hi] = [(p * a - f * b) // before for a, b in zip(row[lo:hi], pivot_seg)]
+                else:
+                    row[lo:hi] = [p * a // before for a in row[lo:hi]]
+        before = p
+    return [row[n:] for row in work], before
+
+
 # bounded, since `weyl.WeylElement` may be built over any matrix
 @lru_cache(maxsize=64)
 def sparse_cartan(A: Matrix) -> tuple[tuple, tuple, tuple]:
@@ -178,13 +220,16 @@ def sparse_cartan(A: Matrix) -> tuple[tuple, tuple, tuple]:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Everything exact about one (product) type.
+    """Everything exact about one (product) type; every field is integer.
 
     ``gram[i][j] = k[i] * A[i][j]`` is the symmetric integer matrix of the
-    inner product of simple roots; ``adjA = detA * Ainv`` is integral.
-    ``sparse`` is the one sparse view of A (`sparse_cartan`) that every step
-    by one T_i or one s_i reads: the T-walk, the matrix of a word, descent
-    stripping, the ascent walk and the root closure.
+    inner product of simple roots; ``adjA`` is the adjugate of A, with
+    A adjA = detA I, and ``two_delta`` = 2 adjA (1, ..., 1) / detA is the sum
+    of the positive roots.  ``Ainv``, ``delta`` and ``delta_norm_sq`` are
+    Fractions made from these when first read.  ``sparse`` is the one sparse
+    view of A (`sparse_cartan`) that every step by one T_i or one s_i reads:
+    the T-walk, the matrix of a word, descent stripping, the ascent walk and
+    the root closure.
     """
 
     spec: LieTypeSpec
@@ -193,18 +238,32 @@ class CartanData:
     k: tuple[int, ...]
     links: Matrix
     gram: Matrix
-    Ainv: Matrix
     adjA: Matrix
     detA: int
-    delta: tuple[Fraction, ...]
+    two_delta: tuple[int, ...]
 
     def __str__(self) -> str:
         return str(self.spec)
 
     @cached_property
-    def two_delta(self) -> tuple[int, ...]:
-        # the sum of all positive roots; always integral
-        return tuple(int(2 * d) for d in self.delta)
+    def Ainv(self) -> Matrix:
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(a, self.detA) for a in row) for row in self.adjA)
+
+    @cached_property
+    def delta(self) -> tuple[Fraction, ...]:
+        # Ainv (1, ..., 1), the half sum of the positive roots
+        from fractions import Fraction
+
+        return tuple(Fraction(t, 2) for t in self.two_delta)
+
+    @cached_property
+    def delta_norm_sq(self) -> Fraction:
+        # <delta, delta> = sum_i k_i * delta_i
+        from fractions import Fraction
+
+        return Fraction(sum(map(mul, self.k, self.two_delta)), 2)
 
     @cached_property
     def positive_root_count(self) -> int:
@@ -220,24 +279,31 @@ class CartanData:
         # built on first use, so `build_cartan` does not pay for it
         return _root_closure(self)
 
-    @property
-    def delta_norm_sq(self) -> Fraction:
-        # <delta, delta> = sum_i k_i * delta_i
-        return sum((Fraction(ki) * di for ki, di in zip(self.k, self.delta)), Fraction(0))
-
 
 def build_cartan(spec: LieTypeSpec) -> CartanData:
-    """Assemble block-diagonal Cartan data for a (product) type."""
+    """Assemble block-diagonal Cartan data for a (product) type.
+
+    Raises CapExceededError, before any other work, if the total rank is over
+    MAX_RANK, and InvariantError if a check on the result fails.
+    """
     n = spec.rank
+    if n > MAX_RANK:
+        raise CapExceededError(f"type {spec} has rank {n}, exceeding MAX_RANK {MAX_RANK}")
     a = [[0] * n for _ in range(n)]
     k: list[int] = []
+    blocks = []  # (offset, adj_f, det_f) per component
     offset = 0
     for fam, rank in spec.components:
         block, kblock = _component_cartan(fam, rank)
         for i in range(rank):
-            for j in range(rank):
-                a[offset + i][offset + j] = block[i][j]
+            a[offset + i][offset : offset + rank] = block[i]
         k.extend(kblock)
+        adj_f, det_f = _adjugate(block)
+        expected_det = DET_CATALOG[fam](rank)
+        if det_f != expected_det:
+            message = f"det A of {fam}{rank} in {spec} is {det_f}, expected {expected_det}"
+            raise InvariantError(message)
+        blocks.append((offset, adj_f, det_f))
         offset += rank
     A = tuple(tuple(row) for row in a)
 
@@ -254,25 +320,33 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
             if i != j and A[i][j] != 0 and links[i][j] != max(k[i], k[j]):
                 raise InvariantError(f"link weight of {spec} at ({i}, {j}) is {links[i][j]}")
 
-    Ainv, det = mat_inv(A)
-    detA = int(det)
-    expected_det = prod(DET_CATALOG[fam](rank) for fam, rank in spec.components)
-    if det != expected_det:
-        raise InvariantError(f"det A of {spec} is {det}, expected {expected_det}")
-
-    adjA = tuple(
-        tuple(int(detA * Ainv[i][j]) for j in range(n)) for i in range(n)
-    )
-    for i in range(n):
-        for j in range(n):
-            if adjA[i][j] != detA * Ainv[i][j] or adjA[i][j] < 0:
-                raise InvariantError(
-                    f"adjugate of {spec} at ({i}, {j}) is not a nonnegative integer"
-                )
-
-    delta = mat_vec(Ainv, (Fraction(1),) * n)
-    if mat_vec(A, delta) != (Fraction(1),) * n:
-        raise InvariantError(f"A delta != 1 for {spec}")
+    # adj of a block-diagonal A: block f is (detA / det_f) adj_f, zero off the blocks
+    detA = prod(det_f for _, _, det_f in blocks)
+    adj = []
+    for offset, adj_f, det_f in blocks:
+        scale, pad = detA // det_f, n - offset - len(adj_f)
+        adj.extend(tuple([0] * offset + [scale * v for v in row] + [0] * pad) for row in adj_f)
+    adjA = tuple(adj)
+    if any(v < 0 for row in adjA for v in row):
+        raise InvariantError(f"adjugate of {spec} has a negative entry")
+    # A adjA = detA I and A two_delta = 2 (1, ..., 1), row i of A read as its
+    # diagonal entry plus its off-diagonal nonzeros
+    _, rows, _ = sparse_cartan(A)
+    for i, off in enumerate(rows):
+        got = [A[i][i] * v for v in adjA[i]]
+        for j, a_ij in off:
+            got = [g + a_ij * v for g, v in zip(got, adjA[j])]
+        if got[i] != detA or any(got[:i]) or any(got[i + 1 :]):
+            raise InvariantError(f"A adjA != detA I for {spec} at row {i}")
+    two_delta = []
+    for i, row in enumerate(adjA):
+        t, rem = divmod(2 * sum(row), detA)
+        if rem:
+            raise InvariantError(f"2 delta of {spec} is not integral at {i}")
+        two_delta.append(t)
+    for i, off in enumerate(rows):
+        if A[i][i] * two_delta[i] + sum(a_ij * two_delta[j] for j, a_ij in off) != 2:
+            raise InvariantError(f"A delta != 1 for {spec} at row {i}")
 
     return CartanData(
         spec=spec,
@@ -281,10 +355,9 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
         k=tuple(k),
         links=links,
         gram=gram,
-        Ainv=Ainv,
         adjA=adjA,
         detA=detA,
-        delta=tuple(delta),
+        two_delta=tuple(two_delta),
     )
 
 

@@ -18,6 +18,7 @@ from .errors import (
     DEFAULT_EXPAND_CAP,
     DEFAULT_TABLE_CAP,
     MASK_BYTE_CAP,
+    MAX_RANK,
     ComputationError,
     UsageError,
     WeylipseError,
@@ -304,12 +305,14 @@ def _cmd_verify(cd, args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="weylipse", description=__doc__)
+    rank_bound = f"a type of total rank over MAX_RANK = {MAX_RANK} exits 2 before any work"
+    parser = _Parser(prog="weylipse", description=__doc__, epilog=rank_bound)
     sub = parser.add_subparsers(dest="command", required=True)
+    type_help = f"type string, e.g. A3 or B2xG2, of total rank at most {MAX_RANK}"
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("cd", metavar="type", type=_cartan, help="type string, e.g. A3 or B2xG2")
+        p.add_argument("cd", metavar="type", type=_cartan, help=type_help)
         p.set_defaults(func=func)
         return p
 

@@ -10,11 +10,13 @@ g t^2 + 2 s t <= b, i.e. (g t + s)^2 <= s^2 + g b; as g t + s is an integer,
 the largest t is exactly (isqrt(s^2 + g b) - s) // g, with nothing to adjust.
 The last coordinate is not searched: it is the one nonnegative root of a
 quadratic with linear coefficient 2 s >= 0, which one integer square root
-settles.  The coordinates are searched in descending order of G_ii, so the
-tightest ranges come first; the order only permutes a nonnegative G, so every
-bound above stays exact.  Where no entry of G couples the searched prefix to
-the rest (a boundary between factors of a product type), the solutions of
-the rest depend only on the budget left, so the rest is solved once per budget.
+settles.  The coordinates are searched factor by factor (the connected
+components of G), the factors in descending order of their largest G_ii and
+each factor in descending order of G_ii, so the tightest ranges of a factor
+come first; the order only permutes a nonnegative G, so every bound above
+stays exact.  At the boundary after each factor of a product type no entry of
+G couples the searched prefix to the rest, so the solutions of the rest depend
+only on the budget left, and the rest is solved once per budget.
 The solutions are mapped back to the original coordinates and sorted once,
 into lexicographic order.  No floating point is involved anywhere, so points
 on the quadric surface cannot be missed.
@@ -70,18 +72,32 @@ class OrbitRecord:
 def _dfs_nonneg(g, c):
     """All h >= 0 with sum_ij g_ij h_i h_j == c, in lexicographic order.
 
-    The coordinates are searched in descending order of g_ii, ties in index
-    order.  At a depth where no entry of g couples the coordinates before it to
-    those from it on, the tails below depend only on the budget, so they are
-    searched once per (depth, budget) and reused from a memo local to the call.
-    The solutions are mapped back to the input's coordinates and sorted once.
+    The coordinates are searched factor by factor (the connected components of
+    g's nonzero entries), each factor in descending order of g_ii and the
+    factors in descending order of their largest g_ii, ties in index order.
+    At a depth where no entry of g couples the coordinates before it to those
+    from it on, the tails below depend only on the budget, so they are searched
+    once per (depth, budget) and reused from a memo local to the call.  The
+    solutions are mapped back to the input's coordinates and sorted once.
     """
     n = len(g)
     last = n - 1
     if last == 0:
         v = isqrt(c // g[0][0])  # the one candidate root v >= 0 of g_00 v^2 == c
         return [(v,)] if g[0][0] * v * v == c else []
-    axes = sorted(range(n), key=lambda i: -g[i][i])
+    factors, seen = [], set()
+    for start in range(n):
+        if start not in seen:
+            factor = [start]
+            seen.add(start)
+            for i in factor:  # grows as the search reaches new coordinates
+                for j in range(n):
+                    if g[i][j] and j not in seen:
+                        seen.add(j)
+                        factor.append(j)
+            factors.append(sorted(factor, key=lambda i: (-g[i][i], i)))
+    factors.sort(key=lambda f: -g[f[0]][f[0]])  # stable: ties keep their first coordinate's order
+    axes = [i for f in factors for i in f]
     g = [[g[i][j] for j in axes] for i in axes]
     g_last = g[last][last]
     # split[d]: d is a factor boundary.  A first visit at (d, budget) appends its

@@ -20,8 +20,11 @@ T-walk, the matrix of a word and descent stripping by dense index loops over
 whole rows and columns of A, with no diagonal entry assumed.  The census
 search in its plain form is here too: the interval-pruned DFS over the
 coordinates in index order, whose solutions come out in lexicographic order
-with no axis order, factor memo or sort.  The matrix product lives here too:
-only the tests multiply two matrices.
+with no axis order, factor memo or sort.  The Cartan inverse in its plain
+form is here as well: Gauss-Jordan over Fractions, the reference for the
+integer adjugate and determinant that `cartan.build_cartan` assembles per
+component.  The matrix product lives here too: only the tests multiply two
+matrices.
 """
 
 from fractions import Fraction
@@ -63,6 +66,31 @@ def simple_reflections(A):
 
 
 # --- the plain kernels that the library's exact kernels replaced ---
+
+
+def mat_inv(m):
+    """Inverse and determinant by Gauss-Jordan over exact fractions, with no row swap.
+
+    The pivots are ratios of leading principal minors, all positive for a
+    Cartan matrix diag(k)^-1 gram; a zero pivot raises ZeroDivisionError.
+    """
+    n = len(m)
+    work = [
+        [Fraction(m[i][j]) for j in range(n)]
+        + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = work[col][col]
+        det *= pivot
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    inv = tuple(tuple(row[n:]) for row in work)
+    return inv, det
 
 
 def componentwise_down_sets(nodes):

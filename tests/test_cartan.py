@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylipse import (
     BadIndexSetError,
+    CapExceededError,
     DimensionMismatchError,
     InvariantError,
     NotARootError,
@@ -22,6 +24,7 @@ from weylipse import (
     weyl_order,
 )
 from weylipse.cartan import RootClosure, _root_closure
+from weylipse.errors import MAX_RANK
 from weylipse.exact import mat_vec
 
 from oracles import group_order_by_closure, mat_mul
@@ -137,6 +140,29 @@ def test_build_examples():
     assert g2.k == (1, 3)
     assert g2.links[0][1] == 3
     assert g2.detA == 1
+
+
+def test_rank_bound_is_checked_before_any_work():
+    cd = cd_of(f"A{MAX_RANK}")
+    assert cd.n == MAX_RANK
+    for text in (f"A{MAX_RANK + 1}", f"A{MAX_RANK}xA1", "A3000", "D10000000000"):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"exceeding MAX_RANK {MAX_RANK}"):
+            cd_of(text)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_a100_adjugate_is_bourbakis_closed_form_and_fast():
+    # A_n (Bourbaki, Planche I): adj_ij = min(i, j) (n + 1 - max(i, j)), 1-based
+    start = time.perf_counter()
+    cd = cd_of("A100")
+    assert time.perf_counter() - start < 0.5
+    n = 100
+    assert cd.detA == n + 1
+    assert cd.adjA == tuple(
+        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1)
+    )
+    assert cd.two_delta == tuple(i * (n + 1 - i) for i in range(1, n + 1))
 
 
 # --- bilinear form ---

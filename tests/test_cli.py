@@ -8,6 +8,7 @@ import time
 import pytest
 
 from weylipse.cli import main
+from weylipse.errors import MAX_RANK
 from weylipse.orbits import DEFAULT_EXPAND_CAP
 from weylipse.ordering import MASK_BYTE_CAP
 from weylipse.weyl import DEFAULT_TABLE_CAP
@@ -335,6 +336,30 @@ def test_help_states_the_bounds(capsys, command, bounds):
     assert stop.value.code == 0
     text = capsys.readouterr().out
     assert all(str(bound) in text for bound in bounds)
+
+
+@pytest.mark.parametrize("argv", [["info", "A3000"], ["primary-eq", "A2000"]])
+def test_a_type_over_the_rank_bound_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    rank = argv[1][1:]
+    assert err == f"error: type {argv[1]} has rank {rank}, exceeding MAX_RANK {MAX_RANK}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["", "info", "primary-eq", "secondary-eq", "orbits", "expand", "realize", "reduced-words",
+     "bruhat", "verify"],
+)
+def test_help_states_the_rank_bound(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    stated = f"rank over MAX_RANK = {MAX_RANK}" if not command else f"rank at most {MAX_RANK}"
+    assert stated in text
 
 
 def test_byte_identical_runs(capsys):

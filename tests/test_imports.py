@@ -169,3 +169,36 @@ def test_each_command_loads_only_its_layers(argv, loaded):
     code, modules = json.loads(fresh_python(CLI_USE, *argv))
     assert code == 0
     assert modules == sorted(CLI + layers(*loaded))
+
+
+# Cartan data is integer: `fractions`, and `decimal` with it, load only where a
+# Fraction is read (`info`'s delta line, `verify`, the box oracle)
+NO_FRACTIONS = ["fractions", "decimal"]
+CENSUS_TYPES = ["A9", "B8", "C8", "D9", "E8", "E8xA1", "E7xA2", "E6xA3"]
+
+
+def test_building_cartan_data_loads_no_fractions():
+    call = "\n".join(f'weylipse.build_cartan(weylipse.parse_type("{t}"))' for t in CENSUS_TYPES)
+    code = LIBRARY_USE.format(call).replace(
+        'm.split(".")[0] == "weylipse"', f"m in {NO_FRACTIONS}"
+    )
+    assert fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orbits", "E8"], ["primary-eq", "E8"], ["expand", "B3"], ["realize", "E8", "--word", "1,2"]],
+)
+def test_integer_commands_load_no_fractions(argv):
+    code = CLI_USE.replace('m.split(".")[0] == "weylipse"', f"m in {NO_FRACTIONS}")
+    assert json.loads(fresh_python(code, *argv)) == [0, []]
+
+
+def test_delta_is_made_of_fractions_when_read():
+    from fractions import Fraction
+
+    cd = weylipse.build_cartan(weylipse.parse_type("B2"))
+    assert "delta" not in vars(cd) and "Ainv" not in vars(cd)
+    assert cd.delta == (Fraction(3, 2), Fraction(2, 1))
+    assert all(type(d) is Fraction for d in cd.delta)
+    assert cd.delta is cd.delta  # cached on first read

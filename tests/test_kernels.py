@@ -7,10 +7,11 @@ fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
 diagram by shadows, the subword intervals by a walk over each word, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows of A, against the kernels that read the sparse view of A, P
-and the action of a word on any vector by the word's reflections against the
-dense matrix product, and the census search (axis order, factor memo, one
-sort) against the plain lexicographic DFS.
+whole rows of A, against the kernels that read the sparse view of A, the
+Cartan inverse by Gauss-Jordan over Fractions against the integer adjugate
+assembled per component, P and the action of a word on any vector by the
+word's reflections against the dense matrix product, and the census search
+(axis order, factor memo, one sort) against the plain lexicographic DFS.
 """
 
 import random
@@ -35,7 +36,7 @@ from weylipse import (
     primary_form,
     secondary_form,
 )
-from weylipse import ordering
+from weylipse import cartan, ordering
 from weylipse.cartan import sparse_cartan
 from weylipse.exact import mat_vec
 from weylipse.ordering import (
@@ -56,6 +57,7 @@ from oracles import (
     exhaustive_word_search,
     hasse_by_shadows,
     is_positive_root_multiple_by_scan,
+    mat_inv,
     mat_mul,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
@@ -104,6 +106,67 @@ def test_bilinear_and_h_vector_match_index_loops(text):
             1 - sum(cd.A[i][j] * x[j] for j in range(n)) for i in range(n)
         )
     assert bilinear(cd.delta, cd.delta, cd) == cd.delta_norm_sq
+
+
+# --- Cartan data: an integer adjugate per component, Fractions on read ---
+
+CARTAN_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"B{n}" for n in range(2, 11)]
+    + [f"C{n}" for n in range(3, 11)]
+    + [f"D{n}" for n in range(4, 11)]
+    + ["E6", "E7", "E8", "F4", "G2", "E8xA1", "E7xA2", "E6xA3", "B2xG2", "A1xA1xA1"]
+)
+
+
+@pytest.mark.parametrize("text", CARTAN_TYPES)
+def test_integer_cartan_data_matches_fraction_inverse(text):
+    cd = cd_of(text)
+    inv, det = mat_inv(cd.A)
+    delta = mat_vec(inv, (Fraction(1),) * cd.n)
+    assert type(cd.detA) is int and cd.detA == det
+    assert all(type(v) is int for row in cd.adjA for v in row)
+    assert cd.adjA == tuple(tuple(det * v for v in row) for row in inv)
+    assert all(type(v) is int for v in cd.two_delta)
+    assert cd.two_delta == tuple(2 * d for d in delta)
+    assert cd.Ainv == inv
+    assert cd.delta == delta
+    assert cd.delta_norm_sq == sum(k * d for k, d in zip(cd.k, delta))
+
+
+def wrong_adjugate(fault):
+    real = cartan._adjugate
+
+    def kernel(m):
+        adj, det = real(m)
+        if fault == "entry":
+            adj[0][-1] += 1
+        elif fault == "negative":
+            adj[0][0] = -adj[0][0]
+        elif fault == "det":
+            det += 1
+        else:  # A adj = det I still holds, but det is not the catalog's
+            adj, det = [[2 * v for v in row] for row in adj], 2 * det
+        return adj, det
+
+    return kernel
+
+
+# the first check that each fault trips; a B component comes first in both types
+FAULT_MESSAGES = {
+    "entry": "A adjA != detA I",
+    "negative": "negative entry",
+    "det": r"det A of B\d in",
+    "scaled": r"det A of B\d in",
+}
+
+
+@pytest.mark.parametrize("text", ["B3", "B2xG2"])
+@pytest.mark.parametrize("fault", list(FAULT_MESSAGES))
+def test_a_wrong_adjugate_or_det_raises(monkeypatch, text, fault):
+    monkeypatch.setattr(cartan, "_adjugate", wrong_adjugate(fault))
+    with pytest.raises(InvariantError, match=FAULT_MESSAGES[fault]):
+        cd_of(text)
 
 
 # --- one sparse step: T-walk, word matrix, descent stripping ---
@@ -406,7 +469,8 @@ def test_t_step_matches_t_walk_and_h_vector(name):
         assert _t_step(i, x, h_vector(x, cd), cd) == (y, h_vector(y, cd))
 
 
-# --- census search: tightest axes first, each factor once per budget, one sort ---
+# --- census search: factor by factor, tightest axes first, each factor once per
+# budget, one sort ---
 
 CENSUS_FAMILIES = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
@@ -414,9 +478,14 @@ CENSUS_FAMILIES = [
 ]
 CENSUS_BENCH = ["A9", "B8", "C8", "D9", "E8", "E8xA1", "E7xA2", "E6xA3"]
 CENSUS_PRODUCTS = ["A1xE8", "A2xE7", "A2xA2xA2", "G2xB3xA2", "A1xA1xA1xA1"]
+# products whose factors' g_ii interleave, so only the factor-by-factor order
+# gives their boundaries
+CENSUS_INTERLEAVED = ["A3xA3", "B3xB3", "D4xD4", "A2xE6"]
 
 
-@pytest.mark.parametrize("text", CENSUS_FAMILIES + CENSUS_BENCH + CENSUS_PRODUCTS)
+@pytest.mark.parametrize(
+    "text", CENSUS_FAMILIES + CENSUS_BENCH + CENSUS_PRODUCTS + CENSUS_INTERLEAVED
+)
 def test_census_search_matches_lexicographic_dfs(text):
     form = secondary_form(cd_of(text))
     g = [[q // 2 for q in row] for row in form.quad]

@@ -8,8 +8,9 @@
 * The census and the reduced words come out in lexicographic order, so
   neither is sorted.  The reduced words of w0, from a recursion that carries
   h instead of recomputing it, are as many as the known counts.
-* Every leading principal minor of a Cartan matrix is positive, so
-  Gauss-Jordan in `mat_inv` never needs a row swap.
+* Every leading principal minor of a Cartan matrix is positive, so neither
+  the fraction-free sweep of `build_cartan` nor the Fraction Gauss-Jordan of
+  the reference `oracles.mat_inv` ever needs a row swap.
 """
 
 import random
@@ -26,9 +27,10 @@ from weylipse import (
     parse_type,
     word_to_element,
 )
-from weylipse.exact import mat_inv
 from weylipse.ordering import reduced_words
 from weylipse.orbits import _dfs_nonneg
+
+from oracles import mat_inv
 
 
 def cd_of(text):
