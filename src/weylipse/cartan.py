@@ -30,7 +30,7 @@ Conventions fixed once for the whole project:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
@@ -84,11 +84,13 @@ POSITIVE_ROOT_COUNT = {
 _TYPE_TOKEN = re.compile(r"([A-Ga-g])([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class LieTypeSpec:
-    """An ordered product of irreducible finite types, e.g. A3 or B2xG2."""
+class LieTypeSpec(namedtuple("LieTypeSpec", "components")):
+    """An ordered product of irreducible finite types, e.g. A3 or B2xG2.
 
-    components: tuple[tuple[str, int], ...]
+    ``components`` is a tuple of (family, rank) pairs.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "x".join(f"{fam}{rank}" for fam, rank in self.components)
@@ -218,8 +220,8 @@ def sparse_cartan(A: Matrix) -> tuple[tuple, tuple, tuple]:
     return keep, rows, cols
 
 
-@dataclass(frozen=True)
-class CartanData:
+# no __slots__: the cached properties below live in the instance __dict__
+class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_delta")):
     """Everything exact about one (product) type; every field is integer.
 
     ``gram[i][j] = k[i] * A[i][j]`` is the symmetric integer matrix of the
@@ -231,16 +233,6 @@ class CartanData:
     the T-walk, the matrix of a word, descent stripping, the ascent walk and
     the root closure.
     """
-
-    spec: LieTypeSpec
-    n: int
-    A: Matrix
-    k: tuple[int, ...]
-    links: Matrix
-    gram: Matrix
-    adjA: Matrix
-    detA: int
-    two_delta: tuple[int, ...]
 
     def __str__(self) -> str:
         return str(self.spec)
@@ -368,17 +360,13 @@ def bilinear(x: Vector, y: Vector, cd: CartanData):
     return sum(map(mul, x, mat_vec(cd.gram, y)))
 
 
-@dataclass(frozen=True)
-class Root:
-    """A positive root in simple-root coordinates with its grade."""
+class Root(namedtuple("Root", "coords grade length_sq")):
+    """A positive root in simple-root coordinates with its grade and squared length."""
 
-    coords: tuple[int, ...]
-    grade: int
-    length_sq: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootClosure:
+class RootClosure(namedtuple("RootClosure", "roots positive support_heights")):
     """The roots of a type: the simple roots closed under the simple reflections.
 
     ``roots`` maps every root to its squared length.  ``positive`` is sorted
@@ -386,9 +374,7 @@ class RootClosure:
     support of ``positive[r]`` and its height.
     """
 
-    roots: dict[tuple[int, ...], int]
-    positive: tuple[Root, ...]
-    support_heights: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _root_closure(cd: CartanData) -> RootClosure:

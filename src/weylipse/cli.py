@@ -9,7 +9,6 @@ ordered, so identical invocations are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -36,6 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_int(v: int):
     return v if abs(v) < SAFE_INT else str(v)
+
+
+def _print_json(payload, indent=2) -> None:
+    import json  # loaded only by the commands that print JSON
+
+    print(json.dumps(payload, indent=indent))
 
 
 def _vec(v) -> str:
@@ -107,15 +112,13 @@ def _cmd_equation(cd, args) -> int:
     if args.json:
         payload = {"type": str(cd.spec), "equation": form.equation_text(var)}
         payload.update(_quadform_json(form))
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(form.equation_text(var))
     return 0
 
 
 def _cmd_orbits(cd, args) -> int:
-    from dataclasses import replace
-
     from .orbits import expand_orbit, orbit_seeds
 
     if args.csv and args.expand:
@@ -126,7 +129,7 @@ def _cmd_orbits(cd, args) -> int:
         for rec in records:
             if rec.size <= args.cap:
                 elements = tuple(expand_orbit(rec.minimal, cd, cap=args.cap))
-                expanded.append(replace(rec, elements=elements))
+                expanded.append(rec._replace(elements=elements))
             else:
                 print(
                     f"orbit at h=({_vec(rec.h)}) has size {rec.size} > cap {args.cap}; "
@@ -152,7 +155,7 @@ def _cmd_orbits(cd, args) -> int:
                 for rec in records
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.csv:
         print("h;minimal;size")
         for rec in records:
@@ -174,7 +177,7 @@ def _cmd_expand(cd, args) -> int:
     point = (0,) * cd.n if args.point is None else args.point
     elements = expand_orbit(point, cd, cap=args.cap)
     if args.json:
-        print(json.dumps({"type": str(cd.spec), "elements": [list(e) for e in elements]}))
+        _print_json({"type": str(cd.spec), "elements": [list(e) for e in elements]}, indent=None)
     else:
         for e in elements:
             print(_vec(e))
@@ -197,7 +200,7 @@ def _cmd_realize(cd, args) -> int:
             "pvector": list(p),
             "svector": list(s),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"type: {cd.spec}")
         print(f"word: {_vec(w.word) if w.word else '(empty)'}")
@@ -229,7 +232,7 @@ def _cmd_reduced_words(cd, args) -> int:
             "count": len(rws.words),
             "words": [list(word) for word in rws.words],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"element: ({_vec(rws.element)})")
         print(f"length: {rws.length}")
@@ -276,7 +279,7 @@ def _cmd_bruhat(cd, args) -> int:
         except OSError as exc:
             raise ComputationError(f"cannot write {args.dot}: {exc.strerror or exc}") from None
     if args.json:
-        print(json.dumps(_poset_json(poset), indent=2))
+        _print_json(_poset_json(poset))
     elif not args.dot:
         print(f"type: {cd.spec}")
         print(f"kind: {poset.kind}")

@@ -32,7 +32,7 @@ before it lists the orbit by the canonical ascent walk from its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import pairwise
 from math import isqrt
 from operator import itemgetter
@@ -59,14 +59,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(namedtuple("OrbitRecord", "h minimal size elements", defaults=(None,))):
     """One orbit: its nonnegative h, minimal vector, size, optional elements."""
 
-    h: tuple[int, ...]
-    minimal: tuple[int, ...]
-    size: int
-    elements: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
 
 
 def _dfs_nonneg(g, c):

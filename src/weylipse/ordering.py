@@ -34,7 +34,7 @@ as ground truth when the two are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import chain, compress, repeat
 from math import gcd
@@ -62,14 +62,10 @@ __all__ = [
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(namedtuple("Poset", "nodes covers kind ranks", defaults=(None,))):
     """Cover relation on main-orbit vectors; covers are (lower, higher) node indices."""
 
-    nodes: tuple[tuple[int, ...], ...]
-    covers: frozenset[tuple[int, int]]
-    kind: str
-    ranks: tuple[int, ...] | None = None
+    __slots__ = ()
 
     def cover_vectors(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return sorted((self.nodes[a], self.nodes[b]) for a, b in self.covers)
@@ -265,11 +261,10 @@ def first_letters(w: WeylElement, cd: CartanData) -> frozenset[int]:
     return frozenset(i + 1 for i, v in enumerate(h_vector(p, cd)) if v < 0)
 
 
-@dataclass(frozen=True)
-class ReducedWordSet:
-    element: tuple[int, ...]
-    length: int
-    words: tuple[tuple[int, ...], ...]
+class ReducedWordSet(namedtuple("ReducedWordSet", "element length words")):
+    """The reduced words, in lexicographic order, of the element with P-vector ``element``."""
+
+    __slots__ = ()
 
 
 def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:

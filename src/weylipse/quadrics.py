@@ -19,7 +19,7 @@ walk never computes the whole h either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .cartan import CartanData
@@ -29,8 +29,7 @@ from .exact import Matrix
 __all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T", "ascend"]
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
     """An integer quadratic equation  value(x) = 0.
 
     ``quad`` is the symmetric integer matrix of second derivatives (so its
@@ -39,20 +38,25 @@ class QuadForm:
         value(x) = x^T quad x / 2 + linear . x + constant
                  = sum_i (quad_ii/2) x_i^2 + sum_{i<j} quad_ij x_i x_j
                    + sum_i linear_i x_i + constant.
+
+    Construction raises MalformedFormError unless quad is symmetric with an
+    even diagonal; so does `_replace`, which builds through `_make`.
     """
 
-    n: int
-    quad: Matrix
-    linear: tuple[int, ...]
-    constant: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i in range(self.n):
-            if self.quad[i][i] % 2:
-                raise MalformedFormError(f"quad[{i}][{i}] = {self.quad[i][i]} is odd")
-            for j in range(i + 1, self.n):
-                if self.quad[i][j] != self.quad[j][i]:
+    def __new__(cls, n: int, quad: Matrix, linear: tuple[int, ...], constant: int):
+        for i in range(n):
+            if quad[i][i] % 2:
+                raise MalformedFormError(f"quad[{i}][{i}] = {quad[i][i]} is odd")
+            for j in range(i + 1, n):
+                if quad[i][j] != quad[j][i]:
                     raise MalformedFormError(f"quad is not symmetric at ({i}, {j})")
+        return super().__new__(cls, n, quad, linear, constant)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def value(self, x):
         if len(x) != self.n:

@@ -26,7 +26,7 @@ the forms under test once per point and regroups only the reference sides,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
@@ -67,11 +67,10 @@ EXHAUSTIVE_GROUP_GATE = 48
 WORD_SEARCH_GATE = 20_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name status detail", defaults=("",))):
+    """One report row; ``status`` is PASS, FAIL or SKIP."""
+
+    __slots__ = ()
 
 
 class _Run:
@@ -209,12 +208,15 @@ def _secondary_enumeration(run):
 
 def _orbit_seeds(run):
     seeds, n, order = run.seeds, run.cd.n, run.order
-    ok = all(run.prim.value(r.minimal) == 0 for r in seeds) and sum(
-        1 for r in seeds if r.minimal == (0,) * n
-    ) == 1
-    main = next(r for r in seeds if r.minimal == (0,) * n)
-    ok &= main.size == order and main.h == (1,) * n
-    ok &= all(order % r.size == 0 for r in seeds)
+    origin = (0,) * n
+    main = next((r for r in seeds if r.minimal == origin), None)
+    ok = (
+        all(run.prim.value(r.minimal) == 0 for r in seeds)
+        and sum(1 for r in seeds if r.minimal == origin) == 1
+        and main.size == order
+        and main.h == (1,) * n
+        and all(order % r.size == 0 for r in seeds)
+    )
     return ok, f"{len(seeds)} orbits" if ok else "seed laws broken"
 
 

@@ -29,7 +29,7 @@ multiplied out as written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .cartan import CartanData, Root, sparse_cartan, weyl_order
@@ -58,16 +58,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+# no __slots__: the cached `mat` lives in the instance __dict__
+class WeylElement(namedtuple("WeylElement", "word A")):
     """The product s_{i1} s_{i2} ... of a word of 1-based indices, over the Cartan matrix A.
 
-    Elements compare by word.  The integer matrix in the simple-root basis is
-    built from the word the first time `mat` is read.
+    Elements compare and hash by word, and the repr leaves A out.  The integer
+    matrix in the simple-root basis is built from the word the first time
+    `mat` is read.
     """
 
-    word: tuple[int, ...]
-    A: Matrix = field(compare=False, repr=False)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare A too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash((self.word,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(word={self.word!r})"
 
     @cached_property
     def mat(self) -> Matrix:
@@ -135,13 +148,22 @@ def S_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
     return h_vector(P_map(w, cd), cd)
 
 
-@dataclass(eq=False)
 class GroupTable:
-    """The fully enumerated group, keyed by P-vectors (treat as immutable)."""
+    """The fully enumerated group, keyed by P-vectors (treat as immutable).
 
-    cd: CartanData
-    elements: dict[tuple[int, ...], WeylElement]
-    order: int
+    Tables compare by identity.
+    """
+
+    def __init__(
+        self, cd: CartanData, elements: dict[tuple[int, ...], WeylElement], order: int
+    ):
+        self.cd = cd
+        self.elements = elements
+        self.order = order
+
+    def __repr__(self):
+        name = self.__class__.__qualname__
+        return f"{name}(cd={self.cd!r}, elements={self.elements!r}, order={self.order!r})"
 
     @cached_property
     def nodes(self) -> tuple[tuple[int, ...], ...]:

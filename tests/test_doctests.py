@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +26,11 @@ import weylipse.weyl
 def test_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
     assert failures == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    failures, tried = doctest.testfile(
+        str(readme), module_relative=False, optionflags=doctest.ELLIPSIS
+    )
+    assert tried > 0 and failures == 0

@@ -4,6 +4,7 @@ Import footprints are read in a fresh interpreter, so that the modules this
 test process already holds do not count.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -151,20 +152,20 @@ def test_the_library_loads_only_what_it_calls(call, loaded):
     assert fresh_python(LIBRARY_USE.format(call)) == f"{loaded}\n"
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["info", "F4"], []),
-        (["primary-eq", "E8"], ["quadrics"]),
-        (["secondary-eq", "E8", "--json"], ["quadrics"]),
-        (["orbits", "A3"], ["quadrics", "orbits"]),
-        (["expand", "B2"], ["quadrics", "orbits"]),
-        (["realize", "A3", "--word", "1,2"], ["quadrics", "weyl"]),
-        (["reduced-words", "A3", "--pvector", "3,4,3"], ["quadrics", "weyl", "ordering"]),
-        (["bruhat", "A2", "--method", "subword"], ["quadrics", "weyl", "ordering"]),
-        (["verify", "A2"], ALL_LAYERS),
-    ],
-)
+COMMAND_LAYERS = [
+    (["info", "F4"], []),
+    (["primary-eq", "E8"], ["quadrics"]),
+    (["secondary-eq", "E8", "--json"], ["quadrics"]),
+    (["orbits", "A3"], ["quadrics", "orbits"]),
+    (["expand", "B2"], ["quadrics", "orbits"]),
+    (["realize", "A3", "--word", "1,2"], ["quadrics", "weyl"]),
+    (["reduced-words", "A3", "--pvector", "3,4,3"], ["quadrics", "weyl", "ordering"]),
+    (["bruhat", "A2", "--method", "subword"], ["quadrics", "weyl", "ordering"]),
+    (["verify", "A2"], ALL_LAYERS),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_LAYERS)
 def test_each_command_loads_only_its_layers(argv, loaded):
     code, modules = json.loads(fresh_python(CLI_USE, *argv))
     assert code == 0
@@ -192,6 +193,35 @@ def test_building_cartan_data_loads_no_fractions():
 def test_integer_commands_load_no_fractions(argv):
     code = CLI_USE.replace('m.split(".")[0] == "weylipse"', f"m in {NO_FRACTIONS}")
     assert json.loads(fresh_python(code, *argv)) == [0, []]
+
+
+# records are named tuples, so nothing loads `dataclasses`, nor `inspect` with
+# it; `json` loads only for the commands that print JSON, so CLI_WATCH, unlike
+# CLI_USE, imports no `json` of its own
+WATCHED = ["dataclasses", "inspect", "json"]
+
+CLI_WATCH = """
+import contextlib, io, sys
+from weylipse.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print([code, sorted(m for m in sys.modules if m in {})])
+"""
+
+
+def test_building_cartan_data_loads_no_dataclasses():
+    call = "\n".join(f'weylipse.build_cartan(weylipse.parse_type("{t}"))' for t in CENSUS_TYPES)
+    code = LIBRARY_USE.format(call).replace('m.split(".")[0] == "weylipse"', f"m in {WATCHED}")
+    assert fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in COMMAND_LAYERS] + [["orbits", "E8", "--csv"]], ids=" ".join
+)
+def test_commands_load_no_dataclasses_and_json_only_to_print_it(argv):
+    expected = ["json"] if "--json" in argv else []
+    out = fresh_python(CLI_WATCH.format(WATCHED), *argv)
+    assert ast.literal_eval(out) == [0, expected]
 
 
 def test_delta_is_made_of_fractions_when_read():

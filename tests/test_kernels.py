@@ -15,7 +15,6 @@ word's reflections against the dense matrix product, and the census search
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,7 +180,7 @@ ODD_DIAGONAL = ((3, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 0, -3), (0, 0, -1, -1))
 
 def step_cd(name):
     # the odd matrix rides on A4's data: the kernels read only A, n and |Phi+|
-    return replace(cd_of("A4"), A=ODD_DIAGONAL) if name == "odd-diagonal" else cd_of(name)
+    return cd_of("A4")._replace(A=ODD_DIAGONAL) if name == "odd-diagonal" else cd_of(name)
 
 
 def random_words(cd, rng, count, longest):

@@ -148,8 +148,8 @@ def test_seeds_build_per_type_work_once(monkeypatch):
         monkeypatch.setattr(orbits, name, counting(name))
     # every form built, primary or secondary, whatever module builds it
     forms = []
-    real_check = QuadForm.__post_init__
-    monkeypatch.setattr(QuadForm, "__post_init__", lambda f: forms.append(f) or real_check(f))
+    real_new = QuadForm.__new__
+    monkeypatch.setattr(QuadForm, "__new__", lambda *a, **k: forms.append(a) or real_new(*a, **k))
     seeds = orbit_seeds(cd_of("E7xA2"))
     zero_sets = {tuple(i for i, v in enumerate(r.h) if v == 0) for r in seeds}
     assert len(seeds) > len(zero_sets)

@@ -3,7 +3,6 @@ checks share, and the faults the costly checks still catch."""
 
 import math
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -103,7 +102,7 @@ def _rows(text):
 def test_a_form_off_by_a_constant_fails_the_quadric_identities(monkeypatch, form):
     # each point takes one of the form's two identities with it: 2 per point
     real = getattr(verify, form)
-    monkeypatch.setattr(verify, form, lambda cd: replace(real(cd), constant=real(cd).constant + 1))
+    monkeypatch.setattr(verify, form, lambda cd: real(cd)._replace(constant=real(cd).constant + 1))
     row = _rows("A3")["quadric-identities"]
     assert (row.status, row.detail) == ("FAIL", f"{2 * verify.RANDOM_POINTS} mismatches")
 
@@ -155,3 +154,18 @@ def test_first_letters_missing_a_letter_fail_the_word_search(monkeypatch):
     monkeypatch.setattr(verify, "first_letters", lambda w, cd: sorted(real(w, cd))[1:])
     row = _rows("A3")["first-letter-exhaustive"]
     assert (row.status, row.detail) == ("FAIL", "descent sets disagree with word search")
+
+
+def test_seeds_without_the_origin_fail_orbit_seeds_with_no_traceback(monkeypatch, capsys):
+    from weylipse.cli import main
+
+    real = verify._seeds_from
+
+    def without_origin(cd, sols):
+        return [r for r in real(cd, sols) if any(r.minimal)]
+
+    monkeypatch.setattr(verify, "_seeds_from", without_origin)
+    row = _rows("A2")["orbit-seeds"]
+    assert (row.status, row.detail) == ("FAIL", "seed laws broken")
+    assert main(["verify", "A2"]) == 3
+    assert "FAIL orbit-seeds: seed laws broken\n" in capsys.readouterr().out
