@@ -1,11 +1,11 @@
 """Finite Weyl groups as integer points on a pair of quadrics.
 
-Integer Cartan data for the families A-G and their products (A^-1 and delta
-as Fractions, made when read); the primary and secondary integer quadrics;
-enumeration of the Diophantine orbits of the coordinate involutions T_i; the
-Weyl group as words, with matrices built when read, and its transfer onto the
-main orbit; componentwise and Bruhat orders; and reduced word enumeration via
-descent sets.
+Integer Cartan data for the families A-G and their products (the adjugate
+and determinant of A, and 2 delta); the primary and secondary integer
+quadrics; enumeration of the Diophantine orbits of the coordinate involutions
+T_i; the Weyl group as words, with matrices built when read, and its transfer
+onto the main orbit; componentwise and Bruhat orders; and reduced word
+enumeration via descent sets.
 
 Each public name is imported from its home submodule on first access
 (PEP 562), so ``import weylipse`` loads no layer that its caller does not use.

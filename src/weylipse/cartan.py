@@ -10,9 +10,8 @@ Conventions fixed once for the whole project:
   k_i (half the squared length of simple root i) is 1, 2 or 3.
 * Cartan data is integer: A, the symmetrized gram, adjA, detA and 2 delta.
   adjA and detA come from a fraction-free sweep per component, and a
-  product's block is (detA / det_f) adj_f.  `Ainv`, `delta` and
-  `delta_norm_sq` are `fractions.Fraction` values made from them when first
-  read; `fractions` is imported only then.  No floats.
+  product's block is (detA / det_f) adj_f.  A^-1 is adjA / detA and delta is
+  two_delta / 2; no Fraction and no float is made.
 * Simple-root indices in the public API are 1-based, matching the usual
   notation s_1 .. s_n; vectors are plain tuples in the simple-root basis.
 * Weyl group orders come from root heights (Macdonald, "The Poincare series
@@ -23,8 +22,8 @@ Conventions fixed once for the whole project:
 >>> cd = build_cartan(parse_type("B2"))
 >>> cd.A
 ((2, -1), (-2, 2))
->>> cd.delta
-(Fraction(3, 2), Fraction(2, 1))
+>>> cd.two_delta
+(3, 4)
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import (
     MAX_RANK,
@@ -47,9 +45,6 @@ from .errors import (
     UnknownFamilyError,
 )
 from .exact import Matrix, Vector, mat_vec
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 RANK_RANGE = {
     "A": (1, None),
@@ -227,35 +222,14 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     ``gram[i][j] = k[i] * A[i][j]`` is the symmetric integer matrix of the
     inner product of simple roots; ``adjA`` is the adjugate of A, with
     A adjA = detA I, and ``two_delta`` = 2 adjA (1, ..., 1) / detA is the sum
-    of the positive roots.  ``Ainv``, ``delta`` and ``delta_norm_sq`` are
-    Fractions made from these when first read.  ``sparse`` is the one sparse
-    view of A (`sparse_cartan`) that every step by one T_i or one s_i reads:
-    the T-walk, the matrix of a word, descent stripping, the ascent walk and
-    the root closure.
+    of the positive roots, so <delta, delta> = sum_i k_i two_delta_i / 2.
+    ``sparse`` is the one sparse view of A (`sparse_cartan`) that every step
+    by one T_i or one s_i reads: the T-walk, a word acting on a vector,
+    descent stripping, the ascent walk and the root closure.
     """
 
     def __str__(self) -> str:
         return str(self.spec)
-
-    @cached_property
-    def Ainv(self) -> Matrix:
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(a, self.detA) for a in row) for row in self.adjA)
-
-    @cached_property
-    def delta(self) -> tuple[Fraction, ...]:
-        # Ainv (1, ..., 1), the half sum of the positive roots
-        from fractions import Fraction
-
-        return tuple(Fraction(t, 2) for t in self.two_delta)
-
-    @cached_property
-    def delta_norm_sq(self) -> Fraction:
-        # <delta, delta> = sum_i k_i * delta_i
-        from fractions import Fraction
-
-        return Fraction(sum(map(mul, self.k, self.two_delta)), 2)
 
     @cached_property
     def positive_root_count(self) -> int:

@@ -97,7 +97,8 @@ def _cmd_info(cd, args) -> int:
     print(f"detA: {cd.detA}", file=out)
     print(f"weyl_order: {weyl_order(cd)}", file=out)
     print(f"k: ({_vec(cd.k)})", file=out)
-    print(f"delta: ({','.join(str(d) for d in cd.delta)})", file=out)
+    halves = (str(t // 2) if t % 2 == 0 else f"{t}/2" for t in cd.two_delta)
+    print(f"delta: ({','.join(halves)})", file=out)
     print("cartan_matrix:", file=out)
     for row in cd.A:
         print(f"  [{' '.join(f'{v:3d}' for v in row)}]", file=out)

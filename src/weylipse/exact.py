@@ -1,12 +1,9 @@
 """Small exact linear-algebra helpers over integers.
 
-Matrices are tuples of row tuples.  Everything here is dimension-agnostic and
-imports no `fractions`; the helpers take any exact numbers, so the checks that
-read the Fractions `CartanData.delta` use them too.
+Matrices are tuples of row tuples.  Everything here is dimension-agnostic.
 Each entry of a product is one `sum(map(mul, row, column))`, so the loop over
 a row runs inside the interpreter's builtins, not as a Python generator; the
-matrices in this project are at most rank ~10, but the checking paths call
-these once per group element or per sampled point.
+checking paths call these once per group element or per sampled point.
 """
 
 from __future__ import annotations

@@ -4,20 +4,17 @@ term from k and the links, carried as one partial sum per coordinate (no
 `primary_form`); membership as the sphere identity around delta (no
 `primary_form`, no h); matrix products of the reduced words up to a length,
 level by level, each product extended by the sparse s_g as a row update, with
-their own P-vectors (no T-moves, no group table, nothing from `weyl`); the
-closure of a point under every T_i with a set of seen points (no h carried, no
-ascent rule); and the Bruhat covers by reflections, from that closure and the
-pairings with the coroots (no words, no group table, no Hasse routine).  They
-import only `cartan` and `exact`, and step by the dense rows of A, not by
-`CartanData.sparse`."""
+their own P-vectors (no T-moves, no group table, nothing from `weyl`); and
+the closure of a point under every T_i with a set of seen points (no h
+carried, no ascent rule).  They import only `cartan` and `exact`, and step
+by the dense rows of A, not by `CartanData.sparse`."""
 
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
-# InvariantError through cartan, which imports it, so that this module's
-# imports stay `cartan` and `exact`
-from .cartan import CartanData, InvariantError, bilinear, positive_roots
+from .cartan import CartanData, bilinear
 from .exact import identity, mat_vec
 
 
@@ -25,15 +22,18 @@ def primary_box(cd: CartanData) -> tuple[list[int], list[int]]:
     """Inclusive bounds (lo, hi) of a box holding every integral primary solution.
 
     |x_i - delta_i| <= r_i with r_i^2 = <delta,delta> (gram^-1)_ii, the exact
-    axis bound of the sphere <x - delta, x - delta> = <delta, delta>.
+    axis bound of the sphere <x - delta, x - delta> = <delta, delta>.  In
+    integers r_i^2 = N / D with N = (sum_j k_j 2 delta_j) adjA_ii and
+    D = 2 detA k_i, and floor(r_i) = isqrt(N D) // D whether or not N / D is
+    reduced.
     """
-    c = cd.delta_norm_sq
+    norm_twice = sum(map(mul, cd.k, cd.two_delta))  # 2 <delta, delta>
     lo, hi = [], []
-    for i in range(cd.n):
-        rad_sq = c * cd.Ainv[i][i] / cd.k[i]
-        r = isqrt(rad_sq.numerator * rad_sq.denominator) // rad_sq.denominator + 1
-        lo.append(int(cd.delta[i]) - r)
-        hi.append(int(cd.delta[i]) + r + 1)
+    for i, t in enumerate(cd.two_delta):
+        den = 2 * cd.detA * cd.k[i]
+        r = isqrt(norm_twice * cd.adjA[i][i] * den) // den + 1
+        lo.append(t // 2 - r)
+        hi.append(t // 2 + r + 1)
     return lo, hi
 
 
@@ -90,43 +90,6 @@ def orbit_by_closure(a, cd: CartanData) -> list[tuple[int, ...]]:
                 seen.add(y)
                 stack.append(y)
     return sorted(seen)
-
-
-def bruhat_covers_by_reflections(cd: CartanData) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Bruhat covers of W as pairs of P-vectors, from reflections (Bjorner-Brenti
-    Def. 2.1.1 and the chain property, Thm 2.2.6): u < s_a u is a cover exactly
-    when l(s_a u) = l(u) + 1.
-
-    The nodes are the T_i closure of the origin.  With x = delta - P(w) = w delta,
-    <x, a^v> = 2 (x, a) / (a, a) is negative exactly when w^-1 a is, so l(w)
-    counts the positive roots a with (2x, a) < 0, and
-    P(s_a w) = P(w) + (grade a - <P(w), a^v>) a = P(w) + <x, a^v> a.
-    A pairing that is not an integer, or a reflection that leaves the closure,
-    raises InvariantError.
-    """
-    roots = [r.coords for r in positive_roots(cd)]
-    norms = [bilinear(a, a, cd) for a in roots]
-    two_delta = cd.two_delta
-    nodes = orbit_by_closure((0,) * cd.n, cd)
-    pairings, lengths = {}, {}
-    for p in nodes:
-        # gram (2x), so that (2x, a) is one dot product per root
-        g = mat_vec(cd.gram, tuple(t - 2 * v for t, v in zip(two_delta, p)))
-        pairs = [sum(gi * ai for gi, ai in zip(g, a)) for a in roots]
-        pairings[p] = pairs
-        lengths[p] = sum(1 for b in pairs if b < 0)
-    covers = set()
-    for p in nodes:
-        for a, norm, b in zip(roots, norms, pairings[p]):
-            # b = (2x, a) and <x, a^v> = 2 (x, a) / (a, a) = b / (a, a)
-            q = tuple(v + b // norm * c for v, c in zip(p, a))
-            if b % norm or q not in lengths:
-                raise InvariantError(
-                    f"reflecting {p} in root {a} of {cd.spec} leaves the main orbit"
-                )
-            if lengths[q] == lengths[p] + 1:
-                covers.add((p, q))
-    return covers
 
 
 def exhaustive_word_search(cd: CartanData, max_len: int):

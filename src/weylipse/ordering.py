@@ -43,8 +43,8 @@ from operator import sub
 from .cartan import CartanData
 from .errors import MASK_BYTE_CAP, CapExceededError, InvariantError, NotInMainOrbitError
 from .exact import mat_vec
-from .quadrics import _t_step, h_vector
-from .weyl import GroupTable, P_map, WeylElement, _act, _t_walk
+from .quadrics import _t_step, _t_walk, h_vector
+from .weyl import GroupTable, P_map, WeylElement, _act
 
 __all__ = [
     "Poset",

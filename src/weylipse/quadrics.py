@@ -12,9 +12,10 @@ one point without descents, its componentwise minimum, and two walks link
 the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
 A step by T_i changes h by -h_i times column i of A, so both walks, and the
 reduced-word recursion through `_t_step`, update h over the sparse column of
-`CartanData.sparse`, not the whole vector.  `apply_T` tests membership by
-one sum over the sparse rows of A and reads only h_i, so a single step of a
-walk never computes the whole h either.
+`CartanData.sparse`, not the whole vector.  Where no h is carried, the
+T-walk `_t_walk` computes each h_i it needs over the sparse row i; `apply_T`
+is one step of it, after a membership test that is one sum over the sparse
+rows of A, so a single step never computes the whole h either.
 """
 
 from __future__ import annotations
@@ -146,12 +147,7 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
     if any(not isinstance(v, int) for v in x) or _twice_primary(x, cd):
         raise NotOnEllipsoidError(f"{x} is not an integral primary solution of {cd.spec}")
-    keep, rows, _ = cd.sparse
-    i -= 1
-    v = 1 + keep[i] * x[i]  # x_i + h_i, with h_i = 1 - (A x)_i
-    for j, a in rows[i]:
-        v -= a * x[j]
-    return x[:i] + (v,) + x[i + 1 :]
+    return _t_walk((i,), x, cd)
 
 
 def _twice_primary(x, cd: CartanData) -> int:
@@ -202,6 +198,22 @@ def _strip_descents(x, h, cd: CartanData):
             h[j] -= a * hk
         word.append(k + 1)
     raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
+
+
+def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
+    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
+
+    T_i sets p_i to 1 + (1 - A_ii) p_i - sum_{j != i} A_ij p_j, read from the sparse view.
+    """
+    keep, rows, _ = cd.sparse
+    p = list(start)
+    for i in reversed(word):
+        i -= 1
+        v = 1 + keep[i] * p[i]
+        for j, a in rows[i]:
+            v -= a * p[j]
+        p[i] = v
+    return tuple(p)
 
 
 def _t_step(i, x, h, cd: CartanData):

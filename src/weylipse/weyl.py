@@ -10,21 +10,23 @@ P(w) = delta - w delta = (2 delta - w 2 delta) / 2 maps the group bijectively
 onto the main orbit of the primary quadric (the identity goes to the origin);
 S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
 quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
-positive roots.  `P_map` applies the word's reflections to the one vector
-2 delta, right to left (`_act`, which also checks the first word of
-`ordering.reduced_words`), so no P-vector needs the matrix of its element.
+positive roots.
 
-Left multiplication is P(s_i w) = T_i(P(w)).  So the group table is the
-main orbit listed by the canonical ascent walk `quadrics.ascend`, each step
-prepending a letter to the word, and `element_from_pvector` strips descents
-back to the origin.  The one T-walk `_t_walk` gives `star`, `p_alpha_b`, the
-table's left multiplication and the word checks of `ordering.reduced_words`
-(whose recursion steps P and h together, as descent stripping does).  Its
-step p_i <- 1 + (1 - A_ii) p_i - sum_j A_ij p_j, the step of s_i on a vector
-in `_act` and the row step of `WeylElement.mat` read only the off-diagonal
-nonzeros of row i, from the sparse view `cartan.sparse_cartan` of A; no
-diagonal entry is assumed, so an element over any square matrix is
-multiplied out as written.
+A word acts in two ways, each written once.  `_act` applies its reflections
+to a vector, right to left: `P_map` to the one vector 2 delta, so no P-vector
+needs the matrix of its element, `WeylElement.mat` to each e_j for column j,
+and `ordering.reduced_words` to a regular vector to check its first word.
+Left multiplication is P(s_i w) = T_i(P(w)), so the other is the T-walk
+`quadrics._t_walk` (T_i x = s_i x + e_i), which gives `star`, `p_alpha_b`,
+the table's left multiplication, the word checks of `ordering.reduced_words`
+and `quadrics.apply_T`.  Both loops read only the off-diagonal nonzeros of
+row i, from the sparse view `cartan.sparse_cartan` of A; no diagonal entry
+is assumed, so an element over any square matrix is multiplied out as
+written.
+
+The group table is the main orbit listed by the canonical ascent walk
+`quadrics.ascend`, each step prepending a letter to the word, and
+`element_from_pvector` strips descents back to the origin.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     NotInMainOrbitError,
 )
 from .exact import Matrix, identity
-from .quadrics import _strip_descents, ascend, h_vector
+from .quadrics import _strip_descents, _t_walk, ascend, h_vector
 
 __all__ = [
     "WeylElement",
@@ -84,16 +86,9 @@ class WeylElement(namedtuple("WeylElement", "word A")):
 
     @cached_property
     def mat(self) -> Matrix:
-        # s_i * mat changes only row i, to (1 - A_ii) row i - sum_{j != i} A_ij row j
-        keep, rows, _ = sparse_cartan(self.A)
-        mat = list(identity(len(self.A)))
-        for i in reversed(self.word):
-            i -= 1
-            row = [keep[i] * v for v in mat[i]]
-            for j, a in rows[i]:
-                row = [v - a * r for v, r in zip(row, mat[j])]
-            mat[i] = tuple(row)
-        return tuple(mat)
+        # column j is w e_j
+        cols = (_act(self.word, e, self.A) for e in identity(len(self.A)))
+        return tuple(zip(*cols))
 
 
 def word_to_element(word, cd: CartanData) -> WeylElement:
@@ -108,9 +103,8 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
 def _act(word, v, A: Matrix) -> tuple[int, ...]:
     """s_{i1} ... s_{ik} v: the word's reflections applied to v, right to left.
 
-    s_i changes only coordinate i, exactly as it changes row i of
-    `WeylElement.mat`, so this is mat_vec(word_to_element(word).mat, v)
-    with no matrix built.
+    s_i changes only coordinate i, to (1 - A_ii) v_i - sum_{j != i} A_ij v_j,
+    so no matrix is built; `WeylElement.mat` is made of these, column by column.
     """
     keep, rows, _ = sparse_cartan(A)
     v = list(v)
@@ -206,22 +200,6 @@ def build_group_table(cd: CartanData, cap: int = DEFAULT_TABLE_CAP) -> GroupTabl
     if len(elements) != total:
         raise InvariantError(f"group walk of {cd.spec} has {len(elements)} elements, not {total}")
     return GroupTable(cd=cd, elements=elements, order=total)
-
-
-def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
-    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
-
-    T_i sets p_i to 1 + (1 - A_ii) p_i - sum_{j != i} A_ij p_j, read from the sparse view.
-    """
-    keep, rows, _ = cd.sparse
-    p = list(start)
-    for i in reversed(word):
-        i -= 1
-        v = 1 + keep[i] * p[i]
-        for j, a in rows[i]:
-            v -= a * p[j]
-        p[i] = v
-    return tuple(p)
 
 
 def star(a, b, table: GroupTable) -> tuple[int, ...]:

@@ -3,38 +3,42 @@
 Everything here deliberately avoids the library's own search/closure code
 paths: group orders and the group table come from raw matrix closure,
 solution sets from direct box scans, Bruhat comparisons from the permutation
-rank-matrix criterion, and descent data from brute-force word search.
+rank-matrix criterion and from reflections, and descent data from
+brute-force word search.
 
-The primary box scan, the word search, the T_i closure and the Bruhat
-covers by reflections come from `weylipse.oracles`, which `weylipse verify`
-runs too; it keeps the same rule (no `primary_form`, no T-moves, no group
-table, no sparse view of A), so they stay independent.
+The primary box scan, the word search and the T_i closure come from
+`weylipse.oracles`, which `weylipse verify` runs too; it keeps the same rule
+(no `primary_form`, no T-moves, no group table, no sparse view of A), so
+they stay independent.  The Bruhat covers by reflections are built here on
+that T_i closure, since only the tests compare against them.
 
 The plain forms of the library's exact kernels are kept here as references
 for `test_kernels.py`: pairwise componentwise comparison, the scan over all
 positive roots, the box scan that evaluates the polynomial at every point,
-the sphere test over fractions, the word search by dense products, the
-Hasse diagram by the union of the down sets of the nodes below, the
-subword intervals by a walk over each whole word from the identity, and the
-T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows and columns of A, with no diagonal entry assumed.  The census
-search in its plain form is here too: the interval-pruned DFS over the
-coordinates in index order, whose solutions come out in lexicographic order
-with no axis order, factor memo or sort.  The Cartan inverse in its plain
-form is here as well: Gauss-Jordan over Fractions, the reference for the
-integer adjugate and determinant that `cartan.build_cartan` assembles per
-component.  The matrix product lives here too: only the tests multiply two
-matrices.
+the primary box and the sphere test over fractions, the word search by dense
+products, the Hasse diagram by the union of the down sets of the nodes
+below, the subword intervals by a walk over each whole word from the
+identity, and the T-walk, the matrix of a word and descent stripping by
+dense index loops over whole rows and columns of A, with no diagonal entry
+assumed.  The census search in its plain form is here too: the
+interval-pruned DFS over the coordinates in index order, whose solutions
+come out in lexicographic order with no axis order, factor memo or sort.
+The Cartan inverse in its plain form is here as well: Gauss-Jordan over
+Fractions, the reference for the integer adjugate, determinant and 2 delta
+that `cartan.build_cartan` assembles per component, and the source of every
+Fraction delta here.  The matrix product lives here too: only the tests
+multiply two matrices.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from operator import mul
 
-from weylipse.cartan import bilinear
+from weylipse.cartan import bilinear, positive_roots
+from weylipse.errors import InvariantError
 from weylipse.exact import identity, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
-    bruhat_covers_by_reflections,
     exhaustive_word_search,
     orbit_by_closure,
     primary_box,
@@ -93,6 +97,30 @@ def mat_inv(m):
     return inv, det
 
 
+@cache
+def fraction_delta(A):
+    """delta = A^-1 (1, ..., 1), the half sum of the positive roots, over
+    fractions from `mat_inv` (A a tuple of row tuples)."""
+    inv, _ = mat_inv(A)
+    return mat_vec(inv, (Fraction(1),) * len(A))
+
+
+def primary_box_over_fractions(cd):
+    """`primary_box` as it read over fractions: r_i^2 = <delta, delta> (A^-1)_ii / k_i,
+    with A^-1 and delta from `mat_inv`, and r_i = floor(sqrt) + 1 taken on the
+    reduced fraction."""
+    inv, _ = mat_inv(cd.A)
+    delta = mat_vec(inv, (Fraction(1),) * cd.n)
+    c = sum(k * d for k, d in zip(cd.k, delta))
+    lo, hi = [], []
+    for i in range(cd.n):
+        rad_sq = c * inv[i][i] / cd.k[i]
+        r = isqrt(rad_sq.numerator * rad_sq.denominator) // rad_sq.denominator + 1
+        lo.append(int(delta[i]) - r)
+        hi.append(int(delta[i]) + r + 1)
+    return lo, hi
+
+
 def componentwise_down_sets(nodes):
     """Bitmask per node of the nodes componentwise below it, by pairwise comparison
     (nodes sorted, so a componentwise smaller node comes earlier)."""
@@ -142,8 +170,46 @@ def primary_solutions_by_pointwise_scan(cd):
 
 def sphere_identity_over_fractions(x, cd):
     """<x - delta, x - delta> == <delta, delta> with delta as fractions."""
-    centered = tuple(Fraction(xi) - di for xi, di in zip(x, cd.delta))
-    return bilinear(centered, centered, cd) == cd.delta_norm_sq
+    delta = fraction_delta(cd.A)
+    centered = tuple(Fraction(xi) - di for xi, di in zip(x, delta))
+    return bilinear(centered, centered, cd) == bilinear(delta, delta, cd)
+
+
+def bruhat_covers_by_reflections(cd):
+    """Bruhat covers of W as pairs of P-vectors, from reflections (Bjorner-Brenti
+    Def. 2.1.1 and the chain property, Thm 2.2.6): u < s_a u is a cover exactly
+    when l(s_a u) = l(u) + 1.
+
+    The nodes are the T_i closure of the origin.  With x = delta - P(w) = w delta,
+    <x, a^v> = 2 (x, a) / (a, a) is negative exactly when w^-1 a is, so l(w)
+    counts the positive roots a with (2x, a) < 0, and
+    P(s_a w) = P(w) + (grade a - <P(w), a^v>) a = P(w) + <x, a^v> a.
+    A pairing that is not an integer, or a reflection that leaves the closure,
+    raises InvariantError.
+    """
+    roots = [r.coords for r in positive_roots(cd)]
+    norms = [bilinear(a, a, cd) for a in roots]
+    two_delta = cd.two_delta
+    nodes = orbit_by_closure((0,) * cd.n, cd)
+    pairings, lengths = {}, {}
+    for p in nodes:
+        # gram (2x), so that (2x, a) is one dot product per root
+        g = mat_vec(cd.gram, tuple(t - 2 * v for t, v in zip(two_delta, p)))
+        pairs = [sum(gi * ai for gi, ai in zip(g, a)) for a in roots]
+        pairings[p] = pairs
+        lengths[p] = sum(1 for b in pairs if b < 0)
+    covers = set()
+    for p in nodes:
+        for a, norm, b in zip(roots, norms, pairings[p]):
+            # b = (2x, a) and <x, a^v> = 2 (x, a) / (a, a) = b / (a, a)
+            q = tuple(v + b // norm * c for v, c in zip(p, a))
+            if b % norm or q not in lengths:
+                raise InvariantError(
+                    f"reflecting {p} in root {a} of {cd.spec} leaves the main orbit"
+                )
+            if lengths[q] == lengths[p] + 1:
+                covers.add((p, q))
+    return covers
 
 
 def word_search_by_dense_products(cd, max_len):
@@ -288,7 +354,8 @@ def group_table_by_matrix_closure(cd):
 
 def pvector_of_matrix(m, cd):
     """P = delta - m delta, evaluated over fractions and asserted integral."""
-    p = tuple(d - v for d, v in zip(cd.delta, mat_vec(m, cd.delta)))
+    delta = fraction_delta(cd.A)
+    p = tuple(d - v for d, v in zip(delta, mat_vec(m, delta)))
     assert all(v.denominator == 1 for v in p)
     return tuple(int(v) for v in p)
 

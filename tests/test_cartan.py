@@ -27,7 +27,7 @@ from weylipse.cartan import RootClosure, _root_closure
 from weylipse.errors import MAX_RANK
 from weylipse.exact import mat_vec
 
-from oracles import group_order_by_closure, mat_mul
+from oracles import fraction_delta, group_order_by_closure, mat_mul
 
 IRREDUCIBLE_LE8 = (
     ["A%d" % n for n in range(1, 9)]
@@ -105,10 +105,11 @@ def test_cartan_invariants(text):
             assert cd.gram[i][j] == cd.k[i] * cd.A[i][j]
             if i != j and cd.A[i][j] != 0:
                 assert cd.links[i][j] == max(cd.k[i], cd.k[j]) == -cd.k[i] * cd.A[i][j]
-    assert mat_vec(cd.A, cd.delta) == (Fraction(1),) * n
-    prod = mat_mul(cd.Ainv, cd.A)
-    assert prod == tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    delta = fraction_delta(cd.A)
+    assert mat_vec(cd.A, delta) == (Fraction(1),) * n
+    assert cd.two_delta == tuple(2 * d for d in delta)
+    assert mat_mul(cd.adjA, cd.A) == tuple(
+        tuple(cd.detA if i == j else 0 for j in range(n)) for i in range(n)
     )
 
 
@@ -127,13 +128,14 @@ def test_build_examples():
     a2 = cd_of("A2")
     assert a2.A == ((2, -1), (-1, 2))
     assert a2.k == (1, 1)
-    assert a2.delta == (Fraction(1), Fraction(1))
+    assert a2.two_delta == (2, 2) == tuple(2 * d for d in fraction_delta(a2.A))
     assert a2.detA == 3
 
     b2 = cd_of("B2")
     assert b2.A == ((2, -1), (-2, 2))
     assert b2.k == (2, 1)
-    assert b2.delta == (Fraction(3, 2), Fraction(2))
+    assert fraction_delta(b2.A) == (Fraction(3, 2), Fraction(2))
+    assert b2.two_delta == (3, 4)
     assert b2.detA == 2
 
     g2 = cd_of("G2")
@@ -171,7 +173,8 @@ def test_a100_adjugate_is_bourbakis_closed_form_and_fast():
 def test_bilinear_examples():
     a2 = cd_of("A2")
     assert bilinear((1, 0), (1, 0), a2) == 2
-    assert bilinear(a2.delta, a2.delta, a2) == 2
+    delta = fraction_delta(a2.A)
+    assert bilinear(delta, delta, a2) == 2
     b2 = cd_of("B2")
     assert bilinear((1, 0), (0, 1), b2) == -2
     with pytest.raises(DimensionMismatchError):

@@ -7,8 +7,10 @@ recorded before `verify` became one table of gated checks; together they
 reach every gate, a FAIL row and the E8 census row.  The `orbits`, `expand`,
 `reduced-words --pvector` and `info` rows were recorded before the census
 interval became a closed form and before the census and the reduced words
-stopped re-sorting their output.  Each row reads: exit
-code, digest, argv.
+stopped re-sorting their output.  The `info` rows on A3, B2, C3, E7, F4 and
+B2xG2, whose delta has both half-integer and integer entries, were recorded
+while delta was still printed from Fractions.  Each row reads: exit code,
+digest, argv.
 """
 
 import contextlib
@@ -49,6 +51,12 @@ GOLDENS = """
 0 acb061ef6fdaca41cf4c115217dd9e2c77bf49412633a73abc3130c3e6b8270d reduced-words D4 --pvector 6,10,6,6
 0 37d344265ca667dfd0e3605c73cd8bccc4a1db7be51efcd3f345ea755bf328c2 reduced-words A4 --pvector 4,6,6,4 --json
 0 dfe3ba7f31edbc406c752678ef5db64f13fef5cb2f4292162fedc69014d834e5 info G2xA1
+0 a5a964ed574dbe8d7d28603f3245e5c2b353a2a1889d0b84f21f46c9c8d7596c info A3
+0 47b85353837ba08542065374895313ae7cac6991b6cb93549869ef48e3c47f11 info B2
+0 782ae412d05223407df4a210cccedb2f19f391ca81c542a96d07a5b88122f3a7 info C3
+0 e3fd16180a4449a3ee2c264b55c7c632e287a86df8de5e0c3192e78ff423791e info E7
+0 a5636cf801b694bb266f08b7cb8c2b34bd67c9205f43d69ac2b55f581f9caf20 info F4
+0 2bd098d98e891c34fd4b90cd7df453f1d12ece2649e90d4c61edf2b2e494a9c6 info B2xG2
 """
 ROWS = [line.split(maxsplit=2) for line in GOLDENS.strip().splitlines()]
 

@@ -172,8 +172,8 @@ def test_each_command_loads_only_its_layers(argv, loaded):
     assert modules == sorted(CLI + layers(*loaded))
 
 
-# Cartan data is integer: `fractions`, and `decimal` with it, load only where a
-# Fraction is read (`info`'s delta line, `verify`, the box oracle)
+# Cartan data is integer and no module of the package imports `fractions`, so
+# neither it nor `decimal`, which it imports, loads for any command
 NO_FRACTIONS = ["fractions", "decimal"]
 CENSUS_TYPES = ["A9", "B8", "C8", "D9", "E8", "E8xA1", "E7xA2", "E6xA3"]
 
@@ -188,7 +188,14 @@ def test_building_cartan_data_loads_no_fractions():
 
 @pytest.mark.parametrize(
     "argv",
-    [["orbits", "E8"], ["primary-eq", "E8"], ["expand", "B3"], ["realize", "E8", "--word", "1,2"]],
+    [
+        ["orbits", "E8"],
+        ["primary-eq", "E8"],
+        ["expand", "B3"],
+        ["realize", "E8", "--word", "1,2"],
+        ["info", "F4"],
+        ["verify", "B2"],
+    ],
 )
 def test_integer_commands_load_no_fractions(argv):
     code = CLI_USE.replace('m.split(".")[0] == "weylipse"', f"m in {NO_FRACTIONS}")
@@ -224,11 +231,14 @@ def test_commands_load_no_dataclasses_and_json_only_to_print_it(argv):
     assert ast.literal_eval(out) == [0, expected]
 
 
-def test_delta_is_made_of_fractions_when_read():
-    from fractions import Fraction
-
-    cd = weylipse.build_cartan(weylipse.parse_type("B2"))
-    assert "delta" not in vars(cd) and "Ainv" not in vars(cd)
-    assert cd.delta == (Fraction(3, 2), Fraction(2, 1))
-    assert all(type(d) is Fraction for d in cd.delta)
-    assert cd.delta is cd.delta  # cached on first read
+def test_no_module_imports_fractions():
+    package = os.path.dirname(weylipse.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert all(a.name.split(".")[0] != "fractions" for a in node.names), name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "fractions", name

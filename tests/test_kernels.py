@@ -9,9 +9,10 @@ diagram by shadows, the subword intervals by a walk over each word, and the
 T-walk, the matrix of a word and descent stripping by dense index loops over
 whole rows of A, against the kernels that read the sparse view of A, the
 Cartan inverse by Gauss-Jordan over Fractions against the integer adjugate
-assembled per component, P and the action of a word on any vector by the
-word's reflections against the dense matrix product, and the census search
-(axis order, factor memo, one sort) against the plain lexicographic DFS.
+assembled per component, the primary box over Fractions against its integer
+bounds, P and the action of a word on any vector by the word's reflections
+against the dense matrix product, and the census search (axis order, factor
+memo, one sort) against the plain lexicographic DFS.
 """
 
 import random
@@ -48,16 +49,19 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _strip_descents, _t_step
-from weylipse.weyl import WeylElement, _act, _t_walk
+from weylipse.quadrics import _strip_descents, _t_step, _t_walk
+from weylipse.weyl import WeylElement, _act
 
 from oracles import (
     componentwise_down_sets,
     exhaustive_word_search,
+    fraction_delta,
     hasse_by_shadows,
     is_positive_root_multiple_by_scan,
     mat_inv,
     mat_mul,
+    primary_box,
+    primary_box_over_fractions,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
     secondary_nonneg_by_lex_dfs,
@@ -104,10 +108,12 @@ def test_bilinear_and_h_vector_match_index_loops(text):
         assert h_vector(x, cd) == tuple(
             1 - sum(cd.A[i][j] * x[j] for j in range(n)) for i in range(n)
         )
-    assert bilinear(cd.delta, cd.delta, cd) == cd.delta_norm_sq
+    # <delta, delta> = sum_i k_i delta_i, since gram delta = k
+    delta = fraction_delta(cd.A)
+    assert bilinear(delta, delta, cd) == sum(k * d for k, d in zip(cd.k, delta))
 
 
-# --- Cartan data: an integer adjugate per component, Fractions on read ---
+# --- Cartan data: an integer adjugate per component ---
 
 CARTAN_TYPES = (
     [f"A{n}" for n in range(1, 13)]
@@ -128,9 +134,8 @@ def test_integer_cartan_data_matches_fraction_inverse(text):
     assert cd.adjA == tuple(tuple(det * v for v in row) for row in inv)
     assert all(type(v) is int for v in cd.two_delta)
     assert cd.two_delta == tuple(2 * d for d in delta)
-    assert cd.Ainv == inv
-    assert cd.delta == delta
-    assert cd.delta_norm_sq == sum(k * d for k, d in zip(cd.k, delta))
+    # 2 <delta, delta> as the box oracle reads it, from the integer fields
+    assert sum(k * t for k, t in zip(cd.k, cd.two_delta)) == 2 * bilinear(delta, delta, cd)
 
 
 def wrong_adjugate(fault):
@@ -366,6 +371,23 @@ def test_partial_sum_box_scan_matches_pointwise_scan(text):
     assert primary_solutions_by_box_scan(cd) == primary_solutions_by_pointwise_scan(cd)
 
 
+# --- primary box in integers ---
+
+BOX_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "G2xA1", "B2xA1", "E8xA1"]
+)
+
+
+@pytest.mark.parametrize("text", BOX_TYPES)
+def test_integer_primary_box_matches_fraction_box(text):
+    cd = cd_of(text)
+    assert primary_box(cd) == primary_box_over_fractions(cd)
+
+
 # --- sphere oracle in integers ---
 
 
@@ -375,7 +397,8 @@ def test_integer_sphere_matches_fraction_sphere(text):
     prim = primary_form(cd)
     rng = random.Random(12)
     points = [tuple(rng.randint(-8, 8) for _ in range(cd.n)) for _ in range(300)]
-    on = expand_orbit((0,) * cd.n, cd)[:100] + [cd.two_delta]
+    two_delta = tuple(int(2 * d) for d in fraction_delta(cd.A))
+    on = expand_orbit((0,) * cd.n, cd)[:100] + [two_delta]
     points += on
     for x in points:
         assert sphere_identity_holds(x, cd) == sphere_identity_over_fractions(x, cd)
@@ -449,12 +472,13 @@ def test_p_map_matches_dense_matrix_product(name):
     regular = mat_vec(cd.adjA, range(1, cd.n + 1))
     for word in [()] + random_words(cd, rng, 40, 3 * cd.positive_root_count):
         w = WeylElement(word, cd.A)
-        twice = tuple(t - v for t, v in zip(two_delta, mat_vec(w.mat, two_delta)))
+        dense = word_matrix_by_dense_products(word, cd.A)
+        twice = tuple(t - v for t, v in zip(two_delta, mat_vec(dense, two_delta)))
         # the odd matrix rides on A4, whose 2 delta is even, so P stays integral
         assert all(v % 2 == 0 for v in twice)
         assert P_map(w, cd) == tuple(v // 2 for v in twice)
         for v in (two_delta, regular, tuple(rng.randint(-9, 9) for _ in range(cd.n))):
-            assert _act(word, v, cd.A) == mat_vec(w.mat, v)
+            assert _act(word, v, cd.A) == mat_vec(dense, v)
 
 
 @pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import weylipse.oracles
 import weylipse.ordering
 from weylipse import (
     CapExceededError,
@@ -35,6 +34,7 @@ from weylipse.ordering import (
     relation_counts,
 )
 
+import oracles
 from oracles import (
     a3_bruhat_pairs,
     bruhat_covers_by_reflections,
@@ -258,8 +258,8 @@ def test_subword_order_matches_reflection_oracle(text):
 
 
 def test_reflection_oracle_refuses_a_reflection_off_its_nodes(monkeypatch):
-    real = weylipse.oracles.orbit_by_closure
-    monkeypatch.setattr(weylipse.oracles, "orbit_by_closure", lambda a, cd: real(a, cd)[:-1])
+    real = oracles.orbit_by_closure
+    monkeypatch.setattr(oracles, "orbit_by_closure", lambda a, cd: real(a, cd)[:-1])
     with pytest.raises(InvariantError, match="leaves the main orbit"):
         bruhat_covers_by_reflections(cd_of("A2"))
 

@@ -4,6 +4,7 @@ checks share, and the faults the costly checks still catch."""
 import math
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_longest_element_has_length_positive_root_count(text):
 
 def _rows(text):
     return {r.name: r for r in verify.run_verification(cd_of(text))}
+
+
+@pytest.mark.parametrize("text", ["A3", "B2", "G2xA1"])
+def test_two_delta_off_by_one_fails_the_cartan_invariants(text):
+    cd = cd_of(text)
+    assert verify._cartan_invariants(SimpleNamespace(cd=cd)) == (True, "")
+    for i in range(cd.n):
+        for step in (1, -1):
+            off = list(cd.two_delta)
+            off[i] += step
+            run = SimpleNamespace(cd=cd._replace(two_delta=tuple(off)))
+            assert verify._cartan_invariants(run) == (False, "matrix laws broken")
 
 
 @pytest.mark.parametrize("form", ["primary_form", "secondary_form"])
