@@ -11,25 +11,24 @@ Identities doing the heavy lifting:
   It carries h = S with each P-vector: a step changes h only over one sparse
   column of A, so h is computed whole once per query, not once per state.
 
-Both orders reduce to covers by one routine, `_hasse`, from a bitmask per node
-of the nodes below it: the AND over coordinates of the nodes no larger there
-(componentwise), or the products of the subwords of one reduced word (subword
-property), built for each element from the interval of its table parent as
-[e, s w] together with its image under s (lifting property).  Node order
-extends both orders, so `_hasse` takes the highest node left below w as a
-cover and clears it with everything below it: one step per cover, not per
-related pair.  `Poset.below_masks` rebuilds those bitmasks from the covers in
+The componentwise order reduces to covers by `_hasse`, from a bitmask per
+node of the nodes below it: the AND over coordinates of the nodes no larger
+there.  Node order extends it, so `_hasse` takes the highest node left below
+w as a cover and clears it with everything below it: one step per cover, not
+per related pair.  It refuses, before any mask is built, a group whose masks
+would take more than MASK_BYTE_CAP bytes (`_mask_budget`).  The subword order
+needs no mask: the covers of w = s_i v, for its table parent v, are v and the
+s_i u > u with u covered by v (lifting property), walked in node order.
+`Poset.below_masks` rebuilds the bitmasks of either order from its covers in
 one pass in node order, since every cover goes up in it; `Poset.relation`
 lists their bits and `relation_counts` compares two orders by popcounts of them.
-Both orders refuse, before any mask is built, a group whose masks would take
-more than MASK_BYTE_CAP bytes (`_mask_budget`).
 
 The link-filter construction (`bruhat_from_primary`) keeps those componentwise
 cover links whose difference is a positive multiple of a positive root: since
 every root is primitive, the difference divided by its gcd must be one.  The
 test runs once per distinct difference.
 `bruhat_from_subwords` is the independent subword-property construction used
-as ground truth when the two are compared.
+as ground truth when the two are compared: it reads no componentwise mask.
 """
 
 from __future__ import annotations
@@ -204,51 +203,38 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
     return Poset(nodes=base.nodes, covers=kept, kind="bruhat_primary_filtered", ranks=base.ranks)
 
 
-def _subword_down(table: GroupTable) -> list[int]:
-    """Bitmask per node of the nodes below it in the subword order.
-
-    The table word of w is (i,) + word(v) for its parent v = s_i w, and the
-    products of the subwords of it are those of word(v), with or without s_i
-    in front: [e, w] = [e, v] | s_i [e, v].  T_i lowers coordinate i, so v
-    comes before w in node order and its interval is known; a parent that
-    does not raises InvariantError.  The image under s_i is written into a
-    binary numeral, most significant node first.
-    """
-    _mask_budget(len(table.nodes))
-    nodes, lmul = table.nodes, table.left_multiplication
-    size = len(nodes)
-    # position in the numeral of s_g times each node
-    places = [[size - 1 - u for u in row] for row in lmul]
-    zeros = b"0" * size
-    interval = [0] * size
-    for w, p in enumerate(nodes):
-        word = table.elements[p].word
-        if not word:
-            interval[w] = 1 << w
-            continue
-        i = word[0] - 1
-        v = lmul[i][w]
-        if v >= w:
-            raise InvariantError(f"parent {nodes[v]} of {p} in {table.cd.spec} is not before it")
-        lower = interval[v]
-        in_lower = bin(lower)[:1:-1].encode().translate(_BIT_BYTES)  # byte u: is u in [e, v]
-        image = bytearray(zeros)
-        for place in compress(places[i], in_lower):
-            image[place] = 49  # "1"
-        interval[w] = lower | int(image, 2)
-    return [mask ^ 1 << w for w, mask in enumerate(interval)]
-
-
 def bruhat_from_subwords(table: GroupTable) -> Poset:
     """Bruhat order via the subword property of one fixed reduced word per element.
 
-    The set of products of all subsequences of a reduced word of w is exactly
-    the lower interval [identity, w]; covers are the transitive reduction.
-    Each interval is built from that of the word's tail, the table parent.
+    The elements w covers are its reduced word with one letter deleted, at
+    length l(w) - 1 (strong exchange and the chain property).  The table word
+    of w is (i,) + word(v) for its parent v = s_i w, and by the lifting
+    property w covers v and each s_i u with u covered by v and s_i u > u, that
+    is, with T_i raising coordinate i of P(u).  T_i lowers coordinate i of
+    P(w), so v comes before w in node order and its covers are known; a
+    parent that does not raises InvariantError.
     """
+    nodes, index, cd = table.nodes, table.index, table.cd
+    lower: list[list[int]] = []  # lower[w]: the nodes w covers
+    for w, p in enumerate(nodes):
+        word = table.elements[p].word
+        if not word:
+            lower.append([])
+            continue
+        i = word[0]
+        v = index[_t_walk((i,), p, cd)]
+        if v >= w:
+            raise InvariantError(f"parent {nodes[v]} of {p} in {cd.spec} is not before it")
+        covered = [v]
+        for u in lower[v]:
+            q = nodes[u]
+            lifted = _t_walk((i,), q, cd)
+            if lifted[i - 1] > q[i - 1]:
+                covered.append(index[lifted])
+        lower.append(covered)
     return Poset(
-        nodes=table.nodes,
-        covers=frozenset(_hasse(_subword_down(table))),
+        nodes=nodes,
+        covers=frozenset((u, w) for w, covered in enumerate(lower) for u in covered),
         kind="bruhat_subword",
         ranks=table.lengths(),
     )

@@ -18,11 +18,11 @@ needs the matrix of its element, `WeylElement.mat` to each e_j for column j,
 and `ordering.reduced_words` to a regular vector to check its first word.
 Left multiplication is P(s_i w) = T_i(P(w)), so the other is the T-walk
 `quadrics._t_walk` (T_i x = s_i x + e_i), which gives `star`, `p_alpha_b`,
-the table's left multiplication, the word checks of `ordering.reduced_words`
-and `quadrics.apply_T`.  Both loops read only the off-diagonal nonzeros of
-row i, from the sparse view `cartan.sparse_cartan` of A; no diagonal entry
-is assumed, so an element over any square matrix is multiplied out as
-written.
+the subword covers of `ordering.bruhat_from_subwords`, the word checks of
+`ordering.reduced_words` and `quadrics.apply_T`.  Both loops read only the
+off-diagonal nonzeros of row i, from the sparse view `cartan.sparse_cartan`
+of A; no diagonal entry is assumed, so an element over any square matrix is
+multiplied out as written.
 
 The group table is the main orbit listed by the canonical ascent walk
 `quadrics.ascend`, each step prepending a letter to the word, and
@@ -166,12 +166,6 @@ class GroupTable:
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {p: i for i, p in enumerate(self.nodes)}
-
-    @cached_property
-    def left_multiplication(self) -> list[list[int]]:
-        """left_multiplication[g-1][i] = index of s_g * nodes[i] = T_g(nodes[i]) (g 1-based)."""
-        cd, index = self.cd, self.index
-        return [[index[_t_walk((g,), p, cd)] for p in self.nodes] for g in range(1, cd.n + 1)]
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(self.elements[p].word) for p in self.nodes)

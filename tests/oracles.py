@@ -18,7 +18,8 @@ positive roots, the box scan that evaluates the polynomial at every point,
 the primary box and the sphere test over fractions, the word search by dense
 products, the Hasse diagram by the union of the down sets of the nodes
 below, the subword intervals by a walk over each whole word from the
-identity, and the T-walk, the matrix of a word and descent stripping by
+identity (its left multiples by the dense rows of A, not the T-walk), and
+the T-walk, the matrix of a word and descent stripping by
 dense index loops over whole rows and columns of A, with no diagonal entry
 assumed.  The census search in its plain form is here too: the
 interval-pruned DFS over the coordinates in index order, whose solutions
@@ -300,8 +301,13 @@ def hasse_by_shadows(down):
 def subword_down_sets_by_words(table):
     """Bitmask per node of the products of the proper subwords of its table word,
     collected from the identity: read right to left, each letter s_i adds its
-    left multiple of every product so far."""
-    lmul = table.left_multiplication
+    left multiple of every product so far.  The left multiples come from the
+    dense rows of A, T_i x = x + (1 - (A x)_i) e_i, as in `orbit_by_closure`."""
+    index = table.index
+    lmul = [
+        [index[x[:i] + (x[i] + 1 - sum(map(mul, row, x)),) + x[i + 1 :]] for x in table.nodes]
+        for i, row in enumerate(table.cd.A)
+    ]
     identity_idx = table.index[(0,) * table.cd.n]
     down = []
     for w_idx, p in enumerate(table.nodes):

@@ -9,7 +9,9 @@ reach every gate, a FAIL row and the E8 census row.  The `orbits`, `expand`,
 interval became a closed form and before the census and the reduced words
 stopped re-sorting their output.  The `info` rows on A3, B2, C3, E7, F4 and
 B2xG2, whose delta has both half-integer and integer entries, were recorded
-while delta was still printed from Fractions.  Each row reads: exit code,
+while delta was still printed from Fractions.  The `bruhat` rows on F4, A4,
+B4, D5, G2xA1 and B2xA1 were recorded while the subword order was still
+peeled from one interval bitmask per element.  Each row reads: exit code,
 digest, argv.
 """
 
@@ -29,6 +31,12 @@ GOLDENS = """
 0 fa21a39fdb3085bc2eb35624f3a201411c8eb414fc71c90cc98a743392fbd591 bruhat B3 --method subword --json
 0 5acc45ed90018b2c28734e14938b13779b80548735d0ecda8cb4f420b0ea77a3 bruhat D4 --method subword --json
 3 1def2e224471243639cf5afdff41def9554b7e36597c2ef4c04862068b052853 bruhat A3 --method both
+0 8a7590b8b1fe5ad7249bc87c068c91352ea6a2462fac689b584b7c882d4b1daf bruhat F4 --method subword --json
+0 9cc6b30c475da9357d1bd6ea3300e278e51457a368b509b6242247b398b0d8e6 bruhat A4 --method subword
+3 285c44628d5afd76239e851e19ec6279a636cf56a1a25b355baf2dced8495b63 bruhat B4 --method both
+3 04e81ee730b34be11b824304530bda6803d7345d3e121e4ce3cd0bf2ee222934 bruhat D5 --method both
+0 b5350ea18e88782ac1f93ed66e0cb2d6024e56821145fe403f5bdeb2f73cdd0a bruhat G2xA1 --method subword --json
+0 ab2e1f0c3655346854b3cee96e606cde5cf2471e38aca04f3fec8beb73affef8 bruhat B2xA1 --method subword
 0 73fac306852c27240766f3ad7d6a77950aaa8a801a75e06c738ca97a5b4388a4 verify A2
 3 6d12ad09386642ede3e7ec717c1fc12f8553ce1179723c140a5bb648e231120d verify B3
 0 c7cb9d380f35bd73263b3c7610fd56822234b48ff5466fd286feb39f6fa606d9 verify G2xA1

@@ -5,8 +5,9 @@ the cross-multiplied scan over every positive root, the box scan that
 evaluates the primary polynomial at every point, the sphere test over
 fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
-diagram by shadows, the subword intervals by a walk over each word, and the
-T-walk, the matrix of a word and descent stripping by dense index loops over
+diagram by shadows, the subword intervals by a walk over each word and the
+covers by reflections (against the covers walked from the table parent's),
+and the T-walk, the matrix of a word and descent stripping by dense index loops over
 whole rows of A, against the kernels that read the sparse view of A, the
 Cartan inverse by Gauss-Jordan over Fractions against the integer adjugate
 assembled per component, the primary box over Fractions against its integer
@@ -43,7 +44,6 @@ from weylipse.ordering import (
     _componentwise_down,
     _hasse,
     _is_positive_root_multiple,
-    _subword_down,
     bruhat_from_subwords,
     primary_poset,
 )
@@ -53,6 +53,7 @@ from weylipse.quadrics import _strip_descents, _t_step, _t_walk
 from weylipse.weyl import WeylElement, _act
 
 from oracles import (
+    bruhat_covers_by_reflections,
     componentwise_down_sets,
     exhaustive_word_search,
     fraction_delta,
@@ -288,7 +289,7 @@ def test_componentwise_masks_match_pairwise_comparison(text):
     assert primary_poset(table).below_masks() == down
 
 
-# --- Hasse diagrams by peeling, subword intervals from the parent's ---
+# --- Hasse diagrams by peeling, subword covers from the parent's ---
 
 POSET_TYPES = ["A3", "B3", "C3", "D4", "G2xA1", "F4"]
 
@@ -296,19 +297,26 @@ POSET_TYPES = ["A3", "B3", "C3", "D4", "G2xA1", "F4"]
 @pytest.mark.parametrize("text", POSET_TYPES)
 def test_peeled_covers_match_shadows(text):
     table = build_group_table(cd_of(text))
-    for down in (_componentwise_down(table.nodes), _subword_down(table)):
-        covers = _hasse(down)
-        assert len(covers) == len(set(covers))
-        assert set(covers) == hasse_by_shadows(down)
+    down = _componentwise_down(table.nodes)
+    covers = _hasse(down)
+    assert len(covers) == len(set(covers))
+    assert set(covers) == hasse_by_shadows(down)
 
 
-@pytest.mark.parametrize("text", POSET_TYPES)
-def test_parent_intervals_match_word_walk(text):
-    table = build_group_table(cd_of(text))
-    down = _subword_down(table)
-    assert down == subword_down_sets_by_words(table)
-    # the order is transitive, so its Hasse diagram gives the masks back
-    assert bruhat_from_subwords(table).below_masks() == down
+SUBWORD_TYPES = "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 D4 D5 F4 G2 G2xA1 B2xA1".split()
+
+
+@pytest.mark.parametrize("text", SUBWORD_TYPES)
+def test_parent_covers_match_two_oracles(text):
+    # the intervals by whole words on small groups, and the reflections on all
+    cd = cd_of(text)
+    table = build_group_table(cd)
+    poset = bruhat_from_subwords(table)
+    if table.order <= 2000:
+        assert poset.covers == hasse_by_shadows(subword_down_sets_by_words(table))
+    vectors = poset.cover_vectors()
+    assert len(vectors) == len(set(vectors))
+    assert set(vectors) == bruhat_covers_by_reflections(cd)
 
 
 def test_peeled_covers_match_shadows_on_random_closed_dags():

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +29,6 @@ from weylipse.ordering import (
     _componentwise_down,
     _hasse,
     _mask_budget,
-    _subword_down,
     relation_counts,
 )
 
@@ -347,13 +345,17 @@ def test_down_set_masks_refuse_past_their_byte_cap(monkeypatch):
     assert _mask_budget(weyl_order(cd_of("E6"))) == 51840**2 // 16 <= weylipse.ordering.MASK_BYTE_CAP
     with pytest.raises(CapExceededError, match="322560 nodes need about 6502809600 bytes"):
         _mask_budget(weyl_order(cd_of("D7")))
-    # past a lowered cap, both constructions refuse before a mask is built
+    # past a lowered cap, the componentwise order refuses before a mask is built
     monkeypatch.setattr(weylipse.ordering, "MASK_BYTE_CAP", 3)
     nodes = [(0,)] * 8  # 8 * 8 // 16 = 4 bytes
     with pytest.raises(CapExceededError, match="8 nodes need about 4 bytes"):
         _componentwise_down(nodes)
-    with pytest.raises(CapExceededError, match="8 nodes need about 4 bytes"):
-        _subword_down(SimpleNamespace(nodes=nodes))
+    table = table_of("A3")
+    with pytest.raises(CapExceededError, match="24 nodes need about 36 bytes"):
+        primary_poset(table)
+    # the subword covers are walked from the parent's, with no mask to refuse
+    covers = set(bruhat_from_subwords(table).cover_vectors())
+    assert covers == bruhat_covers_by_reflections(table.cd)
 
 
 def test_order_checks_survive_optimized_mode():

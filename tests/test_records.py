@@ -188,11 +188,11 @@ def test_weyl_elements_compare_hash_and_print_by_word_only():
 
 def test_a_new_group_table_starts_cold():
     built = build_group_table(cd_of("B2"))
-    warm = (built.nodes, built.index, built.left_multiplication)
-    assert {"nodes", "index", "left_multiplication"} <= set(vars(built))
+    warm = (built.nodes, built.index)
+    assert {"nodes", "index"} <= set(vars(built))
     table = GroupTable(cd=built.cd, elements=built.elements, order=built.order)
-    assert not {"nodes", "index", "left_multiplication"} & set(vars(table))
-    assert (table.nodes, table.index, table.left_multiplication) == warm
+    assert not {"nodes", "index"} & set(vars(table))
+    assert (table.nodes, table.index) == warm
     assert table.nodes is not built.nodes
     assert GroupTable.__module__ == "weylipse.weyl"
     assert GroupTable(built.cd, built.elements, built.order).order == 8

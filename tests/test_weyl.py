@@ -155,11 +155,15 @@ def test_table_matches_matrix_closure(text):
 
 @pytest.mark.parametrize("text", ENGINE_TYPES)
 def test_left_multiplication_is_T(text):
+    # P(s_g w) = T_g(P(w)), which the subword covers are walked by: T_g permutes
+    # the table, and sends P(w) to P_map of the word (g,) + word(w)
     cd = cd_of(text)
     table = build_group_table(cd)
-    assert len(table.left_multiplication) == cd.n
-    for g, row in enumerate(table.left_multiplication):
-        assert row == [table.index[apply_T(g + 1, p, cd)] for p in table.nodes]
+    for g in range(1, cd.n + 1):
+        images = [apply_T(g, p, cd) for p in table.nodes]
+        assert sorted(images) == list(table.nodes)
+        for p, q in zip(table.nodes, images):
+            assert q == P_map(word_to_element((g,) + table.elements[p].word, cd), cd)
 
 
 @pytest.mark.parametrize(
