@@ -19,9 +19,8 @@ the primary box and the sphere test over fractions, the word search by dense
 products, the Hasse diagram by the union of the down sets of the nodes
 below, the subword intervals by a walk over each whole word from the
 identity (its left multiples by the dense rows of A, not the T-walk), and
-the T-walk, the matrix of a word and descent stripping by
-dense index loops over whole rows and columns of A, with no diagonal entry
-assumed.  The census search in its plain form is here too: the
+the T-walk, the matrix of a word and descent stripping by dense index loops
+over whole rows and columns of A, with no diagonal entry assumed.  The census search in its plain form is here too: the
 interval-pruned DFS over the coordinates in index order, whose solutions
 come out in lexicographic order with no axis order, factor memo or sort.
 The Cartan inverse in its plain form is here as well: Gauss-Jordan over
@@ -308,7 +307,7 @@ def subword_down_sets_by_words(table):
         [index[x[:i] + (x[i] + 1 - sum(map(mul, row, x)),) + x[i + 1 :]] for x in table.nodes]
         for i, row in enumerate(table.cd.A)
     ]
-    identity_idx = table.index[(0,) * table.cd.n]
+    identity_idx = index[(0,) * table.cd.n]
     down = []
     for w_idx, p in enumerate(table.nodes):
         reachable = {identity_idx}

@@ -7,13 +7,13 @@ fractions, the word search by dense matrix products, index-loop row
 products, membership through `primary_form` / `secondary_form`, the Hasse
 diagram by shadows, the subword intervals by a walk over each word and the
 covers by reflections (against the covers walked from the table parent's),
-and the T-walk, the matrix of a word and descent stripping by dense index loops over
-whole rows of A, against the kernels that read the sparse view of A, the
-Cartan inverse by Gauss-Jordan over Fractions against the integer adjugate
-assembled per component, the primary box over Fractions against its integer
-bounds, P and the action of a word on any vector by the word's reflections
-against the dense matrix product, and the census search (axis order, factor
-memo, one sort) against the plain lexicographic DFS.
+and the T-walk, the matrix of a word and descent stripping by dense index
+loops over whole rows of A, against the kernels that read the sparse view of
+A, the Cartan inverse by Gauss-Jordan over Fractions against the integer
+adjugate assembled per component, the primary box over Fractions against its
+integer bounds, P and the action of a word on any vector by the word's
+reflections against the dense matrix product, and the census search (axis
+order, factor memo, one sort) against the plain lexicographic DFS.
 """
 
 import random
