@@ -85,7 +85,7 @@ def _quadform_json(form) -> dict:
 def _poset_json(p) -> dict:
     return {
         "nodes": [list(v) for v in p.nodes],
-        "covers": sorted([a, b] for a, b in p.covers),
+        "covers": [list(c) for c in sorted(p.covers)],
         "kind": p.kind,
     }
 
@@ -286,8 +286,10 @@ def _cmd_bruhat(cd, args) -> int:
         print(f"kind: {poset.kind}")
         print(f"nodes: {len(poset.nodes)}")
         print(f"covers: {len(poset.covers)}")
-        for a, b in poset.cover_vectors():
-            print(f"({_vec(a)}) < ({_vec(b)})")
+        # nodes are the sorted, distinct GroupTable.nodes: index pairs sort as vector pairs
+        labels = [f"({_vec(v)})" for v in poset.nodes]
+        for a, b in sorted(poset.covers):
+            print(f"{labels[a]} < {labels[b]}")
     return 3 if diverged else 0
 
 

@@ -66,9 +66,6 @@ class Poset(namedtuple("Poset", "nodes covers kind ranks", defaults=(None,))):
 
     __slots__ = ()
 
-    def cover_vectors(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return sorted((self.nodes[a], self.nodes[b]) for a, b in self.covers)
-
     def below_masks(self) -> list[int]:
         """Bitmask per node of the nodes strictly below it, reached over the covers.
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from weylipse import cli
 from weylipse.cli import main
 from weylipse.errors import MAX_RANK
 from weylipse.orbits import DEFAULT_EXPAND_CAP
@@ -217,6 +218,49 @@ def test_bruhat_json_and_dot(capsys, tmp_path):
     )
 
 
+def test_bruhat_text_formats_each_node_once(capsys, monkeypatch):
+    calls = 0
+    real = cli._vec
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return real(v)
+
+    monkeypatch.setattr(cli, "_vec", counted)
+    code, out, _ = run_cli(capsys, "bruhat", "A4", "--method", "subword")
+    assert code == 0 and "covers: 444" in out
+    assert calls == 120  # |W(A4)|, not two per cover
+
+
+def vector(label):
+    return tuple(int(x) for x in label.strip("()").split(","))
+
+
+@pytest.mark.parametrize("method", ["primary", "subword"])
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "G2xA1", "B2xA1", "A2xA2"])
+def test_bruhat_renderers_list_one_cover_order(capsys, tmp_path, text, method):
+    _, out, _ = run_cli(capsys, "bruhat", text, "--method", method)
+    lines = [line.split(" < ") for line in out.splitlines() if " < " in line]
+    from_text = [(vector(a), vector(b)) for a, b in lines]
+
+    _, out, _ = run_cli(capsys, "bruhat", text, "--method", method, "--json")
+    payload = json.loads(out)
+    nodes = [tuple(v) for v in payload["nodes"]]
+    from_json = [(nodes[a], nodes[b]) for a, b in payload["covers"]]
+
+    dot_file = tmp_path / "order.dot"
+    run_cli(capsys, "bruhat", text, "--method", method, "--dot", str(dot_file))
+    dot = dot_file.read_text()
+    labels = dict(re.findall(r'^  (n\d+) \[label="(.*)"\];$', dot, re.M))
+    edges = re.findall(r"^  (n\d+) -> (n\d+);$", dot, re.M)
+    from_dot = [(vector(labels[a]), vector(labels[b])) for a, b in edges]
+
+    assert from_text
+    assert from_text == from_json == from_dot
+    assert all(x < y for x, y in zip(from_text, from_text[1:]))
+
+
 def test_bruhat_unwritable_dot_is_exit_2(capsys, tmp_path):
     target = tmp_path / "missing" / "a2.dot"
     code, out, err = run_cli(capsys, "bruhat", "A2", "--dot", str(target))
@@ -370,17 +414,37 @@ def test_byte_identical_runs(capsys):
     assert first == second
 
 
-def test_console_entrypoint_subprocess():
+def child_env():
     import weylipse
 
     # the child finds the package where this process did, with or without PYTHONPATH
     src = os.path.dirname(os.path.dirname(weylipse.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "weylipse.cli", "orbits", "A3", "--csv"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "h;minimal;size\n1,1,1;0,0,0;24\n"
+
+
+def test_bruhat_into_a_closed_pipe_exits_0_quietly():
+    # F4 prints 167240 bytes, more than a pipe holds, so the child is still
+    # printing covers line by line when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylipse.cli", "bruhat", "F4", "--method", "subword"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"type: F4\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""

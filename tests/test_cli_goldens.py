@@ -11,7 +11,9 @@ stopped re-sorting their output.  The `info` rows on A3, B2, C3, E7, F4 and
 B2xG2, whose delta has both half-integer and integer entries, were recorded
 while delta was still printed from Fractions.  The `bruhat` rows on F4, A4,
 B4, D5, G2xA1 and B2xA1 were recorded while the subword order was still
-peeled from one interval bitmask per element.  Each row reads: exit code,
+peeled from one interval bitmask per element.  The four text rows after
+them, the first two on `--method primary`, were recorded while the text output
+still formatted both node vectors of every cover.  Each row reads: exit code,
 digest, argv.
 """
 
@@ -37,6 +39,10 @@ GOLDENS = """
 3 04e81ee730b34be11b824304530bda6803d7345d3e121e4ce3cd0bf2ee222934 bruhat D5 --method both
 0 b5350ea18e88782ac1f93ed66e0cb2d6024e56821145fe403f5bdeb2f73cdd0a bruhat G2xA1 --method subword --json
 0 ab2e1f0c3655346854b3cee96e606cde5cf2471e38aca04f3fec8beb73affef8 bruhat B2xA1 --method subword
+0 055b10beb1de934a4fc3b486af196ee27230e3d7617746a7d4dfc4258c8474e7 bruhat F4 --method primary
+0 1be7fe6abf878b0dc73c990053e7ceef0e1f9bbb7fe28d1c901014e57b26ba70 bruhat D4 --method primary
+0 04e81ee730b34be11b824304530bda6803d7345d3e121e4ce3cd0bf2ee222934 bruhat D5 --method subword
+0 1c6862e6a7f9a6c1b8a4e15e890c2966804907cdfaff8147acc5fd88385077c7 bruhat G2xA1 --method both
 0 73fac306852c27240766f3ad7d6a77950aaa8a801a75e06c738ca97a5b4388a4 verify A2
 3 6d12ad09386642ede3e7ec717c1fc12f8553ce1179723c140a5bb648e231120d verify B3
 0 c7cb9d380f35bd73263b3c7610fd56822234b48ff5466fd286feb39f6fa606d9 verify G2xA1

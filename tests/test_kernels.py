@@ -314,7 +314,7 @@ def test_parent_covers_match_two_oracles(text):
     poset = bruhat_from_subwords(table)
     if table.order <= 2000:
         assert poset.covers == hasse_by_shadows(subword_down_sets_by_words(table))
-    vectors = poset.cover_vectors()
+    vectors = sorted((poset.nodes[a], poset.nodes[b]) for a, b in poset.covers)
     assert len(vectors) == len(set(vectors))
     assert set(vectors) == bruhat_covers_by_reflections(cd)
 

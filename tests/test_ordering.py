@@ -151,10 +151,10 @@ def test_reduced_words_match_exhaustive_search(text):
 def test_primary_poset_small():
     a1 = primary_poset(table_of("A1"))
     assert a1.nodes == ((0,), (1,))
-    assert a1.cover_vectors() == [((0,), (1,))]
+    assert sorted((a1.nodes[a], a1.nodes[b]) for a, b in a1.covers) == [((0,), (1,))]
 
     a2 = primary_poset(table_of("A2"))
-    covers = a2.cover_vectors()
+    covers = {(a2.nodes[a], a2.nodes[b]) for a, b in a2.covers}
     assert ((0, 0), (1, 0)) in covers and ((0, 0), (0, 1)) in covers
     assert ((2, 1), (2, 2)) in covers and ((1, 2), (2, 2)) in covers
     assert a2.kind == "primary"
@@ -252,7 +252,8 @@ def test_a3_comparability_discrepancies_against_subword_order():
 def test_subword_order_matches_reflection_oracle(text):
     cd = cd_of(text)
     poset = bruhat_from_subwords(build_group_table(cd))
-    assert set(poset.cover_vectors()) == bruhat_covers_by_reflections(cd)
+    covers = {(poset.nodes[a], poset.nodes[b]) for a, b in poset.covers}
+    assert covers == bruhat_covers_by_reflections(cd)
 
 
 def test_reflection_oracle_refuses_a_reflection_off_its_nodes(monkeypatch):
@@ -354,7 +355,8 @@ def test_down_set_masks_refuse_past_their_byte_cap(monkeypatch):
     with pytest.raises(CapExceededError, match="24 nodes need about 36 bytes"):
         primary_poset(table)
     # the subword covers are walked from the parent's, with no mask to refuse
-    covers = set(bruhat_from_subwords(table).cover_vectors())
+    subword = bruhat_from_subwords(table)
+    covers = {(subword.nodes[a], subword.nodes[b]) for a, b in subword.covers}
     assert covers == bruhat_covers_by_reflections(table.cd)
 
 
