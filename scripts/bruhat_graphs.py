@@ -34,7 +34,8 @@ def main() -> None:
         filtered = bruhat_from_primary(table)
         subword = bruhat_from_subwords(table)
         n_filter, n_subword, missing, _ = relation_counts(filtered, subword)
-        comp = sum(mask.bit_count() for mask in base.below_masks())
+        # each down set holds its own node: |W| bits that are no relation
+        comp = sum(mask.bit_count() for mask in base.down_masks()) - table.order
         print(
             f"{text}: |W|={table.order} componentwise={comp} "
             f"link-filter={n_filter} subword={n_subword} "

@@ -18,7 +18,7 @@ MAX_RANK = 100
 DEFAULT_EXPAND_CAP = 10_000_000
 # largest |W| of which `weyl.build_group_table` lists the group
 DEFAULT_TABLE_CAP = 1_000_000
-# Node w's down-set mask has up to w bits, so the masks of |W| nodes take about
+# Node w's down-set mask has up to w + 1 bits, so the masks of |W| nodes take about
 # |W|^2/2 bits: 168 MB on E6, 6.5 GB on D7, which passes the table cap.
 MASK_BYTE_CAP = 2**30
 

@@ -11,19 +11,19 @@ Identities doing the heavy lifting:
   It carries h = S with each P-vector: a step changes h only over one sparse
   column of A, so h is computed whole once per query, not once per state.
 
-The componentwise order reduces to covers by `_hasse`, from a bitmask per
-node of the nodes below it: the AND over coordinates of the nodes no larger
-there.  Node order extends it, so `_hasse` takes the highest node left below
-w as a cover and clears it with everything below it: one step per cover, not
-per related pair.  It refuses, before any mask is built, a group whose masks
-would take more than MASK_BYTE_CAP bytes (`_mask_budget`).  The subword order
-needs no mask: the covers of w = s_i v, for its table parent v, are v and the
-s_i u > u with u covered by v (lifting property), walked in node order.
-`Poset.below_masks` rebuilds the bitmasks of either order from its covers in
+Each order is held as a bitmask per node, its down set: the node and the
+nodes below it.  The componentwise down set of x is the AND over coordinates
+of the nodes no larger there, after `_mask_budget` refuses a group whose masks
+would take more than MASK_BYTE_CAP bytes.  Node order extends the order, so
+`_hasse` takes the highest node left below w as a cover and clears its down
+set: one step per cover, not per related pair.  The subword order needs no
+mask: the covers of w = s_i v, for its table parent v, are v and the s_i u > u
+with u covered by v (lifting property), walked in node order.
+`Poset.down_masks` rebuilds the down sets of either order from its covers in
 one pass in node order, since every cover goes up in it; `Poset.relation`
 lists their bits and `relation_counts` compares two orders by popcounts of them.
 
-The link-filter construction (`bruhat_from_primary`) keeps those componentwise
+The link-filter construction (`bruhat_from_primary`) keeps the componentwise
 cover links whose difference is a positive multiple of a positive root: since
 every root is primitive, the difference divided by its gcd must be one.  The
 test runs once per distinct difference.
@@ -66,8 +66,8 @@ class Poset(namedtuple("Poset", "nodes covers kind ranks", defaults=(None,))):
 
     __slots__ = ()
 
-    def below_masks(self) -> list[int]:
-        """Bitmask per node of the nodes strictly below it, reached over the covers.
+    def down_masks(self) -> list[int]:
+        """Down set per node as a bitmask: the node and every node below it over the covers.
 
         Covers go up in node order: both orders lie inside the componentwise
         order, and the nodes are sorted.  One that goes down raises InvariantError.
@@ -78,30 +78,29 @@ class Poset(namedtuple("Poset", "nodes covers kind ranks", defaults=(None,))):
                 raise InvariantError(f"{self.kind} cover ({a}, {b}) goes down in node order")
             below[b].append(a)
         down = []
-        for lower in below:
-            mask = 0
+        for w, lower in enumerate(below):
+            mask = 1 << w
             for a in lower:
-                mask |= down[a] | 1 << a
+                mask |= down[a]
             down.append(mask)
         return down
 
     def relation(self) -> frozenset[tuple[int, int]]:
         """Strict reachability over covers, as ordered index pairs."""
-        places = range(len(self.nodes))
-        # byte a of row w: is a below w
-        rows = (bin(mask)[:1:-1].encode().translate(_BIT_BYTES) for mask in self.below_masks())
-        return frozenset(
-            chain.from_iterable(zip(compress(places, row), repeat(w)) for w, row in enumerate(rows))
-        )
+        # byte a of row w: is a at or below w
+        rows = (bin(mask)[:1:-1].encode().translate(_BIT_BYTES) for mask in self.down_masks())
+        pairs = (zip(compress(range(w), row), repeat(w)) for w, row in enumerate(rows))
+        return frozenset(chain.from_iterable(pairs))
 
 
 def relation_counts(found: Poset, truth: Poset) -> tuple[int, int, int, int]:
     """(|found|, |truth|, |truth - found|, |found - truth|) for the relations of two
-    posets on the same nodes, by popcounts of their masks: no pair set is built."""
-    f, t = found.below_masks(), truth.below_masks()
+    posets on the same nodes, by popcounts of their down sets: no pair set is built.
+    The sizes drop the node's own bit from each down set; the differences cancel it."""
+    f, t = found.down_masks(), truth.down_masks()
     return (
-        sum(m.bit_count() for m in f),
-        sum(m.bit_count() for m in t),
+        sum(m.bit_count() for m in f) - len(f),
+        sum(m.bit_count() for m in t) - len(t),
         sum((y & ~x).bit_count() for x, y in zip(f, t)),
         sum((x & ~y).bit_count() for x, y in zip(f, t)),
     )
@@ -123,35 +122,36 @@ def _mask_budget(size: int) -> int:
 
 
 def _hasse(down: list[int]) -> list[tuple[int, int]]:
-    """Covers (u, w) of a strict order given by down[w], the bitmask of the nodes below w.
+    """Covers (u, w) of an order given by down[w], the bitmask of w's down set.
 
-    Node order must extend the order: every node in down[w] comes before w,
-    and one that does not raises InvariantError.  Then the highest node left
-    in down[w] is a cover of w, since a node between them would come later and
-    still be left.  It is recorded and cleared with everything below it, and
-    the highest node left after that is the next cover: one step per cover.
+    Node order must extend the order: down[w] holds w and nodes before it
+    only, and one that does not raises InvariantError.  Then the highest node
+    left in down[w] below w is a cover of w, since a node between them would
+    come later and still be left.  It is recorded and its down set cleared,
+    and the highest node left after that is the next cover: one step per cover.
     """
     covers = []
     for w, below in enumerate(down):
-        if below >> w:
-            raise InvariantError(f"down set of node {w} holds a node not below it in node order")
-        rest = below
+        if below >> w != 1:
+            fault = "holds a node not below it in node order" if below >> w else "misses the node"
+            raise InvariantError(f"down set of node {w} {fault}")
+        rest = below ^ 1 << w
         while rest:
             u = rest.bit_length() - 1
             covers.append((u, w))
-            rest &= ~(down[u] | 1 << u)
+            rest &= ~down[u]
     return covers
 
 
 def _componentwise_down(nodes) -> list[int]:
-    """Bitmask per node of the nodes componentwise below it.
+    """Down set per node as a bitmask: the nodes componentwise at or below it.
 
     Per coordinate, ``at_most[v]`` is the bitmask of the nodes whose entry
-    there is at most v; the nodes below x are the AND of those masks at the
-    entries of x, less x itself.
+    there is at most v; the down set of x is the AND of those masks at the
+    entries of x.
     """
     _mask_budget(len(nodes))
-    down = [~(1 << j) for j in range(len(nodes))]
+    down = [-1] * len(nodes)
     for column in zip(*nodes):
         groups: dict[int, int] = {}
         for j, v in enumerate(column):
@@ -192,12 +192,10 @@ def bruhat_from_primary(table: GroupTable) -> Poset:
     roots = table.cd.root_closure.roots
     # the covers have few distinct differences (E6: 457322 covers, 4285 differences)
     is_link = cache(lambda diff: _is_positive_root_multiple(diff, roots))
-    base = primary_poset(table)
-    nodes = base.nodes
-    kept = frozenset(
-        (a, b) for a, b in base.covers if is_link(tuple(map(sub, nodes[b], nodes[a])))
-    )
-    return Poset(nodes=base.nodes, covers=kept, kind="bruhat_primary_filtered", ranks=base.ranks)
+    nodes = table.nodes
+    covers = _hasse(_componentwise_down(nodes))
+    kept = frozenset((a, b) for a, b in covers if is_link(tuple(map(sub, nodes[b], nodes[a]))))
+    return Poset(nodes=nodes, covers=kept, kind="bruhat_primary_filtered", ranks=table.lengths())
 
 
 def bruhat_from_subwords(table: GroupTable) -> Poset:

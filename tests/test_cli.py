@@ -7,7 +7,14 @@ import time
 
 import pytest
 
-from weylipse import cli
+from weylipse import (
+    bruhat_from_primary,
+    bruhat_from_subwords,
+    build_cartan,
+    build_group_table,
+    cli,
+    parse_type,
+)
 from weylipse.cli import main
 from weylipse.errors import MAX_RANK
 from weylipse.orbits import DEFAULT_EXPAND_CAP
@@ -187,9 +194,18 @@ def test_bruhat_agreement_exit_codes(capsys):
     assert code == 0 and "disagree" not in err
     assert "kind: bruhat_subword" in out
 
-    code, _, err = run_cli(capsys, "bruhat", "A3", "--method", "both")
-    assert code == 3
-    assert "disagree" in err and "missing 6" in err
+    for text, missing in (("A3", 6), ("B3", 41), ("D4", 1119)):
+        code, _, err = run_cli(capsys, "bruhat", text, "--method", "both")
+        assert code == 3
+        assert "disagree" in err and f"missing {missing}" in err
+        # the popcounts of the down sets against the pair sets of the relations
+        table = build_group_table(build_cartan(parse_type(text)))
+        found, truth = bruhat_from_primary(table).relation(), bruhat_from_subwords(table).relation()
+        assert len(truth - found) == missing
+        assert err == (
+            f"bruhat constructions disagree on {text}: link-filter has {len(found)} relations, "
+            f"subword has {len(truth)} (missing {missing}, extra {len(found - truth)})\n"
+        )
 
 
 def test_bruhat_single_methods(capsys):

@@ -242,3 +242,14 @@ def test_no_module_imports_fractions():
                     assert all(a.name.split(".")[0] != "fractions" for a in node.names), name
                 elif isinstance(node, ast.ImportFrom):
                     assert node.module != "fractions", name
+
+
+@pytest.mark.parametrize("folder", ["src/weylipse", "scripts"])
+def test_sources_parse_as_python_3_10(folder):
+    # pyproject.toml declares requires-python >= 3.10: no file may need newer grammar
+    directory = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), folder)
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".py"))
+    assert names
+    for name in names:
+        with open(os.path.join(directory, name)) as f:
+            ast.parse(f.read(), filename=name, feature_version=(3, 10))

@@ -18,6 +18,7 @@ order, factor memo, one sort) against the plain lexicographic DFS.
 
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -44,6 +45,7 @@ from weylipse.ordering import (
     _componentwise_down,
     _hasse,
     _is_positive_root_multiple,
+    bruhat_from_primary,
     bruhat_from_subwords,
     primary_poset,
 )
@@ -280,13 +282,18 @@ def test_link_filter_tests_each_difference_once(monkeypatch):
 # --- componentwise order by bitsets ---
 
 
+def strict(down):
+    """The oracles' masks from down sets: each node's own bit cleared."""
+    return [mask & ~(1 << w) for w, mask in enumerate(down)]
+
+
 @pytest.mark.parametrize("text", ["A4", "B4", "C3", "D4", "G2xA1", "F4"])
 def test_componentwise_masks_match_pairwise_comparison(text):
     table = build_group_table(cd_of(text))
     down = _componentwise_down(table.nodes)
-    assert down == componentwise_down_sets(table.nodes)
+    assert down == [mask | 1 << w for w, mask in enumerate(componentwise_down_sets(table.nodes))]
     # the order is transitive, so its Hasse diagram gives the masks back
-    assert primary_poset(table).below_masks() == down
+    assert primary_poset(table).down_masks() == down
 
 
 # --- Hasse diagrams by peeling, subword covers from the parent's ---
@@ -300,7 +307,7 @@ def test_peeled_covers_match_shadows(text):
     down = _componentwise_down(table.nodes)
     covers = _hasse(down)
     assert len(covers) == len(set(covers))
-    assert set(covers) == hasse_by_shadows(down)
+    assert set(covers) == hasse_by_shadows(strict(down))
 
 
 SUBWORD_TYPES = "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 D4 D5 F4 G2 G2xA1 B2xA1".split()
@@ -319,22 +326,41 @@ def test_parent_covers_match_two_oracles(text):
     assert set(vectors) == bruhat_covers_by_reflections(cd)
 
 
+@pytest.mark.parametrize("text", SUBWORD_TYPES)
+def test_link_filter_keeps_the_root_multiple_covers(text):
+    # one pass over the componentwise covers, against the scan over every root
+    cd = cd_of(text)
+    table = build_group_table(cd)
+    nodes, roots = table.nodes, positive_roots(cd)
+    filtered = bruhat_from_primary(table).covers
+    assert filtered == {
+        (a, b)
+        for a, b in primary_poset(table).covers
+        if is_positive_root_multiple_by_scan(tuple(map(sub, nodes[b], nodes[a])), roots)
+    }
+    # never a spurious cover, and no lost one at rank at most 2
+    subword = bruhat_from_subwords(table).covers
+    assert filtered <= subword
+    if cd.n <= 2:
+        assert filtered == subword
+
+
 def test_peeled_covers_match_shadows_on_random_closed_dags():
-    # each node is put above random earlier nodes and everything below them,
+    # each node's down set is itself and the down sets of random earlier nodes,
     # so the masks are transitively closed and node order extends the order
     rng = random.Random(15)
     for size in (1, 2, 5, 20, 60, 200):
         for density in (0.02, 0.1, 0.3, 0.7):
             down = []
             for w in range(size):
-                mask = 0
+                mask = 1 << w
                 for u in range(w):
                     if rng.random() < density:
-                        mask |= down[u] | 1 << u
+                        mask |= down[u]
                 down.append(mask)
             covers = _hasse(down)
             assert len(covers) == len(set(covers))
-            assert set(covers) == hasse_by_shadows(down)
+            assert set(covers) == hasse_by_shadows(strict(down))
 
 
 # --- root multiples by gcd ---

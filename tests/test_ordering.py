@@ -303,7 +303,7 @@ def test_relation_matches_dfs_reachability(text):
         assert poset.relation() == reachability_by_dfs(poset.covers, len(poset.nodes))
 
 
-@pytest.mark.parametrize("text", ["A3", "B3", "D4"])
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "F4"])
 def test_relation_counts_match_pair_sets(text):
     table = table_of(text)
     filtered, subword = bruhat_from_primary(table), bruhat_from_subwords(table)
@@ -324,11 +324,14 @@ def test_relation_rejects_cover_going_down_in_node_order():
 
 
 def test_hasse_rejects_down_set_reaching_up_in_node_order():
-    assert sorted(_hasse([0, 0b1, 0b11])) == [(0, 1), (1, 2)]
-    # node 0 above node 1, node 1 above itself, node 1 above a node past the end
-    for down in ([0b10, 0], [0, 0b10], [0, 0b101]):
-        with pytest.raises(InvariantError):
+    assert sorted(_hasse([0b1, 0b11, 0b111])) == [(0, 1), (1, 2)]
+    # node 0 above node 1, node 1 above the next node, node 1 above a node past the end
+    for down in ([0b11, 0b10], [0b1, 0b111, 0b111], [0b1, 0b1011]):
+        with pytest.raises(InvariantError, match="holds a node not below it in node order"):
             _hasse(down)
+    # a down set holds its own node
+    with pytest.raises(InvariantError, match="down set of node 1 misses the node"):
+        _hasse([0b1, 0b1])
 
 
 def test_subword_order_rejects_parent_after_the_element():
@@ -373,12 +376,12 @@ def test_order_checks_survive_optimized_mode():
         "    except InvariantError:\n"
         "        return 'raised'\n"
         "    return 'returned'\n"
-        "print(outcome(lambda: o._hasse([0b10, 0])))\n"
+        "print(outcome(lambda: o._hasse([0b11, 0b10])))\n"
         "cd = build_cartan(parse_type('A2'))\n"
         "table = build_group_table(cd)\n"
         "table.elements[(1, 0)] = WeylElement((2,), cd.A)\n"
         "print(outcome(lambda: o.bruhat_from_subwords(table)))\n"
-        "o._componentwise_down = lambda nodes: [1 << j for j in range(len(nodes))]\n"
+        "o._componentwise_down = lambda nodes: [(1 << len(nodes)) - 1] * len(nodes)\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stderr(err):\n"
         "    code = main(['bruhat', 'A2', '--method', 'primary'])\n"
