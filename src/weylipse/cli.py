@@ -126,15 +126,20 @@ def _cmd_orbits(cd, args) -> int:
         raise UsageError("--expand is not available with --csv output")
     records = orbit_seeds(cd)
     if args.expand:
+        # the cap bounds the elements listed in all, so at most cap points are held at once
+        left = args.cap
         expanded = []
         for rec in records:
-            if rec.size <= args.cap:
-                elements = tuple(expand_orbit(rec.minimal, cd, cap=args.cap))
+            if rec.size <= left:
+                elements = tuple(expand_orbit(rec.minimal, cd, cap=left))
+                left -= rec.size
                 expanded.append(rec._replace(elements=elements))
             else:
+                over = f"cap {args.cap}"
+                if rec.size <= args.cap:
+                    over = f"{left} left of {over}"
                 print(
-                    f"orbit at h=({_vec(rec.h)}) has size {rec.size} > cap {args.cap}; "
-                    "elements omitted",
+                    f"orbit at h=({_vec(rec.h)}) has size {rec.size} > {over}; elements omitted",
                     file=sys.stderr,
                 )
                 expanded.append(rec)
@@ -334,7 +339,10 @@ def build_parser() -> _Parser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--expand", action="store_true", help="include orbit elements (subject to cap)")
-    cap_help = "largest orbit that --expand lists, the rest named on stderr (default %(default)s)"
+    cap_help = (
+        "most orbit elements that --expand lists in all; an orbit that does not fit in "
+        "what is left is named on stderr, without elements (default %(default)s)"
+    )
     p.add_argument("--cap", type=_cap, default=DEFAULT_EXPAND_CAP, help=cap_help)
 
     p = add("expand", _cmd_expand, help="expand one orbit from a starting point")

@@ -33,9 +33,9 @@ before it lists the orbit by the canonical ascent walk from its minimum.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import pairwise
+from itertools import islice
 from math import isqrt
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .cartan import CartanData, parabolic_order, weyl_order
 from .errors import (
@@ -241,7 +241,8 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     size = _size_at(h, cd, weyl_order(cd), {})
     if size > cap:
         raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")
-    points = sorted(ascend(minimal, h, cd))
-    if len(points) != size or any(x == y for x, y in pairwise(points)):
+    points = ascend(minimal, h, cd)
+    points.sort()
+    if len(points) != size or any(map(eq, points, islice(points, 1, None))):
         raise InvariantError(f"walk from {minimal} in {cd.spec}: not {size} distinct points")
     return points

@@ -10,6 +10,10 @@ coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
 Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
 one point without descents, its componentwise minimum, and two walks link
 the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
+`ascend` steps from x to T_i(x) only when i becomes the smallest descent of
+the new point, and reads that rule off x's first descent k0: every i < k0
+with h_i > 0 is a step, since T_i raises every other h_k, and an i > k0 must
+clear k0, so only the neighbours of k0 in the Dynkin diagram are tested.
 A step by T_i changes h by -h_i times column i of A, so both walks, and the
 reduced-word recursion through `_t_step`, update h over the sparse column of
 `CartanData.sparse`, not the whole vector.  Where no h is carried, the
@@ -233,28 +237,57 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
 
     Every other point y has one parent, T_k(y) for its smallest descent k, so
     the walk steps from x to y = T_i(x) only when h_i(x) > 0 and no k < i is a
-    descent of y: T_i adds -h_i A_ki >= 0 to h_k (k != i), so a descent k of x
-    stays one when h_k < h_i A_ki.  No point is looked up or reached twice.
-    The step sets h_i to (1 - A_ii) h_i and changes only the h_k of the sparse
-    column ``cd.sparse.cols[i]``.
+    descent of y.  T_i adds -h_i A_ki >= 0 to h_k (k != i), so a descent of y
+    below i is a descent k of x with h_k < h_i A_ki.  With k0 the first
+    descent of x, the rule is read off without testing every coordinate:
+
+    - each i < k0 with h_i > 0 is a step, as x has no descent below i;
+    - an i > k0 must clear k0, which needs A_{k0,i} != 0, so the candidates
+      are the neighbours (i, A_{k0,i}) in ``cd.sparse.rows[k0]`` with
+      h_i > 0 and h_k0 >= h_i A_{k0,i}; a candidate is blocked by any k with
+      k0 < k < i and h_k < h_i A_ki (only a descent can pass that test: one
+      that is no neighbour of i, or a neighbour that T_i does not clear).
+
+    So the scan of h stops at k0, and no point is looked up or reached twice.
+    The steps from x are taken in ascending i.  A step sets h_i to
+    (1 - A_ii) h_i and changes only the h_k of the sparse column
+    ``cd.sparse.cols[i]``.
     ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
     """
     A = cd.A
-    keep, _, cols = cd.sparse
+    keep, rows, cols = cd.sparse
     points = [tuple(minimal)]
     stack = [(points[0], list(h))]
+    # the step is written out in both loops below: one call per step cost
+    # about 2% of the bench's group workload
     while stack:
         x, h = stack.pop()
-        descents = []
-        for i, hi in enumerate(h):
-            if hi < 0:
-                descents.append(i)
-            elif hi:
-                for k in descents:
+        for k0, hk0 in enumerate(h):
+            if hk0 < 0:
+                break
+            if hk0:
+                y = list(x)
+                y[k0] += hk0
+                y = tuple(y)
+                points.append(y)
+                if visit is not None:
+                    visit(x, k0, y)
+                g = h.copy()
+                g[k0] = keep[k0] * hk0
+                for k, a in cols[k0]:
+                    g[k] -= hk0 * a
+                stack.append((y, g))
+        else:
+            continue  # no descent: every positive h_i was a step
+        for i, a in rows[k0]:
+            if i > k0 and (hi := h[i]) > 0 and hk0 >= hi * a:
+                for k in range(k0 + 1, i):
                     if h[k] < hi * A[k][i]:
                         break
                 else:
-                    y = x[:i] + (x[i] + hi,) + x[i + 1 :]
+                    y = list(x)
+                    y[i] += hi
+                    y = tuple(y)
                     points.append(y)
                     if visit is not None:
                         visit(x, i, y)

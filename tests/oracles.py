@@ -20,9 +20,12 @@ products, the Hasse diagram by the union of the down sets of the nodes
 below, the subword intervals by a walk over each whole word from the
 identity (its left multiples by the dense rows of A, not the T-walk), and
 the T-walk, the matrix of a word and descent stripping by dense index loops
-over whole rows and columns of A, with no diagonal entry assumed.  The census search in its plain form is here too: the
-interval-pruned DFS over the coordinates in index order, whose solutions
-come out in lexicographic order with no axis order, factor memo or sort.
+over whole rows and columns of A, with no diagonal entry assumed.  So is
+the ascent walk that tests every coordinate of every point against the step
+rule, collecting the descents in the same scan.  The census search in its
+plain form is here too: the interval-pruned DFS over the coordinates in
+index order, whose solutions come out in lexicographic order with no axis
+order, factor memo or sort.
 The Cartan inverse in its plain form is here as well: Gauss-Jordan over
 Fractions, the reference for the integer adjugate, determinant and 2 delta
 that `cartan.build_cartan` assembles per component, and the source of every
@@ -235,6 +238,38 @@ def word_search_by_dense_products(cd, max_len):
 
     visit(identity(cd.n), ())
     return best
+
+
+def ascend_by_full_scan(minimal, h, cd, visit=None):
+    """The ascent walk of `quadrics.ascend` with every coordinate of every point
+    tested: each i with h_i > 0 is a step unless some descent k < i of x, collected
+    in the same scan, stays one (h_k < h_i A_ki).  Same stack, push order and
+    ``visit(x, i, y)`` calls."""
+    A = cd.A
+    keep, _, cols = cd.sparse
+    points = [tuple(minimal)]
+    stack = [(points[0], list(h))]
+    while stack:
+        x, h = stack.pop()
+        descents = []
+        for i, hi in enumerate(h):
+            if hi < 0:
+                descents.append(i)
+            elif hi:
+                for k in descents:
+                    if h[k] < hi * A[k][i]:
+                        break
+                else:
+                    y = x[:i] + (x[i] + hi,) + x[i + 1 :]
+                    points.append(y)
+                    if visit is not None:
+                        visit(x, i, y)
+                    g = h.copy()
+                    g[i] = keep[i] * hi
+                    for k, a in cols[i]:
+                        g[k] -= hi * a
+                    stack.append((y, g))
+    return points
 
 
 def t_walk_by_index_loops(word, start, A):

@@ -84,6 +84,30 @@ def test_orbits_expand_respects_cap(capsys):
     assert "omitted" in err
 
 
+def test_orbits_expand_cap_bounds_the_total(capsys):
+    code, out, err = run_cli(capsys, "orbits", "B2xA1", "--json", "--expand", "--cap", "20")
+    assert code == 0
+    orbits = json.loads(out)["orbits"]
+    assert [o["size"] for o in orbits] == [16, 8]
+    assert len(orbits[0]["elements"]) == 16 and "elements" not in orbits[1]
+    assert err == "orbit at h=(0,1,3) has size 8 > 4 left of cap 20; elements omitted\n"
+
+
+def test_orbits_expand_d9_lists_at_most_the_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", "D9", "--expand", "--cap", "5000")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 1.0
+    lines = out.splitlines()
+    rows = [k for k, line in enumerate(lines) if line.startswith("h=")]
+    expanded = [k for k in rows if k + 1 < len(lines) and lines[k + 1].startswith("  (")]
+    listed = sum(1 for line in lines if line.startswith("  ("))
+    assert 0 < listed <= 5000 and expanded
+    # every orbit row either lists its elements or is named on stderr
+    assert len(rows) == int(lines[1].removeprefix("orbits: "))
+    assert err.count("elements omitted\n") == err.count("\n") == len(rows) - len(expanded)
+
+
 def test_orbits_csv_expand_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "orbits", "A2", "--csv", "--expand")
     assert code == 1 and "--expand" in err

@@ -12,8 +12,10 @@ loops over whole rows of A, against the kernels that read the sparse view of
 A, the Cartan inverse by Gauss-Jordan over Fractions against the integer
 adjugate assembled per component, the primary box over Fractions against its
 integer bounds, P and the action of a word on any vector by the word's
-reflections against the dense matrix product, and the census search (axis
-order, factor memo, one sort) against the plain lexicographic DFS.
+reflections against the dense matrix product, the census search (axis
+order, factor memo, one sort) against the plain lexicographic DFS, and the
+ascent walk that reads each point's h only up to its first descent against
+the walk that tests every coordinate.
 """
 
 import random
@@ -32,6 +34,7 @@ from weylipse import (
     build_group_table,
     expand_orbit,
     h_vector,
+    orbit_seeds,
     orbit_size,
     parse_type,
     positive_roots,
@@ -51,10 +54,11 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _strip_descents, _t_step, _t_walk
+from weylipse.quadrics import _strip_descents, _t_step, _t_walk, ascend
 from weylipse.weyl import WeylElement, _act
 
 from oracles import (
+    ascend_by_full_scan,
     bruhat_covers_by_reflections,
     componentwise_down_sets,
     exhaustive_word_search,
@@ -577,3 +581,40 @@ def test_census_search_matches_lexicographic_dfs_on_random_blocks(sizes):
             assert _dfs_nonneg(g, c) == expected
             found += len(expected)
     assert found > 0
+
+
+# --- ascent walk: each point's h read up to its first descent ---
+
+WALK_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2",
+    "G2xA1", "B2xA1", "B2xG2",
+]
+
+
+def walk_with_steps(walk, rec, cd):
+    steps = []
+    points = walk(rec.minimal, rec.h, cd, lambda x, i, y: steps.append((x, i, y)))
+    return points, steps
+
+
+def assert_same_walk(rec, cd):
+    points, steps = walk_with_steps(ascend, rec, cd)
+    assert (points, steps) == walk_with_steps(ascend_by_full_scan, rec, cd)
+    assert len(points) == rec.size
+    assert ascend(rec.minimal, rec.h, cd) == points
+
+
+@pytest.mark.parametrize("text", WALK_TYPES)
+def test_first_descent_walk_matches_full_scan(text):
+    cd = cd_of(text)
+    for rec in orbit_seeds(cd):
+        assert_same_walk(rec, cd)
+
+
+def test_first_descent_walk_matches_full_scan_e6():
+    cd = cd_of("E6")
+    seeds = orbit_seeds(cd)
+    main = next(r for r in seeds if r.h == (1,) * cd.n)
+    other = next(r for r in seeds if r.size == 12960)
+    for rec in (main, other):
+        assert_same_walk(rec, cd)

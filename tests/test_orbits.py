@@ -235,10 +235,19 @@ def test_orbit_size_law_and_sweep(text):
 
 
 def _walk_counts(rec, cd):
-    """Steps per reached point of the ascent walk from rec.minimal, and the points it lists."""
-    counts = Counter()
-    points = ascend(rec.minimal, rec.h, cd, visit=lambda x, i, y: counts.update([y]))
-    return counts, points
+    """Steps per reached point of the ascent walk from rec.minimal, and the points it lists.
+
+    Each step (x, i, y) is checked to go from x to its child y = T_i(x): h_i(x) > 0,
+    and i is the smallest descent of y, so x is y's canonical parent.
+    """
+    steps = []
+    points = ascend(rec.minimal, rec.h, cd, visit=lambda x, i, y: steps.append((x, i, y)))
+    for x, i, y in steps:
+        assert h_vector(x, cd)[i] > 0
+        assert y == apply_T(i + 1, x, cd)
+        h = h_vector(y, cd)
+        assert h[i] < 0 and min(h[:i], default=0) >= 0
+    return Counter(y for _, _, y in steps), points
 
 
 @pytest.mark.parametrize("text", SMALL + RANK4)
