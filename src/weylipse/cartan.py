@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 
@@ -196,23 +196,23 @@ def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in work], before
 
 
-# bounded, since `weyl.WeylElement` may be built over any matrix
-@lru_cache(maxsize=64)
-def sparse_cartan(A: Matrix) -> tuple[tuple, tuple, tuple]:
-    """The sparse view (keep, rows, cols) of a square matrix A: what one
-    reflection step at node i reads of it, built once per matrix.
+def sparse_cartan(A: Matrix) -> tuple[tuple, tuple]:
+    """The sparse view (rows, cols) of a Cartan matrix A: what one reflection
+    step at node i reads of it.
 
-    ``keep[i]`` is 1 - A_ii, the factor s_i puts on coordinate i itself (no
-    diagonal entry is assumed); ``rows[i]`` holds the off-diagonal nonzeros of
-    row i as (j, A_ij), and ``cols[i]`` those of column i as (k, A_ki).  A
-    Cartan matrix has at most three of them per row or column, so a step
-    costs a few terms, not n.
+    ``rows[i]`` holds the off-diagonal nonzeros of row i as (j, A_ij), and
+    ``cols[i]`` those of column i as (k, A_ki): at most three each, so a step
+    costs a few terms, not n.  A_ii = 2, so a step negates coordinate i itself,
+    as s_i v_i = -v_i - sum_j A_ij v_j over ``rows[i]``; another diagonal
+    entry raises InvariantError.
     """
     n = len(A)
-    keep = tuple(1 - A[i][i] for i in range(n))
+    for i in range(n):
+        if A[i][i] != 2:
+            raise InvariantError(f"diagonal entry {i + 1} of a Cartan matrix is {A[i][i]}, not 2")
     rows = tuple(tuple((j, a) for j, a in enumerate(A[i]) if a and j != i) for i in range(n))
     cols = tuple(tuple((k, A[k][i]) for k in range(n) if A[k][i] and k != i) for i in range(n))
-    return keep, rows, cols
+    return rows, cols
 
 
 # no __slots__: the cached properties below live in the instance __dict__
@@ -223,8 +223,8 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     inner product of simple roots; ``adjA`` is the adjugate of A, with
     A adjA = detA I, and ``two_delta`` = 2 adjA (1, ..., 1) / detA is the sum
     of the positive roots, so <delta, delta> = sum_i k_i two_delta_i / 2.
-    ``sparse`` is the one sparse view of A (`sparse_cartan`) that every step
-    by one T_i or one s_i reads: the T-walk, a word acting on a vector,
+    ``sparse`` is the sparse view (rows, cols) of A (`sparse_cartan`) that every
+    step by one T_i or one s_i reads: the T-walk, a word acting on a vector,
     descent stripping, the ascent walk and the root closure.
     """
 
@@ -237,7 +237,7 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
         return sum(POSITIVE_ROOT_COUNT[fam](rank) for fam, rank in self.spec.components)
 
     @cached_property
-    def sparse(self) -> tuple[tuple, tuple, tuple]:
+    def sparse(self) -> tuple[tuple, tuple]:
         return sparse_cartan(self.A)
 
     @cached_property
@@ -296,10 +296,10 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
     if any(v < 0 for row in adjA for v in row):
         raise InvariantError(f"adjugate of {spec} has a negative entry")
     # A adjA = detA I and A two_delta = 2 (1, ..., 1), row i of A read as its
-    # diagonal entry plus its off-diagonal nonzeros
-    _, rows, _ = sparse_cartan(A)
+    # diagonal 2 plus its off-diagonal nonzeros
+    rows, _ = sparse_cartan(A)
     for i, off in enumerate(rows):
-        got = [A[i][i] * v for v in adjA[i]]
+        got = [2 * v for v in adjA[i]]
         for j, a_ij in off:
             got = [g + a_ij * v for g, v in zip(got, adjA[j])]
         if got[i] != detA or any(got[:i]) or any(got[i + 1 :]):
@@ -311,7 +311,7 @@ def build_cartan(spec: LieTypeSpec) -> CartanData:
             raise InvariantError(f"2 delta of {spec} is not integral at {i}")
         two_delta.append(t)
     for i, off in enumerate(rows):
-        if A[i][i] * two_delta[i] + sum(a_ij * two_delta[j] for j, a_ij in off) != 2:
+        if 2 * two_delta[i] + sum(a_ij * two_delta[j] for j, a_ij in off) != 2:
             raise InvariantError(f"A delta != 1 for {spec} at row {i}")
 
     return CartanData(
@@ -353,10 +353,10 @@ class RootClosure(namedtuple("RootClosure", "roots positive support_heights")):
 
 def _root_closure(cd: CartanData) -> RootClosure:
     n = cd.n
-    keep, _, cols = cd.sparse
+    _, cols = cd.sparse
     # each root carries its pairings A r with the simple coroots, and keeps the
     # length of the simple root it came from, since s_i preserves length;
-    # s_i r = r - p e_i takes p times column i of A off the pairings
+    # s_i r = r - p e_i takes p times column i of A off the pairings (p - 2p at i)
     roots, work = {}, []
     for i in range(n):
         r = tuple(int(i == j) for j in range(n))
@@ -370,7 +370,7 @@ def _root_closure(cd: CartanData) -> RootClosure:
                 if s not in roots:
                     roots[s] = roots[r]
                     moved = list(pairings)
-                    moved[i] = keep[i] * p
+                    moved[i] = -p
                     for k, a in cols[i]:
                         moved[k] -= p * a
                     work.append((s, tuple(moved)))

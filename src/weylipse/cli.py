@@ -185,8 +185,7 @@ def _cmd_expand(cd, args) -> int:
     if args.json:
         _print_json({"type": str(cd.spec), "elements": [list(e) for e in elements]}, indent=None)
     else:
-        for e in elements:
-            print(_vec(e))
+        sys.stdout.writelines(",".join(map(str, e)) + "\n" for e in elements)
     return 0
 
 

@@ -292,7 +292,7 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     # adjA (1, ..., n) is strictly dominant, as A adjA (1, ..., n) = detA (1, ..., n),
     # so only the identity fixes it: two elements agree on it exactly when equal
     regular = mat_vec(cd.adjA, range(1, cd.n + 1))
-    if _act(words[0], regular, cd.A) != _act(w.word, regular, w.A):
+    if _act(words[0], regular, cd.sparse[0]) != _act(w.word, regular, cd.sparse[0]):
         raise InvariantError(f"word {words[0]} does not reproduce the element {start}")
     return ReducedWordSet(element=start, length=lengths.pop(), words=words)
 

@@ -14,12 +14,12 @@ the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
 the new point, and reads that rule off x's first descent k0: every i < k0
 with h_i > 0 is a step, since T_i raises every other h_k, and an i > k0 must
 clear k0, so only the neighbours of k0 in the Dynkin diagram are tested.
-A step by T_i changes h by -h_i times column i of A, so both walks, and the
-reduced-word recursion through `_t_step`, update h over the sparse column of
-`CartanData.sparse`, not the whole vector.  Where no h is carried, the
-T-walk `_t_walk` computes each h_i it needs over the sparse row i; `apply_T`
-is one step of it, after a membership test that is one sum over the sparse
-rows of A, so a single step never computes the whole h either.
+A step by T_i changes h by -h_i times column i of A, negating h_i as A_ii = 2,
+so both walks, and the reduced-word recursion through `_t_step`, update h over
+the sparse column of `CartanData.sparse`, not the whole vector.  Where no h is
+carried, the T-walk `_t_walk` computes each h_i it needs over the sparse row
+i; `apply_T` is one step of it, after a membership test that is one sum over
+the sparse rows of A, so a single step never computes the whole h either.
 """
 
 from __future__ import annotations
@@ -157,13 +157,13 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
 def _twice_primary(x, cd: CartanData) -> int:
     """Twice the primary value of x, sum_j k_j x_j ((A x)_j - 2) since A delta = 1.
 
-    (A x)_j is summed over the sparse row j, and only for the nonzero x_j.
+    (A x)_j is 2 x_j plus a sum over the sparse row j, taken only for the nonzero x_j.
     """
-    keep, rows, _ = cd.sparse
+    rows, _ = cd.sparse
     total = 0
     for j, (k, xj) in enumerate(zip(cd.k, x)):
         if xj:
-            ax = (1 - keep[j]) * xj
+            ax = 2 * xj
             for m, a in rows[j]:
                 ax += a * x[m]
             total += k * xj * (ax - 2)
@@ -183,12 +183,12 @@ def _strip_descents(x, h, cd: CartanData):
     """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
 
     Given h = h_vector(x), T_k adds h_k to x_k, which changes h by -h_k times
-    column k of A: h_k becomes (1 - A_kk) h_k and each h_j of the sparse column
-    ``cd.sparse.cols[k]`` drops by A_jk h_k, in place.  Each step crosses one of
-    the |Phi+| reflecting hyperplanes of x - delta, so a descent left after
-    |Phi+| steps raises InvariantError.
+    column k of A: h_k becomes -h_k and each h_j of the sparse column k of
+    ``cd.sparse`` drops by A_jk h_k, in place.  Each step crosses one of the
+    |Phi+| reflecting hyperplanes of x - delta, so a descent left after |Phi+|
+    steps raises InvariantError.
     """
-    keep, _, cols = cd.sparse
+    _, cols = cd.sparse
     cur, h, word = list(x), list(h), []
     for _ in range(cd.positive_root_count + 1):
         for k, hk in enumerate(h):
@@ -197,7 +197,7 @@ def _strip_descents(x, h, cd: CartanData):
         else:
             return tuple(cur), tuple(h), word
         cur[k] += hk
-        h[k] = keep[k] * hk
+        h[k] = -hk
         for j, a in cols[k]:
             h[j] -= a * hk
         word.append(k + 1)
@@ -207,13 +207,13 @@ def _strip_descents(x, h, cd: CartanData):
 def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
     """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
 
-    T_i sets p_i to 1 + (1 - A_ii) p_i - sum_{j != i} A_ij p_j, read from the sparse view.
+    T_i sets p_i to 1 - p_i - sum_{j != i} A_ij p_j, as A_ii = 2, over the sparse row i.
     """
-    keep, rows, _ = cd.sparse
+    rows, _ = cd.sparse
     p = list(start)
     for i in reversed(word):
         i -= 1
-        v = 1 + keep[i] * p[i]
+        v = 1 - p[i]
         for j, a in rows[i]:
             v -= a * p[j]
         p[i] = v
@@ -223,13 +223,15 @@ def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
 def _t_step(i, x, h, cd: CartanData):
     """(T_i x, h(T_i x)) for 0-based i, given h = h_vector(x): the step of
     `_strip_descents` on tuples, with h updated over the sparse column i."""
-    keep, _, cols = cd.sparse
+    _, cols = cd.sparse
     hi = h[i]
+    y = list(x)
+    y[i] += hi
     g = list(h)
-    g[i] = keep[i] * hi
+    g[i] = -hi
     for k, a in cols[i]:
         g[k] -= a * hi
-    return x[:i] + (x[i] + hi,) + x[i + 1 :], tuple(g)
+    return tuple(y), tuple(g)
 
 
 def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
@@ -243,19 +245,18 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
 
     - each i < k0 with h_i > 0 is a step, as x has no descent below i;
     - an i > k0 must clear k0, which needs A_{k0,i} != 0, so the candidates
-      are the neighbours (i, A_{k0,i}) in ``cd.sparse.rows[k0]`` with
+      are the neighbours (i, A_{k0,i}) in the sparse row k0 of ``cd.sparse`` with
       h_i > 0 and h_k0 >= h_i A_{k0,i}; a candidate is blocked by any k with
       k0 < k < i and h_k < h_i A_ki (only a descent can pass that test: one
       that is no neighbour of i, or a neighbour that T_i does not clear).
 
     So the scan of h stops at k0, and no point is looked up or reached twice.
-    The steps from x are taken in ascending i.  A step sets h_i to
-    (1 - A_ii) h_i and changes only the h_k of the sparse column
-    ``cd.sparse.cols[i]``.
+    The steps from x are taken in ascending i.  A step negates h_i and
+    changes only the h_k of the sparse column i.
     ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
     """
     A = cd.A
-    keep, rows, cols = cd.sparse
+    rows, cols = cd.sparse
     points = [tuple(minimal)]
     stack = [(points[0], list(h))]
     # the step is written out in both loops below: one call per step cost
@@ -273,7 +274,7 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
                 if visit is not None:
                     visit(x, k0, y)
                 g = h.copy()
-                g[k0] = keep[k0] * hk0
+                g[k0] = -hk0
                 for k, a in cols[k0]:
                     g[k] -= hk0 * a
                 stack.append((y, g))
@@ -292,7 +293,7 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
                     if visit is not None:
                         visit(x, i, y)
                     g = h.copy()
-                    g[i] = keep[i] * hi
+                    g[i] = -hi
                     for k, a in cols[i]:
                         g[k] -= hi * a
                     stack.append((y, g))

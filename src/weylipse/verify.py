@@ -20,7 +20,7 @@ report order.
 The costly bodies do each piece of work once: `quadric-identities` evaluates
 the forms under test once per point and regroups only the reference sides,
 `star-group-axioms` reads its axioms off one table of node indices, and
-`first-letter-exhaustive` searches the reduced words alone.
+`first-letter-exhaustive` compares whole word sets from one reduced-word search.
 """
 
 from __future__ import annotations
@@ -297,12 +297,12 @@ def _first_letter_exhaustive(run):
     ok = True
     for p in table.nodes:
         w = table.elements[p]
-        depth, letters, _ = best[p]
+        depth, letters, words = best[p]
         ok &= depth == len(w.word)
         ok &= letters == set(first_letters(w, cd))
         rw = reduced_words(w, cd)
         ok &= rw.length == depth
-        ok &= {word[0] for word in rw.words if word} == letters
+        ok &= set(rw.words) == words
     return ok, "" if ok else "descent sets disagree with word search"
 
 

@@ -19,10 +19,10 @@ and `ordering.reduced_words` to a regular vector to check its first word.
 Left multiplication is P(s_i w) = T_i(P(w)), so the other is the T-walk
 `quadrics._t_walk` (T_i x = s_i x + e_i), which gives `star`, `p_alpha_b`,
 the subword covers of `ordering.bruhat_from_subwords`, the word checks of
-`ordering.reduced_words` and `quadrics.apply_T`.  Both loops read only the
-off-diagonal nonzeros of row i, from the sparse view `cartan.sparse_cartan`
-of A; no diagonal entry is assumed, so an element over any square matrix is
-multiplied out as written.
+`ordering.reduced_words` and `quadrics.apply_T`.  Both loops read the sparse
+rows of the type's `CartanData.sparse` and write the diagonal 2 of A as a sign
+change, s_i v_i = -v_i - sum_{j != i} A_ij v_j; only `WeylElement.mat` reads
+an element's own A, and builds its view (`cartan.sparse_cartan`) once.
 
 The group table is the main orbit listed by the canonical ascent walk
 `quadrics.ascend`, each step prepending a letter to the word, and
@@ -87,7 +87,8 @@ class WeylElement(namedtuple("WeylElement", "word A")):
     @cached_property
     def mat(self) -> Matrix:
         # column j is w e_j
-        cols = (_act(self.word, e, self.A) for e in identity(len(self.A)))
+        rows, _ = sparse_cartan(self.A)
+        cols = (_act(self.word, e, rows) for e in identity(len(self.A)))
         return tuple(zip(*cols))
 
 
@@ -100,17 +101,16 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
     return WeylElement(word, cd.A)
 
 
-def _act(word, v, A: Matrix) -> tuple[int, ...]:
+def _act(word, v, rows) -> tuple[int, ...]:
     """s_{i1} ... s_{ik} v: the word's reflections applied to v, right to left.
 
-    s_i changes only coordinate i, to (1 - A_ii) v_i - sum_{j != i} A_ij v_j,
-    so no matrix is built; `WeylElement.mat` is made of these, column by column.
+    s_i changes only coordinate i, to -v_i - sum_{j != i} A_ij v_j over the
+    sparse ``rows`` of A (`cartan.sparse_cartan`), so no matrix is built.
     """
-    keep, rows, _ = sparse_cartan(A)
     v = list(v)
     for i in reversed(word):
         i -= 1
-        vi = keep[i] * v[i]
+        vi = -v[i]
         for j, a in rows[i]:
             vi -= a * v[j]
         v[i] = vi
@@ -127,7 +127,7 @@ def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
     """
     two_delta = cd.two_delta
     out = []
-    for t, u in zip(two_delta, _act(w.word, two_delta, w.A)):
+    for t, u in zip(two_delta, _act(w.word, two_delta, cd.sparse[0])):
         d = t - u
         if d % 2:
             raise InvariantError(

@@ -20,7 +20,8 @@ products, the Hasse diagram by the union of the down sets of the nodes
 below, the subword intervals by a walk over each whole word from the
 identity (its left multiples by the dense rows of A, not the T-walk), and
 the T-walk, the matrix of a word and descent stripping by dense index loops
-over whole rows and columns of A, with no diagonal entry assumed.  So is
+over whole rows and columns of A, the diagonal read from A, so they check
+the kernels' rule that a step negates its own coordinate too.  So is
 the ascent walk that tests every coordinate of every point against the step
 rule, collecting the descents in the same scan.  The census search in its
 plain form is here too: the interval-pruned DFS over the coordinates in
@@ -246,7 +247,7 @@ def ascend_by_full_scan(minimal, h, cd, visit=None):
     in the same scan, stays one (h_k < h_i A_ki).  Same stack, push order and
     ``visit(x, i, y)`` calls."""
     A = cd.A
-    keep, _, cols = cd.sparse
+    _, cols = cd.sparse
     points = [tuple(minimal)]
     stack = [(points[0], list(h))]
     while stack:
@@ -265,7 +266,7 @@ def ascend_by_full_scan(minimal, h, cd, visit=None):
                     if visit is not None:
                         visit(x, i, y)
                     g = h.copy()
-                    g[i] = keep[i] * hi
+                    g[i] = -hi
                     for k, a in cols[i]:
                         g[k] -= hi * a
                     stack.append((y, g))

@@ -186,30 +186,21 @@ STEP_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "G2xA1", "B2xA1"
 ]
 
-# not a Cartan matrix: diagonal 3, 2, 0, -1, so no kernel may assume A_ii = 2
-ODD_DIAGONAL = ((3, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 0, -3), (0, 0, -1, -1))
-
-
-def step_cd(name):
-    # the odd matrix rides on A4's data: the kernels read only A, n and |Phi+|
-    return cd_of("A4")._replace(A=ODD_DIAGONAL) if name == "odd-diagonal" else cd_of(name)
-
-
 def random_words(cd, rng, count, longest):
     return [
         tuple(rng.randint(1, cd.n) for _ in range(rng.randint(0, longest))) for _ in range(count)
     ]
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", STEP_TYPES)
 def test_sparse_view_rebuilds_the_matrix(name):
-    cd = step_cd(name)
-    keep, rows, cols = cd.sparse
+    cd = cd_of(name)
+    rows, cols = cd.sparse
     n = cd.n
     from_rows = [[0] * n for _ in range(n)]
     from_cols = [[0] * n for _ in range(n)]
     for i in range(n):
-        from_rows[i][i] = from_cols[i][i] = 1 - keep[i]
+        from_rows[i][i] = from_cols[i][i] = 2
         for j, a in rows[i]:
             assert a and j != i
             from_rows[i][j] = a
@@ -217,14 +208,20 @@ def test_sparse_view_rebuilds_the_matrix(name):
             assert a and k != i
             from_cols[k][i] = a
     assert from_rows == from_cols == [list(row) for row in cd.A]
-    assert cd.sparse is sparse_cartan(cd.A)
-    if name != "odd-diagonal":
-        assert max(map(len, rows + cols)) <= 3
+    assert cd.sparse == sparse_cartan(cd.A)
+    assert max(map(len, rows + cols)) <= 3
+    # every step writes A_ii = 2 as a sign change, so any other diagonal is refused
+    for i in range(n):
+        for diagonal in (0, 1, 3):
+            bad = [list(row) for row in cd.A]
+            bad[i][i] = diagonal
+            with pytest.raises(InvariantError, match=f"diagonal entry {i + 1} .* is {diagonal}"):
+                sparse_cartan(tuple(map(tuple, bad)))
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", STEP_TYPES)
 def test_sparse_t_walk_matches_index_loops(name):
-    cd = step_cd(name)
+    cd = cd_of(name)
     rng = random.Random(16)
     starts = [(0,) * cd.n] + [tuple(rng.randint(-5, 5) for _ in range(cd.n)) for _ in range(9)]
     for word in random_words(cd, rng, 30, 40):
@@ -235,34 +232,33 @@ def test_sparse_t_walk_matches_index_loops(name):
             assert _t_walk((i,), start, cd) == t_walk_by_index_loops((i,), start, cd.A)
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", STEP_TYPES)
 def test_sparse_word_matrix_matches_dense_products(name):
-    cd = step_cd(name)
+    cd = cd_of(name)
     rng = random.Random(17)
     for word in random_words(cd, rng, 25, 24):
         assert WeylElement(word, cd.A).mat == word_matrix_by_dense_products(word, cd.A)
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", STEP_TYPES)
 def test_sparse_descent_stripping_matches_index_loops(name):
-    cd = step_cd(name)
+    cd = cd_of(name)
     rng = random.Random(18)
     origin = (0,) * cd.n
-    # main-orbit points, and arbitrary integer points on and off the quadric
+    # main-orbit points, and arbitrary integer points on and off the quadric; a
+    # Cartan matrix strips every one of them within |Phi+| steps
     starts = [t_walk_by_index_loops(word, origin, cd.A) for word in random_words(cd, rng, 40, 40)]
     starts += [tuple(rng.randint(-4, 4) for _ in range(cd.n)) for _ in range(40)]
-    stuck = 0
     for x in starts:
         expected = strip_descents_by_index_loops(x, cd.A, cd.positive_root_count)
-        if expected is None:
-            stuck += 1
-            with pytest.raises(InvariantError, match=r"descent after \|Phi\+\| steps"):
-                _strip_descents(x, h_vector(x, cd), cd)
-        else:
-            assert _strip_descents(x, h_vector(x, cd), cd) == expected
-    # a Cartan matrix strips every point within |Phi+| steps; the odd one both
-    # strips some and trips the step bound on others
-    assert (0 < stuck < len(starts)) if name == "odd-diagonal" else stuck == 0
+        assert expected is not None
+        assert _strip_descents(x, h_vector(x, cd), cd) == expected
+    # the step bound still holds the walk: P(w0) = 2 delta takes |Phi+| steps,
+    # one more than a bound of |Phi+| - 1 allows
+    short = cd._replace()
+    vars(short)["positive_root_count"] = cd.positive_root_count - 1
+    with pytest.raises(InvariantError, match=r"descent after \|Phi\+\| steps"):
+        _strip_descents(cd.two_delta, h_vector(cd.two_delta, cd), short)
 
 
 def test_link_filter_tests_each_difference_once(monkeypatch):
@@ -501,9 +497,9 @@ def test_expand_orbit_membership_matches_primary_form(text):
 P_TYPES = ["A1", "A5", "B4", "C3", "D5", "E6", "E8", "F4", "G2", "G2xA1", "E6xA2"]
 
 
-@pytest.mark.parametrize("name", P_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", P_TYPES)
 def test_p_map_matches_dense_matrix_product(name):
-    cd = step_cd(name)
+    cd = cd_of(name)
     rng = random.Random(19)
     two_delta = cd.two_delta
     # the regular vector of the first-word check in `reduced_words`
@@ -512,16 +508,15 @@ def test_p_map_matches_dense_matrix_product(name):
         w = WeylElement(word, cd.A)
         dense = word_matrix_by_dense_products(word, cd.A)
         twice = tuple(t - v for t, v in zip(two_delta, mat_vec(dense, two_delta)))
-        # the odd matrix rides on A4, whose 2 delta is even, so P stays integral
         assert all(v % 2 == 0 for v in twice)
         assert P_map(w, cd) == tuple(v // 2 for v in twice)
         for v in (two_delta, regular, tuple(rng.randint(-9, 9) for _ in range(cd.n))):
-            assert _act(word, v, cd.A) == mat_vec(dense, v)
+            assert _act(word, v, cd.sparse[0]) == mat_vec(dense, v)
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["odd-diagonal"])
+@pytest.mark.parametrize("name", STEP_TYPES)
 def test_t_step_matches_t_walk_and_h_vector(name):
-    cd = step_cd(name)
+    cd = cd_of(name)
     rng = random.Random(20)
     for _ in range(60):
         x = tuple(rng.randint(-5, 5) for _ in range(cd.n))

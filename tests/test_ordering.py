@@ -275,6 +275,22 @@ def test_filter_is_subrelation_of_subword(text):
         assert rel_filtered < rel_subword  # the link filter loses relations
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A2", "A3", "A4", "A5", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2",
+        "G2xA1", "B2xA1", "A2xA2", "B3xA1",
+    ],
+)
+def test_link_filter_adds_no_relation(text):
+    """The link filter may lose Bruhat relations but never adds one: a kept link
+    has P(w) - P(u) = m beta with m > 0, and P - delta of both lies on the sphere
+    of radius |delta|, which forces w delta = s_beta u delta, so w = s_beta u,
+    with l(w) > l(u) since <u delta, beta> > 0."""
+    table = table_of(text)
+    assert relation_counts(bruhat_from_primary(table), bruhat_from_subwords(table))[3] == 0
+
+
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3", "B3", "D4"])
 def test_subword_order_within_componentwise_order(text):
     table = table_of(text)

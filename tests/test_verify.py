@@ -169,6 +169,26 @@ def test_first_letters_missing_a_letter_fail_the_word_search(monkeypatch):
     assert (row.status, row.detail) == ("FAIL", "descent sets disagree with word search")
 
 
+def test_a_reduced_word_missing_fails_the_word_search(monkeypatch):
+    real = verify.reduced_words
+    dropped = []
+
+    def one_short(w, cd):
+        # drop the last word only where the first letters survive, so only the
+        # comparison of whole word sets can see it
+        rw = real(w, cd)
+        short = rw.words[:-1]
+        if {word[0] for word in short} != {word[0] for word in rw.words if word}:
+            return rw
+        dropped.append(rw.words[-1])
+        return rw._replace(words=short)
+
+    monkeypatch.setattr(verify, "reduced_words", one_short)
+    row = _rows("A3")["first-letter-exhaustive"]
+    assert dropped
+    assert (row.status, row.detail) == ("FAIL", "descent sets disagree with word search")
+
+
 def test_seeds_without_the_origin_fail_orbit_seeds_with_no_traceback(monkeypatch, capsys):
     from weylipse.cli import main
 

@@ -116,8 +116,13 @@ def test_p_of_simple_reflection_is_basis_vector():
 @pytest.mark.parametrize(
     "error, call",
     [
-        # a word over the 1x1 matrix (3) gives the matrix (-2), and 1 - (-2) = 3 is odd
-        ("InvariantError", "P_map(WeylElement((1,), ((3,),)), build_cartan(parse_type('A1')))"),
+        # with 2 delta of A2 replaced by (1, 0), s_2 moves it to (1, 1), and
+        # (1, 0) - (1, 1) = (0, -1) is odd
+        (
+            "InvariantError",
+            "P_map(WeylElement((2,), ((2, -1), (-1, 2))), "
+            "build_cartan(parse_type('A2'))._replace(two_delta=(1, 0)))",
+        ),
         ("MalformedFormError", "QuadForm(n=1, quad=((1,),), linear=(0,), constant=0)"),
     ],
     ids=["P_map", "QuadForm"],
