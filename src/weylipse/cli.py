@@ -169,11 +169,11 @@ def _cmd_orbits(cd, args) -> int:
     else:
         print(f"type: {cd.spec}")
         print(f"orbits: {len(records)}")
+        line = "  (" + ",".join(["%d"] * cd.n) + ")\n"  # one element, as `_vec` writes it
         for rec in records:
             print(f"h=({_vec(rec.h)}) minimal=({_vec(rec.minimal)}) size={rec.size}")
             if rec.elements is not None:
-                for e in rec.elements:
-                    print(f"  ({_vec(e)})")
+                sys.stdout.writelines(line % e for e in rec.elements)
     return 0
 
 
@@ -185,7 +185,8 @@ def _cmd_expand(cd, args) -> int:
     if args.json:
         _print_json({"type": str(cd.spec), "elements": [list(e) for e in elements]}, indent=None)
     else:
-        sys.stdout.writelines(",".join(map(str, e)) + "\n" for e in elements)
+        line = ",".join(["%d"] * cd.n) + "\n"
+        sys.stdout.writelines(line % e for e in elements)
     return 0
 
 

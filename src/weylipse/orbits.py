@@ -10,7 +10,11 @@ g t^2 + 2 s t <= b, i.e. (g t + s)^2 <= s^2 + g b; as g t + s is an integer,
 the largest t is exactly (isqrt(s^2 + g b) - s) // g, with nothing to adjust.
 The last coordinate is not searched: it is the one nonnegative root of a
 quadratic with linear coefficient 2 s >= 0, which one integer square root
-settles.  The coordinates are searched factor by factor (the connected
+settles.  Every quantity a node's loop over t needs is a polynomial in t of
+degree at most two, so it is stepped by its differences, not recomputed: the
+child budget b - g t^2 - 2 s t, the discriminant of the last coordinate's
+quadratic at the depth before it, and the cross terms of the coordinates
+after the node, which move by the nonzero couplings only.  The coordinates are searched factor by factor (the connected
 components of G), the factors in descending order of their largest G_ii and
 each factor in descending order of G_ii, so the tightest ranges of a factor
 come first; the order only permutes a nonnegative G, so every bound above
@@ -47,7 +51,7 @@ from .errors import (
     NotOnEllipsoidError,
 )
 from .exact import mat_vec
-from .quadrics import _on_primary, _strip_descents, ascend, h_vector, secondary_form
+from .quadrics import _lex_sort, _on_primary, _strip_descents, ascend, h_vector, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -75,6 +79,20 @@ def _dfs_nonneg(g, c):
     from it on, the tails below depend only on the budget, so they are searched
     once per (depth, budget) and reused from a memo local to the call.  The
     solutions are mapped back to the input's coordinates and sorted once.
+
+    A node at depth d with budget b and cross term s loops over v = 0..top and
+    steps each quantity by its differences, with no product in v:
+
+    - the child budget b - g_dd v^2 - 2 s v falls by ``step``, which starts at
+      g_dd + 2 s and grows by 2 g_dd; ``budget`` itself is left as it is, since
+      it keys the memo;
+    - the cross terms of the coordinates j > d rise by g_dj per v, over the
+      nonzero couplings ``ahead[d]`` only, and drop by (top + 1) g_dj once after
+      the loop;
+    - at the depth before the last, the discriminant s_v^2 + g_last rest(v) of
+      the last coordinate's quadratic, with s_v = s_last + g_cross v, has second
+      difference 2 (g_cross^2 - g_last g_dd), so each v costs one isqrt and
+      three additions.
     """
     n = len(g)
     last = n - 1
@@ -102,6 +120,8 @@ def _dfs_nonneg(g, c):
         0 < d < last and not any(g[i][j] for i in range(d) for j in range(d, n))
         for d in range(n)
     ]
+    # ahead[d]: the nonzero couplings (j, g_dj) of d to the coordinates after it
+    ahead = [[(j, g[d][j]) for j in range(d + 1, n) if g[d][j]] for d in range(n)]
     memo = {}
     out = []
     h = [0] * n
@@ -120,26 +140,33 @@ def _dfs_nonneg(g, c):
         top = (isqrt(s * s + gi * budget) - s) // gi
         if depth == last - 1:
             # h_last = t solves g_last t^2 + 2 s_v t == rest: t = (r - s_v) / g_last with
-            # r^2 = s_v^2 + g_last rest.  v <= top keeps rest >= 0, so r >= s_v >= 0.
-            s_last, g_cross = cross[last], g[depth][last]
+            # r^2 = disc = s_v^2 + g_last rest.  v <= top keeps rest >= 0, so
+            # disc >= s_v^2 >= 0 and r >= s_v >= 0.
+            s_v, g_cross = cross[last], g[depth][last]
+            disc = s_v * s_v + g_last * budget
+            curve = g_cross * g_cross - g_last * gi
+            step = curve + 2 * (s_v * g_cross - g_last * s)
+            curve *= 2
             for v in range(top + 1):
-                rest = budget - gi * v * v - 2 * s * v
-                s_v = s_last + g_cross * v
-                disc = s_v * s_v + g_last * rest
                 r = isqrt(disc)
                 if r * r == disc and not (r - s_v) % g_last:
                     h[depth] = v
                     out.append((*h[:last], (r - s_v) // g_last))
+                disc += step
+                step += curve
+                s_v += g_cross
         else:
+            row = ahead[depth]
+            rest, step, curve = budget, gi + 2 * s, 2 * gi
             for v in range(top + 1):
                 h[depth] = v
-                if v:
-                    for j in range(depth + 1, n):
-                        cross[j] += g[depth][j] * v
-                rec(depth + 1, budget - gi * v * v - 2 * s * v)
-                if v:
-                    for j in range(depth + 1, n):
-                        cross[j] -= g[depth][j] * v
+                rec(depth + 1, rest)
+                rest -= step
+                step += curve
+                for j, gj in row:
+                    cross[j] += gj
+            for j, gj in row:
+                cross[j] -= (top + 1) * gj
         h[depth] = 0
         if split[depth]:
             memo[depth, budget] = [t[depth:] for t in out[mark:]]
@@ -242,7 +269,7 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     if size > cap:
         raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")
     points = ascend(minimal, h, cd)
-    points.sort()
+    _lex_sort(points, cd.n)
     if len(points) != size or any(map(eq, points, islice(points, 1, None))):
         raise InvariantError(f"walk from {minimal} in {cd.spec}: not {size} distinct points")
     return points

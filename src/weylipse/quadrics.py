@@ -20,12 +20,13 @@ the sparse column of `CartanData.sparse`, not the whole vector.  Where no h is
 carried, the T-walk `_t_walk` computes each h_i it needs over the sparse row
 i; `apply_T` is one step of it, after a membership test that is one sum over
 the sparse rows of A, so a single step never computes the whole h either.
+`h_vector` itself sums over the sparse rows, not the dense ones.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
+from operator import itemgetter
 
 from .cartan import CartanData
 from .errors import DimensionMismatchError, InvariantError, MalformedFormError, NotOnEllipsoidError
@@ -132,10 +133,20 @@ def secondary_form(cd: CartanData) -> QuadForm:
 
 
 def h_vector(x, cd: CartanData) -> tuple:
-    """h = 1 - A x.  Integral whenever x is; maps the primary quadric onto the secondary."""
+    """h = 1 - A x.  Integral whenever x is; maps the primary quadric onto the secondary.
+
+    As A_ii = 2, h_i = 1 - 2 x_i - sum_j A_ij x_j over the sparse row i of ``cd.sparse``.
+    """
     if len(x) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
-    return tuple(1 - sum(map(mul, row, x)) for row in cd.A)
+    rows, _ = cd.sparse
+    h = []
+    for xi, row in zip(x, rows):
+        v = 1 - 2 * xi
+        for j, a in row:
+            v -= a * x[j]
+        h.append(v)
+    return tuple(h)
 
 
 def apply_T(i: int, x, cd: CartanData) -> tuple:
@@ -298,3 +309,15 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
                         g[k] -= hi * a
                     stack.append((y, g))
     return points
+
+
+def _lex_sort(points: list, n: int) -> None:
+    """Sort a list of n-tuples in place into lexicographic order.
+
+    One stable sort per coordinate, the last first: a pass keeps the order of
+    the passes before it among equal keys, so coordinate 0 decides first and
+    each later one breaks the ties left.  n passes keyed by one int each beat
+    comparing whole tuples.
+    """
+    for i in range(n - 1, -1, -1):
+        points.sort(key=itemgetter(i))

@@ -44,7 +44,7 @@ from .errors import (
     NotInMainOrbitError,
 )
 from .exact import Matrix, identity
-from .quadrics import _strip_descents, _t_walk, ascend, h_vector
+from .quadrics import _lex_sort, _strip_descents, _t_walk, ascend, h_vector
 
 __all__ = [
     "WeylElement",
@@ -161,7 +161,9 @@ class GroupTable:
 
     @cached_property
     def nodes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.elements))
+        nodes = list(self.elements)
+        _lex_sort(nodes, self.cd.n)
+        return tuple(nodes)
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:

@@ -13,14 +13,16 @@ A, the Cartan inverse by Gauss-Jordan over Fractions against the integer
 adjugate assembled per component, the primary box over Fractions against its
 integer bounds, P and the action of a word on any vector by the word's
 reflections against the dense matrix product, the census search (axis
-order, factor memo, one sort) against the plain lexicographic DFS, and the
-ascent walk that reads each point's h only up to its first descent against
-the walk that tests every coordinate.
+order, factor memo, stepped differences, one sort) against the plain
+lexicographic DFS, the ascent walk that reads each point's h only up to its
+first descent against the walk that tests every coordinate, h = 1 - A x
+over the sparse rows against the dense row sums, and the sort by one stable
+pass per coordinate against `sorted`.
 """
 
 import random
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 import pytest
 
@@ -54,7 +56,7 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _strip_descents, _t_step, _t_walk, ascend
+from weylipse.quadrics import _lex_sort, _strip_descents, _t_step, _t_walk, ascend
 from weylipse.weyl import WeylElement, _act
 
 from oracles import (
@@ -548,30 +550,49 @@ def test_census_search_matches_lexicographic_dfs(text):
     assert _dfs_nonneg(g, -form.constant) == secondary_nonneg_by_lex_dfs(g, -form.constant)
 
 
-def random_block_diagonal(rng, sizes):
-    """A symmetric nonnegative g, zero off the diagonal blocks of the given sizes."""
+def random_block_diagonal(rng, sizes, diag=6, coupling=3):
+    """A symmetric nonnegative g, zero off the diagonal blocks of the given sizes,
+    with g_ii in 2..diag and couplings in 0..coupling."""
     n = sum(sizes)
     g = [[0] * n for _ in range(n)]
     start = 0
     for size in sizes:
         for i in range(start, start + size):
-            g[i][i] = rng.randint(2, 6)
+            g[i][i] = rng.randint(2, diag)
             for j in range(i + 1, start + size):
-                g[i][j] = g[j][i] = rng.randint(0, 3)
+                g[i][j] = g[j][i] = rng.randint(0, coupling)
         start += size
     return g
 
 
-@pytest.mark.parametrize("sizes", [(2, 1, 3, 1), (3, 1, 2), (1, 2, 1), (2, 2, 1), (1, 1, 3, 1, 2)])
-def test_census_search_matches_lexicographic_dfs_on_random_blocks(sizes):
+# (sizes, g_ii up to, couplings up to, h up to, c up to, draws); the last input has
+# entries and budgets large enough that the stepped differences run into the thousands
+BLOCK_CASES = [
+    ((2, 1, 3, 1), 6, 3, 2, 40, 30),
+    ((3, 1, 2), 6, 3, 2, 40, 30),
+    ((1, 2, 1), 6, 3, 2, 40, 30),
+    ((2, 2, 1), 6, 3, 2, 40, 30),
+    ((1, 1, 3, 1, 2), 6, 3, 2, 40, 30),
+    ((3, 1), 60, 20, 20, 10**5, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, diag, coupling, h_max, c_max, draws",
+    BLOCK_CASES,
+    ids=[f"sizes{k}" for k in range(len(BLOCK_CASES))],
+)
+def test_census_search_matches_lexicographic_dfs_on_random_blocks(
+    sizes, diag, coupling, h_max, c_max, draws
+):
     rng = random.Random(21)
     n = sum(sizes)
     found = 0
-    for _ in range(30):
-        g = random_block_diagonal(rng, sizes)
-        h = [rng.randint(0, 2) for _ in range(n)]
+    for _ in range(draws):
+        g = random_block_diagonal(rng, sizes, diag, coupling)
+        h = [rng.randint(0, h_max) for _ in range(n)]
         on = sum(g[i][j] * h[i] * h[j] for i in range(n) for j in range(n))
-        for c in (on, on + rng.randint(1, 9), rng.randint(0, 40)):
+        for c in (on, on + rng.randint(1, 9), rng.randint(0, c_max)):
             expected = secondary_nonneg_by_lex_dfs(g, c)
             assert _dfs_nonneg(g, c) == expected
             found += len(expected)
@@ -613,3 +634,30 @@ def test_first_descent_walk_matches_full_scan_e6():
     other = next(r for r in seeds if r.size == 12960)
     for rec in (main, other):
         assert_same_walk(rec, cd)
+
+
+# --- h = 1 - A x over the sparse rows ---
+
+
+@pytest.mark.parametrize("text", WALK_TYPES + ["E8", "A100"])
+def test_sparse_h_vector_matches_dense_rows(text):
+    cd = cd_of(text)
+    rng = random.Random(22)
+    for _ in range(40):
+        x = tuple(rng.randint(-50, 50) for _ in range(cd.n))
+        assert h_vector(x, cd) == tuple(1 - sum(map(mul, row, x)) for row in cd.A)
+
+
+# --- orbit lists sorted by one stable pass per coordinate ---
+
+
+def test_lex_sort_matches_sorted_on_e6_orbit_with_negative_coordinates():
+    cd = cd_of("E6")
+    rec = next(r for r in orbit_seeds(cd) if r.size == 12960 and min(r.minimal) < 0)
+    points = ascend(rec.minimal, rec.h, cd)
+    assert min(map(min, points)) < 0
+    expected = sorted(points)
+    random.Random(23).shuffle(points)
+    _lex_sort(points, cd.n)
+    assert points == expected
+    assert expand_orbit(rec.minimal, cd) == expected
