@@ -17,7 +17,13 @@ Conventions fixed once for the whole project:
 * Weyl group orders come from root heights (Macdonald, "The Poincare series
   of a Coxeter group", Math. Ann. 199, 1972): for a subdiagram J,
   |W_J| = prod (ht a + 1) / ht a over the positive roots a supported in J.
-  The roots are closed once per type and cached on `CartanData`.
+  The roots are listed by the walk once per type and cached on `CartanData`.
+
+Every W-orbit here is listed by one walk.  A point x carries its pairing
+vector h, a quadric point's 1 - A x or a root's -A r; the step at node i
+(T_i or s_i) adds h_i to x_i and moves h by -h_i times the sparse column i of
+A (`_t_step`).  `_strip_descents` goes down to the orbit's one point with no
+descent (no h_i < 0), and `ascend` lists the orbit from it.
 
 >>> cd = build_cartan(parse_type("B2"))
 >>> cd.A
@@ -215,6 +221,115 @@ def sparse_cartan(A: Matrix) -> tuple[tuple, tuple]:
     return rows, cols
 
 
+def _strip_descents(x, h, cd: CartanData):
+    """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
+
+    h is x's pairing vector, a quadric point's 1 - A x or a root's -A r.  The
+    step at k adds h_k to x_k, which changes h by -h_k times column k of A:
+    h_k becomes -h_k and each h_j of the sparse column k of ``cd.sparse`` drops
+    by A_jk h_k, in place.  Each step applies s_k to the vector v that W moves
+    (x - delta, or a root r) where v pairs positively with coroot k, lowering
+    by one the count of positive roots that do so with v; a descent left
+    after |Phi+| steps raises InvariantError.
+    """
+    _, cols = cd.sparse
+    cur, h, word = list(x), list(h), []
+    for _ in range(cd.positive_root_count + 1):
+        for k, hk in enumerate(h):
+            if hk < 0:
+                break
+        else:
+            return tuple(cur), tuple(h), word
+        cur[k] += hk
+        h[k] = -hk
+        for j, a in cols[k]:
+            h[j] -= a * hk
+        word.append(k + 1)
+    raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
+
+
+def _t_step(i, x, h, cd: CartanData):
+    """(T_i x, h(T_i x)) for 0-based i, given x's pairing vector h: the step of
+    `_strip_descents` on tuples, with h updated over the sparse column i."""
+    _, cols = cd.sparse
+    hi = h[i]
+    y = list(x)
+    y[i] += hi
+    g = list(h)
+    g[i] = -hi
+    for k, a in cols[i]:
+        g[k] -= a * hi
+    return tuple(y), tuple(g)
+
+
+def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
+    """The orbit of ``minimal``, its point with no descent, in walk order.
+
+    h >= 0 is the pairing vector of ``minimal``, a quadric point's 1 - A x or
+    a root's -A r.  Every other point y has one parent, T_k(y) for its
+    smallest descent k, so the walk steps from x to y = T_i(x) only when
+    h_i(x) > 0 and no k < i is a descent of y.  T_i adds -h_i A_ki >= 0 to
+    h_k (k != i), so a descent of y below i is a descent k of x with
+    h_k < h_i A_ki.  With k0 the first descent of x, the rule is read off
+    without testing every coordinate:
+
+    - each i < k0 with h_i > 0 is a step, as x has no descent below i;
+    - an i > k0 must clear k0, which needs A_{k0,i} != 0, so the candidates
+      are the neighbours (i, A_{k0,i}) in the sparse row k0 of ``cd.sparse`` with
+      h_i > 0 and h_k0 >= h_i A_{k0,i}; a candidate is blocked by any k with
+      k0 < k < i and h_k < h_i A_ki (only a descent can pass that test: one
+      that is no neighbour of i, or a neighbour that T_i does not clear).
+
+    So the scan of h stops at k0, and no point is looked up or reached twice.
+    The steps from x are taken in ascending i.  A step negates h_i and
+    changes only the h_k of the sparse column i.
+    ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
+    """
+    A = cd.A
+    rows, cols = cd.sparse
+    points = [tuple(minimal)]
+    stack = [(points[0], list(h))]
+    # the step is written out in both loops below: one call per step cost
+    # about 2% of the bench's group workload
+    while stack:
+        x, h = stack.pop()
+        for k0, hk0 in enumerate(h):
+            if hk0 < 0:
+                break
+            if hk0:
+                y = list(x)
+                y[k0] += hk0
+                y = tuple(y)
+                points.append(y)
+                if visit is not None:
+                    visit(x, k0, y)
+                g = h.copy()
+                g[k0] = -hk0
+                for k, a in cols[k0]:
+                    g[k] -= hk0 * a
+                stack.append((y, g))
+        else:
+            continue  # no descent: every positive h_i was a step
+        for i, a in rows[k0]:
+            if i > k0 and (hi := h[i]) > 0 and hk0 >= hi * a:
+                for k in range(k0 + 1, i):
+                    if h[k] < hi * A[k][i]:
+                        break
+                else:
+                    y = list(x)
+                    y[i] += hi
+                    y = tuple(y)
+                    points.append(y)
+                    if visit is not None:
+                        visit(x, i, y)
+                    g = h.copy()
+                    g[i] = -hi
+                    for k, a in cols[i]:
+                        g[k] -= hi * a
+                    stack.append((y, g))
+    return points
+
+
 # no __slots__: the cached properties below live in the instance __dict__
 class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_delta")):
     """Everything exact about one (product) type; every field is integer.
@@ -341,7 +456,7 @@ class Root(namedtuple("Root", "coords grade length_sq")):
 
 
 class RootClosure(namedtuple("RootClosure", "roots positive support_heights")):
-    """The roots of a type: the simple roots closed under the simple reflections.
+    """The roots of a type: the W-orbits of the simple roots, listed by the walk.
 
     ``roots`` maps every root to its squared length.  ``positive`` is sorted
     by coordinates; ``support_heights[r]`` is the bitmask of the nodes in the
@@ -352,34 +467,22 @@ class RootClosure(namedtuple("RootClosure", "roots positive support_heights")):
 
 
 def _root_closure(cd: CartanData) -> RootClosure:
-    n = cd.n
-    _, cols = cd.sparse
-    # each root carries its pairings A r with the simple coroots, and keeps the
-    # length of the simple root it came from, since s_i preserves length;
-    # s_i r = r - p e_i takes p times column i of A off the pairings (p - 2p at i)
-    roots, work = {}, []
+    n, A = cd.n, cd.A
+    # a root r with h = -A r steps as a quadric point does, s_i r = r + h_i e_i:
+    # a simple root not listed yet is stripped to the lowest root of its orbit,
+    # the orbit is listed from there, and its roots keep that simple root's length
+    roots = {}
     for i in range(n):
-        r = tuple(int(i == j) for j in range(n))
-        roots[r] = cd.gram[i][i]
-        work.append((r, tuple(row[i] for row in cd.A)))
-    while work:
-        r, pairings = work.pop()
-        for i, p in enumerate(pairings):
-            if p:
-                s = r[:i] + (r[i] - p,) + r[i + 1 :]
-                if s not in roots:
-                    roots[s] = roots[r]
-                    moved = list(pairings)
-                    moved[i] = -p
-                    for k, a in cols[i]:
-                        moved[k] -= p * a
-                    work.append((s, tuple(moved)))
+        e = tuple(int(i == j) for j in range(n))
+        if e not in roots:
+            lowest, h, _ = _strip_descents(e, tuple(-row[i] for row in A), cd)
+            roots.update(dict.fromkeys(ascend(lowest, h, cd), cd.gram[i][i]))
     # every root is primitive, since W acts unimodularly on the root lattice;
     # the root-multiple test of `ordering.bruhat_from_primary` relies on it
     for r in roots:
         if gcd(*r) != 1:
             raise InvariantError(f"root {r} of {cd.spec} is not primitive")
-    pos = sorted(r for r in roots if all(c >= 0 for c in r))
+    pos = sorted(r for r in roots if min(r) >= 0)
     expected = cd.positive_root_count
     if len(roots) != 2 * len(pos) or len(pos) != expected:
         raise InvariantError(
@@ -403,7 +506,7 @@ def _grade_of(coords: tuple[int, ...], length_sq: int, cd: CartanData) -> int:
 def positive_roots(cd: CartanData) -> tuple[Root, ...]:
     """All positive roots, sorted lexicographically by coordinates.
 
-    Generated by closing the simple roots under the simple reflections.
+    Listed by the walk over the W-orbits of the simple roots.
     """
     return cd.root_closure.positive
 

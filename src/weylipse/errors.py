@@ -10,9 +10,9 @@ layers that enforce them.  `cartan`, `orbits`, `weyl` and `ordering` import them
 from here.
 """
 
-# Largest total rank that `cartan.build_cartan` accepts.  `info` as a fresh
-# process, 2-core x86_64, Python 3.11: A100 0.45 s, B100 / C100 / D100 about
-# 0.9 s, A150 1.2 s, B150 3.6 s, A200 3.2 s; the root closure grows as |Phi+|.
+# Largest total rank that `cartan.build_cartan` accepts.  `info` as a fresh process,
+# 2-core x86_64, Python 3.11: A100 0.39 s, B100 0.73 s, C100 / D100 0.5 s, A150 1.2 s,
+# B150 2.0 s, A200 2.2 s (before the walk listed the roots: B100 1.07, B150 4.0, A200 3.5 s).
 MAX_RANK = 100
 # largest orbit that `orbits.expand_orbit` walks
 DEFAULT_EXPAND_CAP = 10_000_000

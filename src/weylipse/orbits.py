@@ -41,7 +41,7 @@ from itertools import islice
 from math import isqrt
 from operator import eq, itemgetter
 
-from .cartan import CartanData, parabolic_order, weyl_order
+from .cartan import CartanData, _strip_descents, ascend, parabolic_order, weyl_order
 from .errors import (
     DEFAULT_EXPAND_CAP,
     CapExceededError,
@@ -51,7 +51,7 @@ from .errors import (
     NotOnEllipsoidError,
 )
 from .exact import mat_vec
-from .quadrics import _lex_sort, _on_primary, _strip_descents, ascend, h_vector, secondary_form
+from .quadrics import _lex_sort, _on_primary, _twice_primary, h_vector, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -261,10 +261,11 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     cap, and InvariantError unless the walk lists that many distinct points.
     """
     a = tuple(a)
-    h = h_vector(a, cd)
-    if any(not isinstance(v, int) for v in a) or not _on_primary(a, h, cd):
+    if len(a) != cd.n:
+        raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(a)}")
+    if any(not isinstance(v, int) for v in a) or _twice_primary(a, cd):
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
-    minimal, h, _ = _strip_descents(a, h, cd)
+    minimal, h, _ = _strip_descents(a, h_vector(a, cd), cd)
     size = _size_at(h, cd, weyl_order(cd), {})
     if size > cap:
         raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")

@@ -39,10 +39,10 @@ from itertools import chain, compress, repeat
 from math import gcd
 from operator import sub
 
-from .cartan import CartanData
+from .cartan import CartanData, _t_step
 from .errors import MASK_BYTE_CAP, CapExceededError, InvariantError, NotInMainOrbitError
 from .exact import mat_vec
-from .quadrics import _t_step, _t_walk, h_vector
+from .quadrics import _t_walk, h_vector
 from .weyl import GroupTable, P_map, WeylElement, _act
 
 __all__ = [
@@ -252,7 +252,7 @@ def reduced_words(w: WeylElement, cd: CartanData) -> ReducedWordSet:
     """All reduced expressions of w in lexicographic order, by first-letter recursion on P-vectors.
 
     The recursion carries h = S of each state: stripping the descent i adds
-    h_i to p_i and updates h over the sparse column i (`quadrics._t_step`),
+    h_i to p_i and updates h over the sparse column i (`cartan._t_step`),
     so h is computed once, for P(w).  Every word is checked by a T-walk from
     the origin, which must land on P(w); the first word and w are also
     applied to one strictly dominant vector other than 2 delta and must agree

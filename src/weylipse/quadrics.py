@@ -8,19 +8,14 @@ secondary form is pre-multiplied by detA so that all coefficients are integers.
 A point x on the primary quadric is moved by the involution T_i, which shifts
 coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
 Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
-one point without descents, its componentwise minimum, and two walks link
-the two: `_strip_descents` goes down to it, `ascend` lists the orbit from it.
-`ascend` steps from x to T_i(x) only when i becomes the smallest descent of
-the new point, and reads that rule off x's first descent k0: every i < k0
-with h_i > 0 is a step, since T_i raises every other h_k, and an i > k0 must
-clear k0, so only the neighbours of k0 in the Dynkin diagram are tested.
-A step by T_i changes h by -h_i times column i of A, negating h_i as A_ii = 2,
-so both walks, and the reduced-word recursion through `_t_step`, update h over
-the sparse column of `CartanData.sparse`, not the whole vector.  Where no h is
-carried, the T-walk `_t_walk` computes each h_i it needs over the sparse row
-i; `apply_T` is one step of it, after a membership test that is one sum over
-the sparse rows of A, so a single step never computes the whole h either.
-`h_vector` itself sums over the sparse rows, not the dense ones.
+one point without descents, its componentwise minimum.  The walks that carry
+h (the step `_t_step`, descent stripping `_strip_descents` and the ascent walk
+`ascend`) live in `cartan` beside the sparse view of A, since the roots are
+listed by the same walk.  Where no h is carried, the T-walk `_t_walk`
+computes each h_i it needs over the sparse row i; `apply_T` is one step of
+it, after a membership test that is one sum over the sparse rows of A, so a
+single step never computes the whole h either.  `h_vector` itself sums over
+the sparse rows, not the dense ones.
 """
 
 from __future__ import annotations
@@ -29,10 +24,10 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .cartan import CartanData
-from .errors import DimensionMismatchError, InvariantError, MalformedFormError, NotOnEllipsoidError
+from .errors import DimensionMismatchError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
 
-__all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T", "ascend"]
+__all__ = ["QuadForm", "primary_form", "secondary_form", "h_vector", "apply_T"]
 
 
 class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
@@ -190,31 +185,6 @@ def _on_primary(x, h, cd: CartanData) -> bool:
     return not sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h))
 
 
-def _strip_descents(x, h, cd: CartanData):
-    """(end, h(end), letters k + 1 applied): T_k at the smallest descent k until none is left.
-
-    Given h = h_vector(x), T_k adds h_k to x_k, which changes h by -h_k times
-    column k of A: h_k becomes -h_k and each h_j of the sparse column k of
-    ``cd.sparse`` drops by A_jk h_k, in place.  Each step crosses one of the
-    |Phi+| reflecting hyperplanes of x - delta, so a descent left after |Phi+|
-    steps raises InvariantError.
-    """
-    _, cols = cd.sparse
-    cur, h, word = list(x), list(h), []
-    for _ in range(cd.positive_root_count + 1):
-        for k, hk in enumerate(h):
-            if hk < 0:
-                break
-        else:
-            return tuple(cur), tuple(h), word
-        cur[k] += hk
-        h[k] = -hk
-        for j, a in cols[k]:
-            h[j] -= a * hk
-        word.append(k + 1)
-    raise InvariantError(f"{tuple(x)} has a descent after |Phi+| steps in {cd.spec}")
-
-
 def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
     """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
 
@@ -229,86 +199,6 @@ def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
             v -= a * p[j]
         p[i] = v
     return tuple(p)
-
-
-def _t_step(i, x, h, cd: CartanData):
-    """(T_i x, h(T_i x)) for 0-based i, given h = h_vector(x): the step of
-    `_strip_descents` on tuples, with h updated over the sparse column i."""
-    _, cols = cd.sparse
-    hi = h[i]
-    y = list(x)
-    y[i] += hi
-    g = list(h)
-    g[i] = -hi
-    for k, a in cols[i]:
-        g[k] -= a * hi
-    return tuple(y), tuple(g)
-
-
-def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
-    """The orbit of ``minimal``, its minimum with h = h_vector(minimal) >= 0, in walk order.
-
-    Every other point y has one parent, T_k(y) for its smallest descent k, so
-    the walk steps from x to y = T_i(x) only when h_i(x) > 0 and no k < i is a
-    descent of y.  T_i adds -h_i A_ki >= 0 to h_k (k != i), so a descent of y
-    below i is a descent k of x with h_k < h_i A_ki.  With k0 the first
-    descent of x, the rule is read off without testing every coordinate:
-
-    - each i < k0 with h_i > 0 is a step, as x has no descent below i;
-    - an i > k0 must clear k0, which needs A_{k0,i} != 0, so the candidates
-      are the neighbours (i, A_{k0,i}) in the sparse row k0 of ``cd.sparse`` with
-      h_i > 0 and h_k0 >= h_i A_{k0,i}; a candidate is blocked by any k with
-      k0 < k < i and h_k < h_i A_ki (only a descent can pass that test: one
-      that is no neighbour of i, or a neighbour that T_i does not clear).
-
-    So the scan of h stops at k0, and no point is looked up or reached twice.
-    The steps from x are taken in ascending i.  A step negates h_i and
-    changes only the h_k of the sparse column i.
-    ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
-    """
-    A = cd.A
-    rows, cols = cd.sparse
-    points = [tuple(minimal)]
-    stack = [(points[0], list(h))]
-    # the step is written out in both loops below: one call per step cost
-    # about 2% of the bench's group workload
-    while stack:
-        x, h = stack.pop()
-        for k0, hk0 in enumerate(h):
-            if hk0 < 0:
-                break
-            if hk0:
-                y = list(x)
-                y[k0] += hk0
-                y = tuple(y)
-                points.append(y)
-                if visit is not None:
-                    visit(x, k0, y)
-                g = h.copy()
-                g[k0] = -hk0
-                for k, a in cols[k0]:
-                    g[k] -= hk0 * a
-                stack.append((y, g))
-        else:
-            continue  # no descent: every positive h_i was a step
-        for i, a in rows[k0]:
-            if i > k0 and (hi := h[i]) > 0 and hk0 >= hi * a:
-                for k in range(k0 + 1, i):
-                    if h[k] < hi * A[k][i]:
-                        break
-                else:
-                    y = list(x)
-                    y[i] += hi
-                    y = tuple(y)
-                    points.append(y)
-                    if visit is not None:
-                        visit(x, i, y)
-                    g = h.copy()
-                    g[i] = -hi
-                    for k, a in cols[i]:
-                        g[k] -= hi * a
-                    stack.append((y, g))
-    return points
 
 
 def _lex_sort(points: list, n: int) -> None:

@@ -25,8 +25,9 @@ change, s_i v_i = -v_i - sum_{j != i} A_ij v_j; only `WeylElement.mat` reads
 an element's own A, and builds its view (`cartan.sparse_cartan`) once.
 
 The group table is the main orbit listed by the canonical ascent walk
-`quadrics.ascend`, each step prepending a letter to the word, and
-`element_from_pvector` strips descents back to the origin.
+`cartan.ascend`, each step prepending a letter to the word, and
+`element_from_pvector` strips descents back to the origin by
+`cartan._strip_descents`; `cartan` lists the roots by the same walks.
 """
 
 from __future__ import annotations
@@ -34,17 +35,18 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .cartan import CartanData, Root, sparse_cartan, weyl_order
+from .cartan import CartanData, Root, _strip_descents, ascend, sparse_cartan, weyl_order
 from .errors import (
     DEFAULT_TABLE_CAP,
     CapExceededError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     InvariantError,
     NotAMultipleError,
     NotInMainOrbitError,
 )
 from .exact import Matrix, identity
-from .quadrics import _lex_sort, _strip_descents, _t_walk, ascend, h_vector
+from .quadrics import _lex_sort, _t_walk, h_vector
 
 __all__ = [
     "WeylElement",
@@ -211,6 +213,8 @@ def star(a, b, table: GroupTable) -> tuple[int, ...]:
         raise NotInMainOrbitError(
             f"{missing.args[0]} is not a main-orbit vector of {table.cd.spec}"
         ) from None
+    except TypeError:  # an unhashable coordinate
+        raise NotInMainOrbitError(f"{a} or {b} is not an integer vector") from None
     return _t_walk(wa.word, b, table.cd)
 
 
@@ -240,10 +244,11 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
     `P_map` and checked against a.
     """
     a = tuple(a)
-    h = h_vector(a, cd)  # DimensionMismatchError on a wrong length
+    if len(a) != cd.n:
+        raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(a)}")
     if any(not isinstance(v, int) for v in a):
         raise NotInMainOrbitError(f"{a} is not an integer {cd.n}-vector")
-    end, _, word = _strip_descents(a, h, cd)
+    end, _, word = _strip_descents(a, h_vector(a, cd), cd)
     if any(end):
         raise NotInMainOrbitError(f"{a} is not in the main orbit of {cd.spec}")
     elem = word_to_element(word, cd)

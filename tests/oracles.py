@@ -9,8 +9,11 @@ brute-force word search.
 The primary box scan, the word search and the T_i closure come from
 `weylipse.oracles`, which `weylipse verify` runs too; it keeps the same rule
 (no `primary_form`, no T-moves, no group table, no sparse view of A), so
-they stay independent.  The Bruhat covers by reflections are built here on
-that T_i closure, since only the tests compare against them.
+they stay independent.  The roots come from a search here that closes the
+simple roots under the simple reflections with a seen dict, stepping by the
+dense columns of A: the reference for `cartan._root_closure`, which lists
+them by the orbit walk.  The Bruhat covers by reflections are built here on
+those roots and that T_i closure, since only the tests compare against them.
 
 The plain forms of the library's exact kernels are kept here as references
 for `test_kernels.py`: pairwise componentwise comparison, the scan over all
@@ -39,7 +42,7 @@ from functools import cache
 from math import isqrt
 from operator import mul
 
-from weylipse.cartan import bilinear, positive_roots
+from weylipse.cartan import Root, RootClosure, bilinear
 from weylipse.errors import InvariantError
 from weylipse.exact import identity, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
@@ -179,6 +182,46 @@ def sphere_identity_over_fractions(x, cd):
     return bilinear(centered, centered, cd) == bilinear(delta, delta, cd)
 
 
+def root_closure_by_search(cd):
+    """The `cartan._root_closure` of cd: the simple roots closed under the
+    simple reflections with a seen dict, no walk and no sparse view of A.
+
+    Each root carries its pairings A r; s_i r = r - p e_i for p = (A r)_i, and
+    the pairings move by p times the dense column i of A.  A root keeps the
+    squared length of the simple root it came from, as s_i preserves length;
+    a grade is 2 <r, delta> / <r, r>, with <r, delta> = r . (gram delta) over
+    the Fraction delta.
+    """
+    n, A = cd.n, cd.A
+    roots, work = {}, []
+    for i in range(n):
+        r = tuple(int(i == j) for j in range(n))
+        roots[r] = cd.gram[i][i]
+        work.append((r, tuple(row[i] for row in A)))
+    while work:
+        r, pairings = work.pop()
+        for i, p in enumerate(pairings):
+            if p:
+                s = r[:i] + (r[i] - p,) + r[i + 1 :]
+                if s not in roots:
+                    roots[s] = roots[r]
+                    work.append((s, tuple(q - p * row[i] for q, row in zip(pairings, A))))
+    gram_delta = mat_vec(cd.gram, fraction_delta(A))
+    positive = []
+    for r in sorted(r for r in roots if min(r) >= 0):
+        g = 2 * sum(map(mul, r, gram_delta)) / roots[r]
+        if g.denominator != 1:
+            raise InvariantError(f"grade of {r} is {g}")
+        positive.append(Root(r, int(g), roots[r]))
+    return RootClosure(
+        roots=roots,
+        positive=tuple(positive),
+        support_heights=tuple(
+            (sum(1 << i for i, c in enumerate(r.coords) if c), sum(r.coords)) for r in positive
+        ),
+    )
+
+
 def bruhat_covers_by_reflections(cd):
     """Bruhat covers of W as pairs of P-vectors, from reflections (Bjorner-Brenti
     Def. 2.1.1 and the chain property, Thm 2.2.6): u < s_a u is a cover exactly
@@ -191,7 +234,7 @@ def bruhat_covers_by_reflections(cd):
     A pairing that is not an integer, or a reflection that leaves the closure,
     raises InvariantError.
     """
-    roots = [r.coords for r in positive_roots(cd)]
+    roots = [r.coords for r in root_closure_by_search(cd).positive]
     norms = [bilinear(a, a, cd) for a in roots]
     two_delta = cd.two_delta
     nodes = orbit_by_closure((0,) * cd.n, cd)
@@ -242,7 +285,7 @@ def word_search_by_dense_products(cd, max_len):
 
 
 def ascend_by_full_scan(minimal, h, cd, visit=None):
-    """The ascent walk of `quadrics.ascend` with every coordinate of every point
+    """The ascent walk of `cartan.ascend` with every coordinate of every point
     tested: each i with h_i > 0 is a step unless some descent k < i of x, collected
     in the same scan, stays one (h_k < h_i A_ki).  Same stack, push order and
     ``visit(x, i, y)`` calls."""

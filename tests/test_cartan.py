@@ -27,7 +27,7 @@ from weylipse.cartan import RootClosure, _root_closure
 from weylipse.errors import MAX_RANK
 from weylipse.exact import mat_vec
 
-from oracles import fraction_delta, group_order_by_closure, mat_mul
+from oracles import fraction_delta, group_order_by_closure, mat_mul, root_closure_by_search
 
 IRREDUCIBLE_LE8 = (
     ["A%d" % n for n in range(1, 9)]
@@ -230,6 +230,18 @@ def test_root_closure_roots_are_primitive(text):
     roots = _root_closure(cd).roots
     assert len(roots) == 2 * cd.positive_root_count
     assert all(gcd(*r) == 1 for r in roots)
+
+
+@pytest.mark.parametrize(
+    "text",
+    IRREDUCIBLE_LE8 + PRODUCTS + ["E8xA1", "E6xG2", "F4xG2xB3xC3xD4", "A30", "B20", "C30", "D40"],
+)
+def test_root_closure_matches_the_search_reference(text):
+    # the walk over the simple roots' orbits against the seen-dict closure:
+    # every root with its length, the positive roots with their grades, and
+    # the support bitmasks and heights
+    cd = cd_of(text)
+    assert _root_closure(cd) == root_closure_by_search(cd)
 
 
 def test_root_closure_raises_on_a_non_primitive_root(monkeypatch):

@@ -253,3 +253,35 @@ def test_sources_parse_as_python_3_10(folder):
     for name in names:
         with open(os.path.join(directory, name)) as f:
             ast.parse(f.read(), filename=name, feature_version=(3, 10))
+
+
+WALK_KERNELS = ["_t_step", "_strip_descents", "ascend"]
+# the layers that step by the walk, and the kernels each one imports, in WALK_KERNELS order
+WALK_USERS = {
+    "quadrics": [],
+    "weyl": ["_strip_descents", "ascend"],
+    "orbits": ["_strip_descents", "ascend"],
+    "ordering": ["_t_step"],
+}
+
+
+def test_the_walk_kernels_are_defined_once_in_cartan():
+    # "add h_i to x_i, move h by column i of A" is written in one module; the
+    # layers that walk hold cartan's objects themselves, with no re-export
+    package = os.path.dirname(weylipse.__file__)
+    defined = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in WALK_KERNELS:
+                    defined.setdefault(node.name, []).append(name)
+    assert defined == {kernel: ["cartan.py"] for kernel in WALK_KERNELS}
+    cartan = import_module("weylipse.cartan")
+    for layer, kernels in WALK_USERS.items():
+        module = import_module(f"weylipse.{layer}")
+        assert [k for k in WALK_KERNELS if hasattr(module, k)] == kernels, layer
+        for kernel in kernels:
+            assert getattr(module, kernel) is getattr(cartan, kernel), (layer, kernel)
+        assert not set(WALK_KERNELS) & set(getattr(module, "__all__", ())), layer

@@ -44,7 +44,7 @@ from weylipse import (
     secondary_form,
 )
 from weylipse import cartan, ordering
-from weylipse.cartan import sparse_cartan
+from weylipse.cartan import _strip_descents, _t_step, ascend, sparse_cartan
 from weylipse.exact import mat_vec
 from weylipse.ordering import (
     _componentwise_down,
@@ -56,7 +56,7 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _lex_sort, _strip_descents, _t_step, _t_walk, ascend
+from weylipse.quadrics import _lex_sort, _t_walk
 from weylipse.weyl import WeylElement, _act
 
 from oracles import (

@@ -22,8 +22,8 @@ from weylipse import (
     secondary_form,
     weyl_order,
 )
+from weylipse.cartan import ascend
 from weylipse.oracles import orbit_by_closure
-from weylipse.quadrics import ascend
 
 from oracles import (
     e8_dominant_count_euclid,
@@ -219,6 +219,16 @@ def test_expand_errors():
         expand_orbit((1, 1), a2)
     with pytest.raises(CapExceededError):
         expand_orbit((0, 0), a2, cap=3)
+
+
+def test_expand_rejects_malformed_coordinates():
+    # the length is checked first, then integrality, before h is computed
+    a2 = cd_of("A2")
+    for junk in [("a", 0), (None, 0), ([0], 0), (1, 0.0)]:
+        with pytest.raises(NotOnEllipsoidError):
+            expand_orbit(junk, a2)
+    with pytest.raises(DimensionMismatchError):
+        expand_orbit(("a",), a2)
 
 
 @pytest.mark.parametrize("text", SMALL + RANK4)

@@ -261,6 +261,16 @@ def test_star_examples():
         star((5, 5), (0, 0), table)
 
 
+def test_star_and_p_alpha_b_reject_an_unhashable_coordinate():
+    table = table_of("A2")
+    for a, b in [(([0], 0), (0, 0)), ((0, 0), (0, [0]))]:
+        with pytest.raises(NotInMainOrbitError):
+            star(a, b, table)
+    root = positive_roots(table.cd)[0]
+    with pytest.raises(NotInMainOrbitError):
+        p_alpha_b(root, ([0], 0), table)
+
+
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
 def test_star_group_axioms_exhaustive(text):
     table = table_of(text)
@@ -337,3 +347,9 @@ def test_element_from_pvector_rejects_junk():
         element_from_pvector((1, 0.0), cd)
     with pytest.raises(DimensionMismatchError):
         element_from_pvector((1,), cd)
+    # the length is checked first, then integrality, before h is computed
+    for junk in [("a", 0), (None, 0), ([0], 0)]:
+        with pytest.raises(NotInMainOrbitError):
+            element_from_pvector(junk, cd)
+    with pytest.raises(DimensionMismatchError):
+        element_from_pvector((None,), cd)
