@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
+from itertools import compress
 from math import gcd, prod
 from operator import mul
 
@@ -340,7 +341,9 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     of the positive roots, so <delta, delta> = sum_i k_i two_delta_i / 2.
     ``sparse`` is the sparse view (rows, cols) of A (`sparse_cartan`) that every
     step by one T_i or one s_i reads: the T-walk, a word acting on a vector,
-    descent stripping, the ascent walk and the root closure.
+    descent stripping, the ascent walk and the root closure.  ``edges`` lists
+    each edge of the Dynkin diagram once, as (j, m, gram[j][m]) with j < m:
+    the cross terms of the primary quadric that `quadrics._twice_primary` sums.
     """
 
     def __str__(self) -> str:
@@ -354,6 +357,11 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     @cached_property
     def sparse(self) -> tuple[tuple, tuple]:
         return sparse_cartan(self.A)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        rows, _ = self.sparse
+        return tuple((j, m, self.gram[j][m]) for j, row in enumerate(rows) for m, _ in row if m > j)
 
     @cached_property
     def root_closure(self) -> RootClosure:
@@ -488,10 +496,11 @@ def _root_closure(cd: CartanData) -> RootClosure:
         raise InvariantError(
             f"{cd.spec} has {len(roots)} roots, {len(pos)} positive; expected {expected} positive"
         )
+    bits = [1 << i for i in range(n)]
     return RootClosure(
         roots=roots,
         positive=tuple(Root(r, _grade_of(r, roots[r], cd), roots[r]) for r in pos),
-        support_heights=tuple((sum(1 << i for i, c in enumerate(r) if c), sum(r)) for r in pos),
+        support_heights=tuple((sum(compress(bits, r)), sum(r)) for r in pos),
     )
 
 

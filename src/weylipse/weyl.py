@@ -18,11 +18,11 @@ needs the matrix of its element, `WeylElement.mat` to each e_j for column j,
 and `ordering.reduced_words` to a regular vector to check its first word.
 Left multiplication is P(s_i w) = T_i(P(w)), so the other is the T-walk
 `quadrics._t_walk` (T_i x = s_i x + e_i), which gives `star`, `p_alpha_b`,
-the subword covers of `ordering.bruhat_from_subwords`, the word checks of
-`ordering.reduced_words` and `quadrics.apply_T`.  Both loops read the sparse
-rows of the type's `CartanData.sparse` and write the diagonal 2 of A as a sign
-change, s_i v_i = -v_i - sum_{j != i} A_ij v_j; only `WeylElement.mat` reads
-an element's own A, and builds its view (`cartan.sparse_cartan`) once.
+the subword covers of `ordering.bruhat_from_subwords` and the word checks of
+`ordering.reduced_words` (`quadrics.apply_T` writes its one step out).  Both
+read the sparse rows of `CartanData.sparse` and write the diagonal 2 of A as a
+sign change, s_i v_i = -v_i - sum_{j != i} A_ij v_j; only `WeylElement.mat`
+reads an element's own A, and builds its view (`cartan.sparse_cartan`) once.
 
 The group table is the main orbit listed by the canonical ascent walk
 `cartan.ascend`, each step prepending a letter to the word, and

@@ -56,7 +56,7 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _lex_sort, _t_walk
+from weylipse.quadrics import _lex_sort, _t_walk, _twice_primary
 from weylipse.weyl import WeylElement, _act
 
 from oracles import (
@@ -525,6 +525,25 @@ def test_t_step_matches_t_walk_and_h_vector(name):
         i = rng.randrange(cd.n)
         y = t_walk_by_index_loops((i + 1,), x, cd.A)
         assert _t_step(i, x, h_vector(x, cd), cd) == (y, h_vector(y, cd))
+
+
+@pytest.mark.parametrize("name", STEP_TYPES + ["B2xG2", "E8xA1", "A30", "D40"])
+def test_twice_primary_matches_primary_form(name):
+    # squares over the nonzero coordinates and cross terms over each edge of the
+    # diagram once, against the form's sum over the whole upper triangle of gram
+    cd = cd_of(name)
+    n = cd.n
+    assert [(j, m) for j, m, _ in cd.edges] == [
+        (j, m) for j in range(n) for m in range(j + 1, n) if cd.gram[j][m]
+    ]
+    form = primary_form(cd)
+    rng = random.Random(21)
+    for bound in (1, 5, 10**6):
+        for _ in range(40):
+            x = tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(n))
+            assert _twice_primary(x, cd) == 2 * form.value(x)
+        x = tuple(rng.randint(-bound, bound) or 1 for _ in range(n))
+        assert _twice_primary(x, cd) == 2 * form.value(x)
 
 
 # --- census search: factor by factor, tightest axes first, each factor once per

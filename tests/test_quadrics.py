@@ -171,9 +171,9 @@ def test_apply_T_involution_walk(data):
     "text", ["A1", "A2", "B3", "C3", "D5", "G2", "G2xA1", "F4", "E6", "E8", "E6xA2"]
 )
 def test_apply_T_membership_matches_primary_form(text):
-    # apply_T decides membership by a sum over the sparse rows of A; it must
-    # agree with the form on points of a random T-walk, on their unit
-    # neighbours and on box points, and step by h_i
+    # apply_T decides membership by sums over the nonzero coordinates and over
+    # the diagram's edges; it must agree with the form on points of a random
+    # T-walk, on their unit neighbours and on box points, and step by h_i
     cd = cd_of(text)
     form = primary_form(cd)
     rng = random.Random(7)
@@ -193,3 +193,36 @@ def test_apply_T_membership_matches_primary_form(text):
                     apply_T(i, p, cd)
         x = apply_T(rng.randint(1, cd.n), x, cd)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("text", ["E8", "E6xA2"])
+def test_apply_T_refusals_keep_class_and_message(text):
+    cd = cd_of(text)
+    n = cd.n
+    rng = random.Random(8)
+    x = (0,) * n
+    for _ in range(40):
+        x = apply_T(rng.randint(1, n), x, cd)
+    assert any(x) and primary_form(cd).value(x) == 0
+    # a coordinate that is not an int is refused, even where its value keeps x on the quadric
+    for j in (0, n - 1):
+        for v in (float(x[j]), Fraction(x[j]), str(x[j]), None):
+            bad = x[:j] + (v,) + x[j + 1 :]
+            message = f"{bad} is not an integral primary solution of {text}"
+            with pytest.raises(NotOnEllipsoidError) as caught:
+                apply_T(1, list(bad), cd)
+            assert str(caught.value) == message
+    for y in (x[:-1], x + (0,)):
+        with pytest.raises(DimensionMismatchError) as caught:
+            apply_T(1, y, cd)
+        assert str(caught.value) == f"expected {n}-vector, got {len(y)}"
+    for i in (0, n + 1, 1.0):
+        with pytest.raises(DimensionMismatchError) as caught:
+            apply_T(i, x, cd)
+        assert str(caught.value) == f"index {i} out of range 1..{n}"
+    # a list comes back as a tuple, stepped by h_i
+    h = h_vector(x, cd)
+    for i in range(1, n + 1):
+        y = apply_T(i, list(x), cd)
+        assert type(y) is tuple
+        assert y == x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
