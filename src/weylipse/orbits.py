@@ -14,16 +14,17 @@ settles.  Every quantity a node's loop over t needs is a polynomial in t of
 degree at most two, so it is stepped by its differences, not recomputed: the
 child budget b - g t^2 - 2 s t, the discriminant of the last coordinate's
 quadratic at the depth before it, and the cross terms of the coordinates
-after the node, which move by the nonzero couplings only.  The coordinates are searched factor by factor (the connected
-components of G), the factors in descending order of their largest G_ii and
-each factor in descending order of G_ii, so the tightest ranges of a factor
-come first; the order only permutes a nonnegative G, so every bound above
-stays exact.  At the boundary after each factor of a product type no entry of
-G couples the searched prefix to the rest, so the solutions of the rest depend
-only on the budget left, and the rest is solved once per budget.
-The solutions are mapped back to the original coordinates and sorted once,
-into lexicographic order.  No floating point is involved anywhere, so points
-on the quadric surface cannot be missed.
+after the node, which move by the nonzero couplings only.  The coordinates
+are searched factor by factor (the connected components of G), the factors in
+descending order of their largest G_ii and each factor in descending order of
+G_ii, so the tightest ranges of a factor come first; the order only permutes a
+nonnegative G, so every bound above stays exact.  The solutions of the last
+two coordinates depend only on the budget their prefix leaves and on its two
+cross terms, so each such state is solved once; most nodes of the search sit
+there.  After each factor of a product type every cross term is zero, so the
+rest is solved once per budget left.  The solutions are mapped back to the
+original coordinates and sorted once, into lexicographic order.  No floating
+point is involved anywhere, so points on the quadric surface cannot be missed.
 
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import islice
 from math import isqrt
-from operator import eq, itemgetter
+from operator import eq, itemgetter, mul
 
 from .cartan import CartanData, _strip_descents, ascend, parabolic_order, weyl_order
 from .errors import (
@@ -75,10 +76,15 @@ def _dfs_nonneg(g, c):
     The coordinates are searched factor by factor (the connected components of
     g's nonzero entries), each factor in descending order of g_ii and the
     factors in descending order of their largest g_ii, ties in index order.
-    At a depth where no entry of g couples the coordinates before it to those
-    from it on, the tails below depend only on the budget, so they are searched
-    once per (depth, budget) and reused from a memo local to the call.  The
-    solutions are mapped back to the input's coordinates and sorted once.
+    The solutions are mapped back to the input's coordinates and sorted once.
+
+    The last two coordinates (the pair) have the same solutions under every
+    prefix that leaves them the same state: the child budget and the cross term
+    of each.  So each state is solved once, inside the loop of the coordinate
+    before them, and its solutions are kept in a dict local to the call.  The
+    factor-boundary memo is the same rule with every cross term zero: at a depth
+    where no entry of g couples the coordinates before it to those from it on,
+    the tails are searched once per (depth, budget).
 
     A node at depth d with budget b and cross term s loops over v = 0..top and
     steps each quantity by its differences, with no product in v:
@@ -88,10 +94,10 @@ def _dfs_nonneg(g, c):
       it keys the memo;
     - the cross terms of the coordinates j > d rise by g_dj per v, over the
       nonzero couplings ``ahead[d]`` only, and drop by (top + 1) g_dj once after
-      the loop;
-    - at the depth before the last, the discriminant s_v^2 + g_last rest(v) of
-      the last coordinate's quadratic, with s_v = s_last + g_cross v, has second
-      difference 2 (g_cross^2 - g_last g_dd), so each v costs one isqrt and
+      the loop; the pair's parent steps its two cross terms as locals;
+    - in the pair, the discriminant s_u^2 + g_last rest(u) of the last
+      coordinate's quadratic, with s_u = s_t + g_cross u, has second
+      difference 2 (g_cross^2 - g_last g_pen), so each u costs one isqrt and
       three additions.
     """
     n = len(g)
@@ -113,19 +119,40 @@ def _dfs_nonneg(g, c):
     factors.sort(key=lambda f: -g[f[0]][f[0]])  # stable: ties keep their first coordinate's order
     axes = [i for f in factors for i in f]
     g = [[g[i][j] for j in axes] for i in axes]
-    g_last = g[last][last]
-    # split[d]: d is a factor boundary.  A first visit at (d, budget) appends its
-    # solutions under the current prefix, and their tails are kept for the next prefix.
+    pen = last - 1  # the pair is (pen, last)
+    g_pen, g_cross, g_last = g[pen][pen], g[pen][last], g[last][last]
+    # split[d]: d < pen is a factor boundary (one at pen is keyed in ``pairs``).  A
+    # first visit at (d, budget) appends its solutions under the current prefix,
+    # and their tails are kept for the next prefix.
     split = [
-        0 < d < last and not any(g[i][j] for i in range(d) for j in range(d, n))
+        0 < d < pen and not any(g[i][j] for i in range(d) for j in range(d, n))
         for d in range(n)
     ]
     # ahead[d]: the nonzero couplings (j, g_dj) of d to the coordinates after it
     ahead = [[(j, g[d][j]) for j in range(d + 1, n) if g[d][j]] for d in range(n)]
-    memo = {}
-    out = []
+    memo, pairs, out = {}, {}, []
     h = [0] * n
     cross = [0] * n  # cross[j] = sum over fixed i of g_ij h_i
+
+    def pair(budget, s, s_t):
+        """(u, t) >= 0 with g_pen u^2 + 2 g_cross u t + g_last t^2 + 2 s u + 2 s_t t == budget."""
+        # at each u, with s_t stepped by g_cross per u, t solves g_last t^2 + 2 s_t t == rest(u):
+        # t = (r - s_t) / g_last with r^2 = disc = s_t^2 + g_last rest(u).  u <= top
+        # keeps rest(u) >= 0, so disc >= s_t^2 >= 0 and r >= s_t >= 0.
+        top = (isqrt(s * s + g_pen * budget) - s) // g_pen
+        disc = s_t * s_t + g_last * budget
+        curve = g_cross * g_cross - g_last * g_pen
+        step = curve + 2 * (s_t * g_cross - g_last * s)
+        curve *= 2
+        found = []
+        for u in range(top + 1):
+            r = isqrt(disc)
+            if r * r == disc and not (r - s_t) % g_last:
+                found.append((u, (r - s_t) // g_last))
+            disc += step
+            step += curve
+            s_t += g_cross
+        return found
 
     def rec(depth, budget):
         if split[depth]:
@@ -138,26 +165,24 @@ def _dfs_nonneg(g, c):
         gi = g[depth][depth]
         s = cross[depth]
         top = (isqrt(s * s + gi * budget) - s) // gi
-        if depth == last - 1:
-            # h_last = t solves g_last t^2 + 2 s_v t == rest: t = (r - s_v) / g_last with
-            # r^2 = disc = s_v^2 + g_last rest.  v <= top keeps rest >= 0, so
-            # disc >= s_v^2 >= 0 and r >= s_v >= 0.
-            s_v, g_cross = cross[last], g[depth][last]
-            disc = s_v * s_v + g_last * budget
-            curve = g_cross * g_cross - g_last * gi
-            step = curve + 2 * (s_v * g_cross - g_last * s)
-            curve *= 2
+        rest, step, curve = budget, gi + 2 * s, 2 * gi
+        if depth == pen - 1:  # the pair's parent: one dict lookup per v
+            s_u, s_t = cross[pen], cross[last]
+            g_u, g_t = g[depth][pen], g[depth][last]
             for v in range(top + 1):
-                r = isqrt(disc)
-                if r * r == disc and not (r - s_v) % g_last:
-                    h[depth] = v
-                    out.append((*h[:last], (r - s_v) // g_last))
-                disc += step
+                key = (rest, s_u, s_t)
+                tails = pairs.get(key)
+                if tails is None:
+                    tails = pairs[key] = pair(rest, s_u, s_t)
+                if tails:
+                    head = (*h[:depth], v)
+                    out.extend([head + t for t in tails])
+                rest -= step
                 step += curve
-                s_v += g_cross
+                s_u += g_u
+                s_t += g_t
         else:
             row = ahead[depth]
-            rest, step, curve = budget, gi + 2 * s, 2 * gi
             for v in range(top + 1):
                 h[depth] = v
                 rec(depth + 1, rest)
@@ -167,11 +192,14 @@ def _dfs_nonneg(g, c):
                     cross[j] += gj
             for j, gj in row:
                 cross[j] -= (top + 1) * gj
-        h[depth] = 0
+            h[depth] = 0
         if split[depth]:
             memo[depth, budget] = [t[depth:] for t in out[mark:]]
 
-    rec(0, c)
+    if pen:
+        rec(0, c)
+    else:
+        out.extend(pair(c, 0, 0))
     unpermute = itemgetter(*sorted(range(n), key=axes.__getitem__))
     return sorted(map(unpermute, out))
 
@@ -194,10 +222,12 @@ def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
 
 
 def _integral_minimal(h, cd: CartanData):
-    """x_h = Ainv (1 - h) = adjA (1 - h) / detA as an integer tuple, or None."""
+    """x_h = Ainv (1 - h) = adjA (1 - h) / detA row by row, or None at the first remainder."""
+    det = cd.detA
+    u = tuple(1 - v for v in h)
     out = []
-    for num in mat_vec(cd.adjA, tuple(1 - v for v in h)):
-        x, r = divmod(num, cd.detA)
+    for row in cd.adjA:
+        x, r = divmod(sum(map(mul, row, u)), det)
         if r:
             return None
         out.append(x)

@@ -29,7 +29,7 @@ the ascent walk that tests every coordinate of every point against the step
 rule, collecting the descents in the same scan.  The census search in its
 plain form is here too: the interval-pruned DFS over the coordinates in
 index order, whose solutions come out in lexicographic order with no axis
-order, factor memo or sort.
+order, no memo of the last two coordinates or of a factor, and no sort.
 The Cartan inverse in its plain form is here as well: Gauss-Jordan over
 Fractions, the reference for the integer adjugate, determinant and 2 delta
 that `cartan.build_cartan` assembles per component, and the source of every

@@ -13,11 +13,13 @@ A, the Cartan inverse by Gauss-Jordan over Fractions against the integer
 adjugate assembled per component, the primary box over Fractions against its
 integer bounds, P and the action of a word on any vector by the word's
 reflections against the dense matrix product, the census search (axis
-order, factor memo, stepped differences, one sort) against the plain
-lexicographic DFS, the ascent walk that reads each point's h only up to its
-first descent against the walk that tests every coordinate, h = 1 - A x
-over the sparse rows against the dense row sums, and the sort by one stable
-pass per coordinate against `sorted`.
+order, the last two coordinates solved once per budget and cross terms, the
+factor memo, stepped differences, one sort) against the plain lexicographic
+DFS, the minimal vector x_h built one row at a time against the whole
+product divided by detA, the ascent walk that reads each point's h only up
+to its first descent against the walk that tests every coordinate,
+h = 1 - A x over the sparse rows against the dense row sums, and the sort by
+one stable pass per coordinate against `sorted`.
 """
 
 import random
@@ -34,6 +36,7 @@ from weylipse import (
     bilinear,
     build_cartan,
     build_group_table,
+    enumerate_secondary_nonneg,
     expand_orbit,
     h_vector,
     orbit_seeds,
@@ -54,7 +57,7 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
-from weylipse.orbits import _dfs_nonneg
+from weylipse.orbits import _dfs_nonneg, _integral_minimal
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _lex_sort, _t_walk, _twice_primary
 from weylipse.weyl import WeylElement, _act
@@ -546,8 +549,9 @@ def test_twice_primary_matches_primary_form(name):
         assert _twice_primary(x, cd) == 2 * form.value(x)
 
 
-# --- census search: factor by factor, tightest axes first, each factor once per
-# budget, one sort ---
+# --- census search: factor by factor, tightest axes first, the last two
+# coordinates once per (budget, cross terms), each factor once per budget, one
+# sort ---
 
 CENSUS_FAMILIES = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
@@ -558,10 +562,12 @@ CENSUS_PRODUCTS = ["A1xE8", "A2xE7", "A2xA2xA2", "G2xB3xA2", "A1xA1xA1xA1"]
 # products whose factors' g_ii interleave, so only the factor-by-factor order
 # gives their boundaries
 CENSUS_INTERLEAVED = ["A3xA3", "B3xB3", "D4xD4", "A2xE6"]
+CENSUS_RANK10 = ["A10", "D10"]
 
 
 @pytest.mark.parametrize(
-    "text", CENSUS_FAMILIES + CENSUS_BENCH + CENSUS_PRODUCTS + CENSUS_INTERLEAVED
+    "text",
+    CENSUS_FAMILIES + CENSUS_BENCH + CENSUS_PRODUCTS + CENSUS_INTERLEAVED + CENSUS_RANK10,
 )
 def test_census_search_matches_lexicographic_dfs(text):
     form = secondary_form(cd_of(text))
@@ -584,8 +590,13 @@ def random_block_diagonal(rng, sizes, diag=6, coupling=3):
     return g
 
 
-# (sizes, g_ii up to, couplings up to, h up to, c up to, draws); the last input has
-# entries and budgets large enough that the stepped differences run into the thousands
+# (sizes, g_ii up to, couplings up to, h up to, c up to, draws).  The sixth input
+# has entries and budgets large enough that the stepped differences run into the
+# thousands.  The single blocks after it, with g_ii <= 3 and couplings <= 1, reach
+# the same (budget, cross terms) state of the last two coordinates under many
+# prefixes.  The last pair crosses a factor boundary with zero coupling after
+# (5, 1) and (2, 1), and is a whole factor after (4, 2) and (1, 2); n = 2 and
+# n = 3 leave no coordinate, or one, before the pair.
 BLOCK_CASES = [
     ((2, 1, 3, 1), 6, 3, 2, 40, 30),
     ((3, 1, 2), 6, 3, 2, 40, 30),
@@ -593,6 +604,15 @@ BLOCK_CASES = [
     ((2, 2, 1), 6, 3, 2, 40, 30),
     ((1, 1, 3, 1, 2), 6, 3, 2, 40, 30),
     ((3, 1), 60, 20, 20, 10**5, 8),
+    ((3,), 3, 1, 3, 40, 30),
+    ((6,), 3, 1, 2, 60, 30),
+    ((8,), 3, 1, 1, 60, 20),
+    ((5, 1), 4, 2, 2, 40, 30),
+    ((4, 2), 4, 2, 2, 40, 30),
+    ((2,), 6, 3, 4, 60, 30),
+    ((1, 1), 6, 3, 4, 60, 30),
+    ((2, 1), 6, 3, 3, 40, 30),
+    ((1, 2), 6, 3, 3, 40, 30),
 ]
 
 
@@ -616,6 +636,25 @@ def test_census_search_matches_lexicographic_dfs_on_random_blocks(
             assert _dfs_nonneg(g, c) == expected
             found += len(expected)
     assert found > 0
+
+
+# --- minimal vectors one row at a time ---
+
+
+def test_integral_minimal_matches_dense_product():
+    """Every census row, and random vectors whose remainders fall on single coordinates."""
+    rng = random.Random(24)
+    integral = fractional = 0
+    for text in ["B8", "C8", "D9", "E7xA2", "B2xA1"]:
+        cd = cd_of(text)
+        randoms = [tuple(rng.randint(0, 5) for _ in range(cd.n)) for _ in range(200)]
+        for h in enumerate_secondary_nonneg(cd) + randoms:
+            x = [divmod(v, cd.detA) for v in mat_vec(cd.adjA, tuple(1 - v for v in h))]
+            expected = None if any(r for _, r in x) else tuple(q for q, _ in x)
+            assert _integral_minimal(h, cd) == expected
+            integral += expected is not None
+            fractional += expected is None
+    assert integral and fractional
 
 
 # --- ascent walk: each point's h read up to its first descent ---
