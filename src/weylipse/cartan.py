@@ -23,7 +23,9 @@ Every W-orbit here is listed by one walk.  A point x carries its pairing
 vector h, a quadric point's 1 - A x or a root's -A r; the step at node i
 (T_i or s_i) adds h_i to x_i and moves h by -h_i times the sparse column i of
 A (`_t_step`).  `_strip_descents` goes down to the orbit's one point with no
-descent (no h_i < 0), and `ascend` lists the orbit from it.
+descent (no h_i < 0), and `ascend` lists the orbit from it.  Where no h is
+carried, `_t_walk` applies a whole word of T_i, each h_i computed over the
+sparse row i: it gives P(w) = T_w(0) and w x = T_w(x) - T_w(0).
 
 >>> cd = build_cartan(parse_type("B2"))
 >>> cd.A
@@ -263,6 +265,23 @@ def _t_step(i, x, h, cd: CartanData):
     return tuple(y), tuple(g)
 
 
+def _t_walk(word, start, rows) -> tuple[int, ...]:
+    """T_{i1}(... T_{ik}(start)), with no h carried: P(s_{i1} ... s_{ik} w) for start = P(w).
+
+    T_i sets x_i to 1 - x_i - sum_{j != i} A_ij x_j over the sparse ``rows``
+    of A (`sparse_cartan`), as A_ii = 2.  T_w is affine, T_w(x) = P(w) + w x,
+    so the walk from the origin is P(w) and T_w(x) - T_w(0) is w x.
+    """
+    p = list(start)
+    for i in reversed(word):
+        i -= 1
+        v = 1 - p[i]
+        for j, a in rows[i]:
+            v -= a * p[j]
+        p[i] = v
+    return tuple(p)
+
+
 def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
     """The orbit of ``minimal``, its point with no descent, in walk order.
 
@@ -340,10 +359,10 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     A adjA = detA I, and ``two_delta`` = 2 adjA (1, ..., 1) / detA is the sum
     of the positive roots, so <delta, delta> = sum_i k_i two_delta_i / 2.
     ``sparse`` is the sparse view (rows, cols) of A (`sparse_cartan`) that every
-    step by one T_i or one s_i reads: the T-walk, a word acting on a vector,
-    descent stripping, the ascent walk and the root closure.  ``edges`` lists
-    each edge of the Dynkin diagram once, as (j, m, gram[j][m]) with j < m:
-    the cross terms of the primary quadric that `quadrics._twice_primary` sums.
+    step by one T_i or one s_i reads: the T-walk, descent stripping, the
+    ascent walk and the root closure.  ``edges`` lists each edge of the Dynkin
+    diagram once, as (j, m, gram[j][m]) with j < m: the cross terms of the
+    primary quadric that `quadrics._twice_primary` sums.
     """
 
     def __str__(self) -> str:

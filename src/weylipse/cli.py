@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .cartan import build_cartan, parse_type, weyl_order
@@ -29,6 +30,11 @@ SAFE_INT = 2**53
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus then a digit starts a value, as in "--point -1,1,2,2": no option does
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message):  # argparse default exits with 2; usage errors are 1 here
         raise UsageError(message)
 

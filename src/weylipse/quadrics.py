@@ -8,14 +8,14 @@ secondary form is pre-multiplied by detA so that all coefficients are integers.
 A point x on the primary quadric is moved by the involution T_i, which shifts
 coordinate i by h_i (a no-op where h_i = 0) and lands on the quadric again.
 Index i is a descent of x when h_i < 0: T_i then lowers x_i.  Every orbit has
-one point without descents, its componentwise minimum.  The walks that carry
-h (the step `_t_step`, descent stripping `_strip_descents` and the ascent walk
-`ascend`) live in `cartan` beside the sparse view of A, since the roots are
-listed by the same walk.  Where no h is carried, the T-walk `_t_walk`
-computes each h_i it needs over the sparse row i; `apply_T` takes one such
-step after a membership test over the nonzero x_j and the diagram's edges
-(`CartanData.edges`), so a single step never computes the whole h either.
-`h_vector` itself sums over the sparse rows, not the dense ones.
+one point without descents, its componentwise minimum.  Every walk (the step
+`_t_step`, descent stripping `_strip_descents`, the ascent walk `ascend` and
+the T-walk of a word `_t_walk`) lives in `cartan` beside the sparse view of
+A, since the roots are listed by the same walk; this module defines none.
+`apply_T` takes one step of `cartan._t_walk` after a membership test over the
+nonzero x_j and the diagram's edges (`CartanData.edges`), so a single step
+never computes the whole h.  `h_vector` sums over the sparse rows, not the
+dense ones.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
     if not all(map(isinstance, x, repeat(int))) or _twice_primary(x, cd):
         raise NotOnEllipsoidError(f"{x} is not an integral primary solution of {cd.spec}")
-    # one step of `_t_walk`, written out (the call cost about 4% of apply_T on E8):
+    # one step of `cartan._t_walk`, written out (the call cost about 4% of apply_T on E8):
     # x_i becomes 1 - x_i - sum_j A_ij x_j over the sparse row i
     i -= 1
     y = list(x)
@@ -197,22 +197,6 @@ def _on_primary(x, h, cd: CartanData) -> bool:
     For fixed h the test is homogeneous in x, so any multiple of x may be passed.
     """
     return not sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h))
-
-
-def _t_walk(word, start, cd: CartanData) -> tuple[int, ...]:
-    """T_{i1}(... T_{ik}(start)), which is P(s_{i1} ... s_{ik} w) for start = P(w).
-
-    T_i sets p_i to 1 - p_i - sum_{j != i} A_ij p_j, as A_ii = 2, over the sparse row i.
-    """
-    rows, _ = cd.sparse
-    p = list(start)
-    for i in reversed(word):
-        i -= 1
-        v = 1 - p[i]
-        for j, a in rows[i]:
-            v -= a * p[j]
-        p[i] = v
-    return tuple(p)
 
 
 def _lex_sort(points: list, n: int) -> None:

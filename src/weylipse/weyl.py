@@ -6,23 +6,20 @@ coordinates; the simple reflection s_i sends e_j to e_j - A_ij e_i.  Words
 multiply left to right, so word_to_element([1, 2]) is s_1 s_2 acting as
 x |-> s_1(s_2(x)).
 
-P(w) = delta - w delta = (2 delta - w 2 delta) / 2 maps the group bijectively
-onto the main orbit of the primary quadric (the identity goes to the origin);
-S(w) = A w delta = 1 - A P(w) is the corresponding point of the secondary
-quadric.  Everything here is integer arithmetic on 2 delta, the sum of the
-positive roots.
+P(w) = delta - w delta maps the group bijectively onto the main orbit of the
+primary quadric (the identity goes to the origin); S(w) = A w delta =
+1 - A P(w) is the corresponding point of the secondary quadric.
 
-A word acts in two ways, each written once.  `_act` applies its reflections
-to a vector, right to left: `P_map` to the one vector 2 delta, so no P-vector
-needs the matrix of its element, `WeylElement.mat` to each e_j for column j,
-and `ordering.reduced_words` to a regular vector to check its first word.
-Left multiplication is P(s_i w) = T_i(P(w)), so the other is the T-walk
-`quadrics._t_walk` (T_i x = s_i x + e_i), which gives `star`, `p_alpha_b`,
-the subword covers of `ordering.bruhat_from_subwords` and the word checks of
-`ordering.reduced_words` (`quadrics.apply_T` writes its one step out).  Both
-read the sparse rows of `CartanData.sparse` and write the diagonal 2 of A as a
-sign change, s_i v_i = -v_i - sum_{j != i} A_ij v_j; only `WeylElement.mat`
-reads an element's own A, and builds its view (`cartan.sparse_cartan`) once.
+A word acts by one walk, the T-walk `cartan._t_walk`.  Left multiplication is
+P(s_i w) = T_i(P(w)) with T_i x = s_i x + e_i, so T_w, the word's T_i applied
+right to left, is affine: T_w(x) = P(w) + w x.  The walk from the origin is
+`P_map`, with no matrix and no division; T_w(e_j) - T_w(0) is column j of
+`WeylElement.mat`; the walk from P(v) is P(wv), which gives `star`,
+`p_alpha_b` and the subword covers of `ordering.bruhat_from_subwords`; and
+`ordering.reduced_words` checks its words by walks (`quadrics.apply_T` writes
+its one step out).  The walk reads the sparse rows of `CartanData.sparse`;
+only `WeylElement.mat` reads an element's own A, and builds its view
+(`cartan.sparse_cartan`) once.
 
 The group table is the main orbit listed by the canonical ascent walk
 `cartan.ascend`, each step prepending a letter to the word, and
@@ -34,8 +31,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from operator import sub
 
-from .cartan import CartanData, Root, _strip_descents, ascend, sparse_cartan, weyl_order
+from .cartan import CartanData, Root, _strip_descents, _t_walk, ascend, sparse_cartan, weyl_order
 from .errors import (
     DEFAULT_TABLE_CAP,
     CapExceededError,
@@ -46,7 +44,7 @@ from .errors import (
     NotInMainOrbitError,
 )
 from .exact import Matrix, identity
-from .quadrics import _lex_sort, _t_walk, h_vector
+from .quadrics import _lex_sort, h_vector
 
 __all__ = [
     "WeylElement",
@@ -88,9 +86,10 @@ class WeylElement(namedtuple("WeylElement", "word A")):
 
     @cached_property
     def mat(self) -> Matrix:
-        # column j is w e_j
+        # column j is w e_j = T_w(e_j) - T_w(0)
         rows, _ = sparse_cartan(self.A)
-        cols = (_act(self.word, e, rows) for e in identity(len(self.A)))
+        origin = _t_walk(self.word, (0,) * len(rows), rows)
+        cols = (map(sub, _t_walk(self.word, e, rows), origin) for e in identity(len(rows)))
         return tuple(zip(*cols))
 
 
@@ -103,40 +102,13 @@ def word_to_element(word, cd: CartanData) -> WeylElement:
     return WeylElement(word, cd.A)
 
 
-def _act(word, v, rows) -> tuple[int, ...]:
-    """s_{i1} ... s_{ik} v: the word's reflections applied to v, right to left.
-
-    s_i changes only coordinate i, to -v_i - sum_{j != i} A_ij v_j over the
-    sparse ``rows`` of A (`cartan.sparse_cartan`), so no matrix is built.
-    """
-    v = list(v)
-    for i in reversed(word):
-        i -= 1
-        vi = -v[i]
-        for j, a in rows[i]:
-            vi -= a * v[j]
-        v[i] = vi
-    return tuple(v)
-
-
 def P_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
-    """delta - w delta, always an integer vector on the primary quadric.
+    """delta - w delta, the integer vector T_w(0) on the primary quadric.
 
-    Computed as (2 delta - w 2 delta) / 2, with w 2 delta the word's
-    reflections applied to the one vector 2 delta by `_act`, so no matrix is
-    built.  An odd coordinate, which no group element gives, raises
-    InvariantError.
+    The word's T_i are applied to the origin, right to left, by
+    `cartan._t_walk`, since P(s_i v) = T_i(P(v)); no matrix is built.
     """
-    two_delta = cd.two_delta
-    out = []
-    for t, u in zip(two_delta, _act(w.word, two_delta, cd.sparse[0])):
-        d = t - u
-        if d % 2:
-            raise InvariantError(
-                f"delta - w delta is not integral for the matrix {w.mat} of {cd.spec}"
-            )
-        out.append(d // 2)
-    return tuple(out)
+    return _t_walk(w.word, (0,) * cd.n, cd.sparse[0])
 
 
 def S_map(w: WeylElement, cd: CartanData) -> tuple[int, ...]:
@@ -215,7 +187,7 @@ def star(a, b, table: GroupTable) -> tuple[int, ...]:
         ) from None
     except TypeError:  # an unhashable coordinate
         raise NotInMainOrbitError(f"{a} or {b} is not an integer vector") from None
-    return _t_walk(wa.word, b, table.cd)
+    return _t_walk(wa.word, b, table.cd.sparse[0])
 
 
 def p_alpha_b(alpha: Root, b, table: GroupTable) -> int:
@@ -240,7 +212,7 @@ def element_from_pvector(a, cd: CartanData) -> WeylElement:
 
     If S(a) = 1 - A a has a negative entry i then a = P(s_i w') with
     P(w') = T_i(a) one step shorter; stripping down to the origin spells a
-    word of the element, whose P-vector is computed afresh from 2 delta by
+    word of the element, whose P-vector is walked afresh from the origin by
     `P_map` and checked against a.
     """
     a = tuple(a)

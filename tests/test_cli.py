@@ -148,6 +148,16 @@ def test_expand_bad_point_is_exit_2(capsys):
     assert code == 2 and "primary" in err
 
 
+def test_vectors_with_a_leading_minus_are_values(capsys):
+    # -1,1,2,2 is the minimal vector `orbits B4` prints for h = (4,0,0,1)
+    code, out, err = run_cli(capsys, "expand", "B4", "--point", "-1,1,2,2")
+    assert code == 0 and err == "" and out.startswith("-1,1,2,2\n")
+    assert run_cli(capsys, "expand", "B4", "--point=-1,1,2,2") == (code, out, err)
+    code, out, err = run_cli(capsys, "reduced-words", "A3", "--pvector", "-1,0,0")
+    assert code == 2 and out == ""
+    assert err == "error: (-1, 0, 0) is not in the main orbit of A3\n"
+
+
 # --- realize and reduced-words ---
 
 

@@ -255,19 +255,20 @@ def test_sources_parse_as_python_3_10(folder):
             ast.parse(f.read(), filename=name, feature_version=(3, 10))
 
 
-WALK_KERNELS = ["_t_step", "_strip_descents", "ascend"]
+WALK_KERNELS = ["_t_step", "_strip_descents", "ascend", "_t_walk"]
 # the layers that step by the walk, and the kernels each one imports, in WALK_KERNELS order
 WALK_USERS = {
     "quadrics": [],
-    "weyl": ["_strip_descents", "ascend"],
+    "weyl": ["_strip_descents", "ascend", "_t_walk"],
     "orbits": ["_strip_descents", "ascend"],
-    "ordering": ["_t_step"],
+    "ordering": ["_t_step", "_t_walk"],
 }
 
 
 def test_the_walk_kernels_are_defined_once_in_cartan():
-    # "add h_i to x_i, move h by column i of A" is written in one module; the
-    # layers that walk hold cartan's objects themselves, with no re-export
+    # "add h_i to x_i, move h by column i of A", and the T-walk of a word that
+    # carries no h, are written in one module; the layers that walk hold
+    # cartan's objects themselves, with no re-export
     package = os.path.dirname(weylipse.__file__)
     defined = {}
     for name in sorted(os.listdir(package)):

@@ -47,7 +47,7 @@ from weylipse import (
     secondary_form,
 )
 from weylipse import cartan, ordering
-from weylipse.cartan import _strip_descents, _t_step, ascend, sparse_cartan
+from weylipse.cartan import _strip_descents, _t_step, _t_walk, ascend, sparse_cartan
 from weylipse.exact import mat_vec
 from weylipse.ordering import (
     _componentwise_down,
@@ -59,8 +59,8 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import _dfs_nonneg, _integral_minimal
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _lex_sort, _t_walk, _twice_primary
-from weylipse.weyl import WeylElement, _act
+from weylipse.quadrics import _lex_sort, _twice_primary
+from weylipse.weyl import WeylElement
 
 from oracles import (
     ascend_by_full_scan,
@@ -229,12 +229,13 @@ def test_sparse_t_walk_matches_index_loops(name):
     cd = cd_of(name)
     rng = random.Random(16)
     starts = [(0,) * cd.n] + [tuple(rng.randint(-5, 5) for _ in range(cd.n)) for _ in range(9)]
+    rows, _ = cd.sparse
     for word in random_words(cd, rng, 30, 40):
         for start in starts[:3]:
-            assert _t_walk(word, start, cd) == t_walk_by_index_loops(word, start, cd.A)
+            assert _t_walk(word, start, rows) == t_walk_by_index_loops(word, start, cd.A)
     for start in starts:
         for i in range(1, cd.n + 1):
-            assert _t_walk((i,), start, cd) == t_walk_by_index_loops((i,), start, cd.A)
+            assert _t_walk((i,), start, rows) == t_walk_by_index_loops((i,), start, cd.A)
 
 
 @pytest.mark.parametrize("name", STEP_TYPES)
@@ -496,7 +497,7 @@ def test_expand_orbit_membership_matches_primary_form(text):
     assert on >= 1
 
 
-# --- per-element queries on one vector: P by reflections of 2 delta, the
+# --- per-element queries on one vector: P and w v by the T-walk, the
 # (P, h) step of the reduced-word recursion ---
 
 P_TYPES = ["A1", "A5", "B4", "C3", "D5", "E6", "E8", "F4", "G2", "G2xA1", "E6xA2"]
@@ -507,16 +508,19 @@ def test_p_map_matches_dense_matrix_product(name):
     cd = cd_of(name)
     rng = random.Random(19)
     two_delta = cd.two_delta
-    # the regular vector of the first-word check in `reduced_words`
+    # half the point of the first-word check in `reduced_words`
     regular = mat_vec(cd.adjA, range(1, cd.n + 1))
+    rows, _ = cd.sparse
     for word in [()] + random_words(cd, rng, 40, 3 * cd.positive_root_count):
         w = WeylElement(word, cd.A)
         dense = word_matrix_by_dense_products(word, cd.A)
         twice = tuple(t - v for t, v in zip(two_delta, mat_vec(dense, two_delta)))
         assert all(v % 2 == 0 for v in twice)
-        assert P_map(w, cd) == tuple(v // 2 for v in twice)
+        p = P_map(w, cd)
+        assert p == tuple(v // 2 for v in twice)
+        # T_w is affine with linear part w: T_w(v) - P(w) = w v
         for v in (two_delta, regular, tuple(rng.randint(-9, 9) for _ in range(cd.n))):
-            assert _act(word, v, cd.sparse[0]) == mat_vec(dense, v)
+            assert tuple(map(sub, _t_walk(word, v, rows), p)) == mat_vec(dense, v)
 
 
 @pytest.mark.parametrize("name", STEP_TYPES)

@@ -104,13 +104,16 @@ def test_reduced_words_of_unreduced_input():
     assert rws.words == ((2,),) and rws.length == 1
 
 
-def test_reduced_words_check_rejects_wrong_start(monkeypatch):
-    a3 = cd_of("A3")
-    w = word_to_element([1, 2], a3)
-    wrong = P_map(word_to_element([2, 1], a3), a3)
+@pytest.mark.parametrize("text", ["A3", "G2", "F4", "E8"])
+def test_reduced_words_check_rejects_wrong_start(monkeypatch, text):
+    # the words of w s_1 all walk to the wrong start; only the first-word check
+    # tells w s_1 from w, and it must do so where detA = 1 (G2, F4, E8) too
+    cd = cd_of(text)
+    w = word_to_element([1, 2], cd)
+    wrong = P_map(word_to_element([1, 2, 1], cd), cd)
     monkeypatch.setattr(weylipse.ordering, "P_map", lambda elem, cd: wrong)
     with pytest.raises(InvariantError):
-        reduced_words(w, a3)
+        reduced_words(w, cd)
 
 
 def test_reduced_words_t_walk_rejects_wrong_descent(monkeypatch):

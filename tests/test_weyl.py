@@ -116,23 +116,23 @@ def test_p_of_simple_reflection_is_basis_vector():
 @pytest.mark.parametrize(
     "error, call",
     [
-        # with 2 delta of A2 replaced by (1, 0), s_2 moves it to (1, 1), and
-        # (1, 0) - (1, 1) = (0, -1) is odd
+        # A2's matrix under the type A1xA1 allows |Phi+| = 2 steps, yet its
+        # 2 delta = (2, 2), the P-vector of w0, needs 3 to strip
         (
             "InvariantError",
-            "P_map(WeylElement((2,), ((2, -1), (-1, 2))), "
-            "build_cartan(parse_type('A2'))._replace(two_delta=(1, 0)))",
+            "element_from_pvector((2, 2), "
+            "build_cartan(parse_type('A2'))._replace(spec=parse_type('A1xA1')))",
         ),
         ("MalformedFormError", "QuadForm(n=1, quad=((1,),), linear=(0,), constant=0)"),
     ],
-    ids=["P_map", "QuadForm"],
+    ids=["element_from_pvector", "QuadForm"],
 )
 def test_p_map_check_survives_optimized_mode(error, call):
     import weylipse
 
     src = os.path.dirname(os.path.dirname(weylipse.__file__))
     code = (
-        f"from weylipse import {error}, P_map, QuadForm, WeylElement, build_cartan, parse_type\n"
+        f"from weylipse import {error}, QuadForm, build_cartan, element_from_pvector, parse_type\n"
         "try:\n"
         f"    print({call})\n"
         f"except {error}:\n"
