@@ -113,7 +113,10 @@ def parse_type(text: str) -> LieTypeSpec:
     if not text or not text.strip():
         raise UnknownFamilyError("empty type string")
     components = []
-    for token in text.strip().split("x"):
+    tokens = text.strip().split("x")
+    for pos, token in enumerate(tokens, 1):
+        if not token.strip():
+            raise UnknownFamilyError(f"type {text!r} has an empty factor {pos} of {len(tokens)}")
         m = _TYPE_TOKEN.match(token.strip())
         if not m:
             raise UnknownFamilyError(f"cannot parse type token {token!r}")

@@ -30,9 +30,13 @@ Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
 integral; the orbit size is |W| / |W_h| with W_h the parabolic subgroup at the
 zero coordinates of h.  One `orbit_seeds` call is one pass over the census:
-the two quadrics and |W| are built once, and |W_h| is computed (and checked to
-divide |W|) once per distinct zero set of h.  `expand_orbit` knows that size
-before it lists the orbit by the canonical ascent walk from its minimum.
+the two quadrics, |W| and the plan of x_h along the Dynkin diagram, a forest,
+are built once, and |W_h| is computed (and checked to divide |W|) once per
+distinct zero set of h.  x_h is read from adjA at all leaves but one of each
+tree and from one equation of A x = 1 - h per other node, so a row costs
+about one adjA row per tree, not one per coordinate.  `expand_orbit` knows
+that size before it lists the orbit by the canonical ascent walk from its
+minimum.
 """
 
 from __future__ import annotations
@@ -221,17 +225,70 @@ def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
     return sols
 
 
-def _integral_minimal(h, cd: CartanData):
-    """x_h = Ainv (1 - h) = adjA (1 - h) / detA row by row, or None at the first remainder."""
-    det = cd.detA
-    u = tuple(1 - v for v in h)
-    out = []
-    for row in cd.adjA:
-        x, r = divmod(sum(map(mul, row, u)), det)
+def _forest_plan(cd: CartanData):
+    """The solve of A x = 1 - h along the Dynkin diagram: (starts, steps).
+
+    Each tree is rooted at its first leaf.  x_c is read from adjA at each leaf
+    c of the rooted tree, as (sum of adjA row c - adjA row c . h) / detA; these
+    are the ``starts`` (i, adjA row i, its sum), all leaves but the root, or
+    the one node of a single-node tree.  Every other x_p comes from equation c
+    of A x = 1 - h at one child c of p, 2 x_c + sum_m A_cm x_m = 1 - h_c, once
+    x_c and the x_m of c's own children are known: the ``steps``
+    (p, c, A_cp, the other (m, A_cm) of the sparse row c), children before
+    parents.  A diagram with a cycle has no such solve and raises
+    InvariantError; a Cartan matrix of finite type has none.
+    """
+    rows, _ = cd.sparse
+    parent = [None] * cd.n
+    starts, steps, solved = [], [], set()
+    for root in range(cd.n):
+        if parent[root] is not None or len(rows[root]) > 1:
+            continue
+        parent[root] = root
+        order = [root]
+        for c in order:  # grows as the walk reaches new nodes
+            for m, _ in rows[c]:
+                if parent[m] is None:
+                    parent[m] = c
+                    order.append(m)
+                elif m != parent[c]:
+                    raise InvariantError(f"the Dynkin diagram of {cd.spec} has a cycle")
+        for c in reversed(order):
+            p = parent[c]
+            if c not in solved:  # no child of c gives x_c: c is a leaf
+                starts.append((c, cd.adjA[c], sum(cd.adjA[c])))
+            if p != c and p not in solved:
+                solved.add(p)
+                (a,) = [a for m, a in rows[c] if m == p]
+                steps.append((p, c, a, [(m, b) for m, b in rows[c] if m != p]))
+    if None in parent:  # a tree with no leaf
+        raise InvariantError(f"the Dynkin diagram of {cd.spec} has a cycle")
+    return starts, steps
+
+
+def _integral_minimal(h, plan, det: int):
+    """x_h = Ainv (1 - h) by the `_forest_plan` ``plan``, or None at the first remainder.
+
+    A start divides by detA.  A step divides by A_cp, which is -1 unless c is
+    the short end of a multiple edge (k_c < k_p), where it is -2 or -3.
+    """
+    starts, steps = plan
+    x = [0] * len(h)
+    for i, row, total in starts:
+        x[i], r = divmod(total - sum(map(mul, row, h)), det)
         if r:
             return None
-        out.append(x)
-    return tuple(out)
+    for p, c, a, terms in steps:
+        v = 1 - h[c] - 2 * x[c]
+        for m, b in terms:
+            v -= b * x[m]
+        if a == -1:
+            x[p] = -v
+        else:
+            x[p], r = divmod(v, a)
+            if r:
+                return None
+    return tuple(x)
 
 
 def _size_at(h, cd: CartanData, order: int, sizes: dict) -> int:
@@ -269,9 +326,10 @@ def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
     order = weyl_order(cd)
     sizes: dict[tuple[int, ...], int] = {}
     records = []
+    plan, det = _forest_plan(cd), cd.detA
     # the census has checked every h against the secondary form before its size is recorded
     for h in sols:
-        minimal = _integral_minimal(h, cd)
+        minimal = _integral_minimal(h, plan, det)
         if minimal is None:
             continue
         # A adjA = detA I (adjA = detA Ainv is checked in build_cartan), so

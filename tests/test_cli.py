@@ -419,6 +419,20 @@ def test_type_parse_error_wins_over_other_faults(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A3x", "type 'A3x' has an empty factor 2 of 2"),
+        ("xA3", "type 'xA3' has an empty factor 1 of 2"),
+        ("A3xxB2", "type 'A3xxB2' has an empty factor 2 of 3"),
+    ],
+)
+def test_an_empty_type_factor_names_the_type(capsys, text, message):
+    code, out, err = run_cli(capsys, "orbits", text)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, bounds",
     [
         ("orbits", [DEFAULT_EXPAND_CAP]),

@@ -15,9 +15,9 @@ integer bounds, P and the action of a word on any vector by the word's
 reflections against the dense matrix product, the census search (axis
 order, the last two coordinates solved once per budget and cross terms, the
 factor memo, stepped differences, one sort) against the plain lexicographic
-DFS, the minimal vector x_h built one row at a time against the whole
-product divided by detA, the ascent walk that reads each point's h only up
-to its first descent against the walk that tests every coordinate,
+DFS, the minimal vector x_h solved along the Dynkin forest against the
+whole product divided by detA, the ascent walk that reads each point's h
+only up to its first descent against the walk that tests every coordinate,
 h = 1 - A x over the sparse rows against the dense row sums, and the sort by
 one stable pass per coordinate against `sorted`.
 """
@@ -57,7 +57,7 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
-from weylipse.orbits import _dfs_nonneg, _integral_minimal
+from weylipse.orbits import _dfs_nonneg, _forest_plan, _integral_minimal
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _lex_sort, _twice_primary
 from weylipse.weyl import WeylElement
@@ -642,23 +642,71 @@ def test_census_search_matches_lexicographic_dfs_on_random_blocks(
     assert found > 0
 
 
-# --- minimal vectors one row at a time ---
+# --- minimal vectors along the Dynkin forest ---
+
+# every catalog type to rank 8 (B and C put the double bond's short end on
+# opposite sides, G2 has the triple bond, D and E a branch node), products,
+# and rank 12
+FOREST_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+    + CENSUS_PRODUCTS
+    + CENSUS_INTERLEAVED
+    + ["A12", "C12", "D12"]
+)
 
 
 def test_integral_minimal_matches_dense_product():
-    """Every census row, and random vectors whose remainders fall on single coordinates."""
+    """Every census row, and random vectors with negative entries, whose remainders
+    fall on start leaves and on divided steps."""
     rng = random.Random(24)
-    integral = fractional = 0
-    for text in ["B8", "C8", "D9", "E7xA2", "B2xA1"]:
+    for text in FOREST_TYPES:
         cd = cd_of(text)
-        randoms = [tuple(rng.randint(0, 5) for _ in range(cd.n)) for _ in range(200)]
+        plan = _forest_plan(cd)
+        randoms = [tuple(rng.randint(-5, 5) for _ in range(cd.n)) for _ in range(200)]
+        integral = fractional = 0
         for h in enumerate_secondary_nonneg(cd) + randoms:
             x = [divmod(v, cd.detA) for v in mat_vec(cd.adjA, tuple(1 - v for v in h))]
             expected = None if any(r for _, r in x) else tuple(q for q, _ in x)
-            assert _integral_minimal(h, cd) == expected
+            assert _integral_minimal(h, plan, cd.detA) == expected, (text, h)
             integral += expected is not None
             fractional += expected is None
-    assert integral and fractional
+        assert integral, text
+        assert (fractional > 0) == (cd.detA > 1), text
+
+
+@pytest.mark.parametrize(
+    "text, starts",
+    [("A1", 1), ("A2", 1), ("A9", 1), ("B2", 1), ("B7", 1), ("C3", 1), ("C9", 1), ("F4", 1)]
+    + [("G2", 1), ("D4", 2), ("D9", 2), ("E6", 2), ("E7", 2), ("E8", 2)]
+    + [("A1xA1xA1xA1", 4), ("G2xB3xA2", 3), ("A2xE7", 3), ("D4xD4", 4), ("E8xA1", 3)],
+)
+def test_forest_plan_reads_one_adja_row_per_leaf_but_one(text, starts):
+    cd = cd_of(text)
+    got, steps = _forest_plan(cd)
+    assert len(got) == starts
+    # every coordinate is read once or solved once
+    assert sorted([i for i, _, _ in got] + [p for p, *_ in steps]) == list(range(cd.n))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # a triangle: no leaf
+        ((2, -1, -1, 0), (-1, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -1, 2)),  # a triangle and a leaf
+        # an edge, then a triangle
+        ((2, -1, 0, 0, 0), (-1, 2, 0, 0, 0))
+        + ((0, 0, 2, -1, -1), (0, 0, -1, 2, -1), (0, 0, -1, -1, 2)),
+    ],
+    ids=["triangle", "triangle-with-leaf", "edge-and-triangle"],
+)
+def test_forest_plan_refuses_a_diagram_with_a_cycle(A):
+    cd = cd_of(f"A{len(A)}")._replace(A=A)
+    with pytest.raises(InvariantError, match="has a cycle"):
+        _forest_plan(cd)
 
 
 # --- ascent walk: each point's h read up to its first descent ---
