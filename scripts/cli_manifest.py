@@ -9,7 +9,13 @@ time and the peak RSS (the child's ru_maxrss, read by wait4).  A row still
 running after --timeout seconds is killed and fails.  Exit status 1 if any row
 fails.  The fast rows also run in process, in tests/test_cli_manifest.py.
 
+With --update, the rows of the tier are rewritten from this checkout instead:
+each row's exit code and digests are replaced by what a fresh process gives
+now, and each row that changed is printed.  A row killed at the timeout is
+left as it is and makes the exit status 1.
+
 Run e.g.:  python scripts/cli_manifest.py --tier slow
+           python scripts/cli_manifest.py --tier all --update
 """
 
 import argparse
@@ -65,6 +71,31 @@ def run_fresh(argv, timeout):
     return code, *digests, wall, usage.ru_maxrss / 1024
 
 
+def update(tier, timeout) -> int:
+    """Rewrite the rows of ``tier`` from fresh processes; print each row that changed."""
+    with open(MANIFEST) as fh:
+        lines = fh.readlines()
+    failed = 0
+    for k, line in enumerate(lines):
+        if not line.strip() or line.startswith("#"):
+            continue
+        row_tier, _, _, _, argv = line.split(maxsplit=4)
+        if tier not in ("all", row_tier):
+            continue
+        code, out, err, _, _ = run_fresh(argv.split(), timeout)
+        if code is None:
+            failed += 1
+            print(f"killed at {timeout} s, left as it is: {argv.strip()}")
+            continue
+        row = f"{row_tier} {code} {out} {err} {argv}"
+        if row != line:
+            lines[k] = row
+            print(f"changed: {row.rstrip()}")
+    with open(MANIFEST, "w") as fh:
+        fh.writelines(lines)
+    return 1 if failed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -73,7 +104,12 @@ def main() -> int:
     ap.add_argument(
         "--timeout", type=float, default=60.0, help="seconds per row (default %(default)s)"
     )
+    ap.add_argument(
+        "--update", action="store_true", help="rewrite the rows of the tier from this checkout"
+    )
     args = ap.parse_args()
+    if args.update:
+        return update(args.tier, args.timeout)
     failed = 0
     for tier, code, out, err, argv in manifest_rows():
         if args.tier not in ("all", tier):

@@ -25,26 +25,30 @@ there.  After each factor of a product type every cross term is zero, so the
 rest is solved once per budget left.  The solutions are mapped back to the
 original coordinates and sorted once, into lexicographic order.  No floating
 point is involved anywhere, so points on the quadric surface cannot be missed.
+Each solution is then checked against the dense secondary form by its
+generated `QuadForm.value`, which shares nothing with the search.
 
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
 integral; the orbit size is |W| / |W_h| with W_h the parabolic subgroup at the
 zero coordinates of h.  One `orbit_seeds` call is one pass over the census:
-the two quadrics, |W| and the plan of x_h along the Dynkin diagram, a forest,
-are built once, and |W_h| is computed (and checked to divide |W|) once per
-distinct zero set of h.  x_h is read from adjA at all leaves but one of each
+the two quadrics, |W| and the solve of x_h along the Dynkin diagram, a
+forest, are built once.  x_h is read from adjA at all leaves but one of each
 tree and from one equation of A x = 1 - h per other node, so a row costs
-about one adjA row per tree, not one per coordinate.  `expand_orbit` knows
-that size before it lists the orbit by the canonical ascent walk from its
-minimum.
+about one adjA row per tree, not one per coordinate; the solve is generated
+once per pass, as straight-line code that returns None at the first
+remainder.  |W_h| is the product of the orders of the connected components of
+the zero set of h, each component's order computed once per pass, and is
+checked to divide |W| once per distinct zero set.  `expand_orbit` knows that
+size before it lists the orbit by the canonical ascent walk from its minimum.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import compress, islice
 from math import isqrt
-from operator import eq, itemgetter, mul
+from operator import eq, itemgetter, not_
 
 from .cartan import CartanData, _strip_descents, ascend, parabolic_order, weyl_order
 from .errors import (
@@ -56,7 +60,16 @@ from .errors import (
     NotOnEllipsoidError,
 )
 from .exact import mat_vec
-from .quadrics import _lex_sort, _on_primary, _twice_primary, h_vector, secondary_form
+from .quadrics import (
+    _generated,
+    _lex_sort,
+    _literal,
+    _on_primary,
+    _sum_source,
+    _twice_primary,
+    h_vector,
+    secondary_form,
+)
 
 __all__ = [
     "OrbitRecord",
@@ -217,8 +230,9 @@ def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
     if any(v < 0 for row in g for v in row):
         raise InvariantError(f"scaled secondary matrix of {cd.spec} is not nonnegative")
     sols = _dfs_nonneg(g, -form.constant)
+    value = form.value  # generated from the form's fields alone, on this first read
     for h in sols:
-        if form.value(h) != 0:
+        if value(h) != 0:
             raise InvariantError(
                 f"census produced {h}, which is not a secondary solution of {cd.spec}"
             )
@@ -266,41 +280,78 @@ def _forest_plan(cd: CartanData):
     return starts, steps
 
 
-def _integral_minimal(h, plan, det: int):
-    """x_h = Ainv (1 - h) by the `_forest_plan` ``plan``, or None at the first remainder.
+def _integral_minimal(cd: CartanData):
+    """x_h = Ainv (1 - h) by the `_forest_plan` of cd, as one generated function
+    of h that returns None at the first remainder.
 
-    A start divides by detA.  A step divides by A_cp, which is -1 unless c is
-    the short end of a multiple edge (k_c < k_p), where it is -2 or -3.
+    A start divides by detA, and only where detA > 1.  A step divides by A_cp,
+    which is -1 unless c is the short end of a multiple edge (k_c < k_p), where
+    it is -2 or -3: a step by -1 negates, the others test the remainder first.
     """
-    starts, steps = plan
-    x = [0] * len(h)
-    for i, row, total in starts:
-        x[i], r = divmod(total - sum(map(mul, row, h)), det)
-        if r:
-            return None
-    for p, c, a, terms in steps:
-        v = 1 - h[c] - 2 * x[c]
-        for m, b in terms:
-            v -= b * x[m]
-        if a == -1:
-            x[p] = -v
+    starts, steps = _forest_plan(cd)
+    det = cd.detA
+    hs = [f"h{i}" for i in range(cd.n)]
+    xs = [f"x{i}" for i in range(cd.n)]
+    lines = [f"{', '.join(hs)}, = h"]
+
+    def divide(i, terms, d):
+        if d == -1:
+            lines.append(f"{xs[i]} = {_sum_source([(-c, e) for c, e in terms])}")
+        elif d == 1:
+            lines.append(f"{xs[i]} = {_sum_source(terms)}")
         else:
-            x[p], r = divmod(v, a)
-            if r:
-                return None
-    return tuple(x)
+            d = _literal(d)
+            lines.extend([f"t = {_sum_source(terms)}", f"if t % {d}:", "    return None"])
+            lines.append(f"{xs[i]} = t // {d}")
+
+    for i, row, total in starts:
+        divide(i, [(total, None), *((-a, hj) for a, hj in zip(row, hs))], det)
+    for p, c, a, terms in steps:
+        divide(p, [(1, None), (-1, hs[c]), (-2, xs[c]), *((-b, xs[m]) for m, b in terms)], a)
+    lines.append(f"return ({', '.join(xs)},)")
+    return _generated("minimal", "h", lines)
 
 
-def _size_at(h, cd: CartanData, order: int, sizes: dict) -> int:
-    """|W| / |W_h| for a checked solution h, memoised in ``sizes`` by the zero set of h."""
-    zeros = tuple(i + 1 for i, v in enumerate(h) if v == 0)
-    size = sizes.get(zeros)
-    if size is None:
-        stabilizer = parabolic_order(cd, zeros)
-        if order % stabilizer:
-            raise InvariantError(f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}")
-        size = sizes[zeros] = order // stabilizer
-    return size
+def _orbit_sizes(cd: CartanData):
+    """h -> |W| / |W_h| for checked solutions h, over one pass.
+
+    |W_h| is the product of |W_J| over the connected components J of the zero
+    set of h in the Dynkin diagram; each component's order and each zero set's
+    size are kept in dicts that live as long as the returned function.
+    """
+    order = weyl_order(cd)
+    rows, _ = cd.sparse
+    indices = range(cd.n)
+    sizes: dict[tuple[int, ...], int] = {}
+    orders: dict[tuple[int, ...], int] = {}
+
+    def size_at(h) -> int:
+        zeros = tuple(compress(indices, map(not_, h)))
+        size = sizes.get(zeros)
+        if size is None:
+            stabilizer, left = 1, set(zeros)
+            for i in zeros:
+                if i in left:
+                    left.remove(i)
+                    part = [i]
+                    for c in part:  # grows as the walk reaches the rest of the component
+                        for m, _ in rows[c]:
+                            if m in left:
+                                left.remove(m)
+                                part.append(m)
+                    part = tuple(sorted(part))
+                    part_order = orders.get(part)
+                    if part_order is None:
+                        part_order = orders[part] = parabolic_order(cd, [j + 1 for j in part])
+                    stabilizer *= part_order
+            if order % stabilizer:
+                raise InvariantError(
+                    f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}"
+                )
+            size = sizes[zeros] = order // stabilizer
+        return size
+
+    return size_at
 
 
 def orbit_size(h, cd: CartanData) -> int:
@@ -313,7 +364,7 @@ def orbit_size(h, cd: CartanData) -> int:
     # and h_vector(x_h) = h; adjA (1 - h) = detA x_h keeps the test in integers
     if not valid or not _on_primary(mat_vec(cd.adjA, tuple(1 - v for v in h)), h, cd):
         raise NotASolutionError(f"{h} is not a nonnegative integral secondary solution of {cd.spec}")
-    return _size_at(h, cd, weyl_order(cd), {})
+    return _orbit_sizes(cd)(h)
 
 
 def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
@@ -323,20 +374,18 @@ def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
 
 def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
     """`orbit_seeds` over ``sols``, the output of `enumerate_secondary_nonneg(cd)`."""
-    order = weyl_order(cd)
-    sizes: dict[tuple[int, ...], int] = {}
+    size_at, minimal_of = _orbit_sizes(cd), _integral_minimal(cd)
     records = []
-    plan, det = _forest_plan(cd), cd.detA
     # the census has checked every h against the secondary form before its size is recorded
     for h in sols:
-        minimal = _integral_minimal(h, plan, det)
+        minimal = minimal_of(h)
         if minimal is None:
             continue
         # A adjA = detA I (adjA = detA Ainv is checked in build_cartan), so
         # A minimal = 1 - h and h_vector(minimal) = h, on which `_on_primary` is exact
         if not _on_primary(minimal, h, cd):
             raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
-        records.append(OrbitRecord(h=h, minimal=minimal, size=_size_at(h, cd, order, sizes)))
+        records.append(OrbitRecord(h=h, minimal=minimal, size=size_at(h)))
     records.sort(key=lambda r: r.minimal)
     return records
 
@@ -354,7 +403,7 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     if any(not isinstance(v, int) for v in a) or _twice_primary(a, cd):
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
     minimal, h, _ = _strip_descents(a, h_vector(a, cd), cd)
-    size = _size_at(h, cd, weyl_order(cd), {})
+    size = _orbit_sizes(cd)(h)
     if size > cap:
         raise CapExceededError(f"orbit of {a} in {cd.spec} has {size} points, exceeding cap {cap}")
     points = ascend(minimal, h, cd)

@@ -16,11 +16,20 @@ A, since the roots are listed by the same walk; this module defines none.
 nonzero x_j and the diagram's edges (`CartanData.edges`), so a single step
 never computes the whole h.  `h_vector` sums over the sparse rows, not the
 dense ones.
+
+`QuadForm.value` is not a loop over the dense matrix: on its first read a
+form generates straight-line code from its own fields, every nonzero
+coefficient written out as an int literal, compiles it and keeps it in its
+instance dict.  The census checks each of its rows with it.  `_generated`,
+with `_literal` and `_sum_source`, is the one code generator; `orbits` builds
+the solve of the orbit seeds' minimal vectors with it too.  It is here, not in
+a module that every CLI process imports, and it keeps nothing at module level.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -41,13 +50,25 @@ class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
                  = sum_i (quad_ii/2) x_i^2 + sum_{i<j} quad_ij x_i x_j
                    + sum_i linear_i x_i + constant.
 
-    Construction raises MalformedFormError unless quad is symmetric with an
-    even diagonal; so does `_replace`, which builds through `_make`.
+    Construction raises MalformedFormError unless quad is an n by n matrix of
+    ints, symmetric with an even diagonal, and linear n ints; so does
+    `_replace`, which builds through `_make`.
+
+    ``value`` is straight-line code generated from the form's own fields on
+    its first read and kept in the instance dict: the length check, then
+    sum_i x_i (quad_ii/2 x_i + sum_{j>i} quad_ij x_j + linear_i) + constant
+    with every nonzero coefficient written out as a literal.  It takes
+    rational x as well as integral.  A form pickles and copies by its fields
+    alone, so a copy starts cold.
     """
 
-    __slots__ = ()
-
     def __new__(cls, n: int, quad: Matrix, linear: tuple[int, ...], constant: int):
+        if type(n) is not int:
+            raise MalformedFormError(f"n = {n!r} is not an int")
+        if len(quad) != n or any(len(row) != n for row in quad) or len(linear) != n:
+            raise MalformedFormError(f"quad must be {n} by {n} and linear of length {n}")
+        if not all(type(v) is int for v in (constant, *linear, *(v for row in quad for v in row))):
+            raise MalformedFormError("the coefficients of a form must be ints")
         for i in range(n):
             if quad[i][i] % 2:
                 raise MalformedFormError(f"quad[{i}][{i}] = {quad[i][i]} is odd")
@@ -60,21 +81,28 @@ class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def value(self, x):
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"expected {self.n}-vector, got {len(x)}")
+    def __getstate__(self):
+        return None  # the generated ``value`` is rebuilt on a copy's first read
+
+    @cached_property
+    def value(self):
+        """value(x) for a sequence x of n rationals; DimensionMismatchError on any other length."""
         n = self.n
-        total = self.constant
-        for i in range(n):
-            xi = x[i]
-            if not xi:  # every term with x_i as a factor vanishes
-                continue
-            row = self.quad[i]
-            total += (row[i] // 2) * xi * xi + self.linear[i] * xi
-            for j in range(i + 1, n):
-                if row[j]:
-                    total += row[j] * xi * x[j]
-        return total
+        xs = [f"x{i}" for i in range(n)]
+        rows = []
+        for i, row in enumerate(self.quad):
+            inner = [(row[i] // 2, xs[i]), *zip(row[i + 1 :], xs[i + 1 :]), (self.linear[i], None)]
+            if any(c for c, _ in inner):
+                rows.append((1, f"{xs[i]}*({_sum_source(inner)})"))
+        size = _literal(n)
+        lines = [
+            f"if len(x) != {size}:",
+            f'    raise DimensionMismatchError(f"expected {size}-vector, got {{len(x)}}")',
+        ]
+        if n:
+            lines.append(f"{', '.join(xs)}, = x")
+        lines.append(f"return {_sum_source([*rows, (self.constant, None)])}")
+        return _generated("value", "x", lines, DimensionMismatchError=DimensionMismatchError)
 
     def equation_text(self, var: str = "x") -> str:
         terms: list[tuple[int, str]] = []
@@ -209,3 +237,41 @@ def _lex_sort(points: list, n: int) -> None:
     """
     for i in range(n - 1, -1, -1):
         points.sort(key=itemgetter(i))
+
+
+def _literal(v) -> str:
+    """The Python source of the int v; TypeError for anything else, so that
+    generated source holds no repr of an arbitrary object."""
+    if type(v) is not int:
+        raise TypeError(f"a generated coefficient must be an int, not {type(v).__name__}")
+    return str(v)
+
+
+def _sum_source(terms) -> str:
+    """sum c * e over (c, e) in terms as Python source: c an int, e the source of a
+    factor or None for the constant term c.  Zero terms are left out; "0" if all are."""
+    out = []
+    for c, e in terms:
+        text = _literal(c).lstrip("-")
+        if not c:
+            continue
+        if e is not None:
+            text = e if text == "1" else f"{text}*{e}"
+        out.append(("- " if c < 0 else "+ ") + text)
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _generated(name: str, params: str, lines, **names):
+    """The function ``def name(params)`` with the body ``lines``, compiled afresh.
+
+    ``names`` are its globals (besides the builtins).  Generated code lives as
+    long as the object that asked for it: a form's ``value`` or one pass of
+    `orbits.orbit_seeds`; nothing is cached at module level.
+    """
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    scope = dict(names)
+    exec(compile(source, f"<generated {name}>", "exec"), scope)
+    return scope[name]

@@ -18,13 +18,15 @@ those roots and that T_i closure, since only the tests compare against them.
 The plain forms of the library's exact kernels are kept here as references
 for `test_kernels.py`: pairwise componentwise comparison, the scan over all
 positive roots, the box scan that evaluates the polynomial at every point,
-the primary box and the sphere test over fractions, the word search by dense
-products, the Hasse diagram by the union of the down sets of the nodes
-below, the subword intervals by a walk over each whole word from the
-identity (its left multiples by the dense rows of A, not the T-walk), and
-the T-walk, the matrix of a word and descent stripping by dense index loops
-over whole rows and columns of A, the diagonal read from A, so they check
-the kernels' rule that a step negates its own coordinate too.  So is
+a form's value by index loops over its dense matrix (the reference for the
+generated `QuadForm.value`), the primary box and the sphere test over
+fractions, the word search by dense products, the Hasse diagram by the union
+of the down sets of the nodes below, the subword intervals by a walk over
+each whole word from the identity (its left multiples by the dense rows of
+A, not the T-walk), and the T-walk, the matrix of a word and descent
+stripping by dense index loops over whole rows and columns of A, the
+diagonal read from A, so they check the kernels' rule that a step negates
+its own coordinate too.  So is
 the ascent walk that tests every coordinate of every point against the step
 rule, collecting the descents in the same scan.  The census search in its
 plain form is here too: the interval-pruned DFS over the coordinates in
@@ -43,7 +45,7 @@ from math import isqrt
 from operator import mul
 
 from weylipse.cartan import Root, RootClosure, bilinear
-from weylipse.errors import InvariantError
+from weylipse.errors import DimensionMismatchError, InvariantError
 from weylipse.exact import identity, mat_vec
 from weylipse.oracles import (  # noqa: F401  (re-exported for the test modules)
     exhaustive_word_search,
@@ -173,6 +175,25 @@ def primary_solutions_by_pointwise_scan(cd):
 
     rec(0)
     return sorted(found)
+
+
+def quad_form_value_by_loops(form, x):
+    """`QuadForm.value` as the index loops it was before it was generated: over
+    the nonzero x_i, the square and linear terms, then the nonzero quad_ij, j > i."""
+    if len(x) != form.n:
+        raise DimensionMismatchError(f"expected {form.n}-vector, got {len(x)}")
+    n = form.n
+    total = form.constant
+    for i in range(n):
+        xi = x[i]
+        if not xi:  # every term with x_i as a factor vanishes
+            continue
+        row = form.quad[i]
+        total += (row[i] // 2) * xi * xi + form.linear[i] * xi
+        for j in range(i + 1, n):
+            if row[j]:
+                total += row[j] * xi * x[j]
+    return total
 
 
 def sphere_identity_over_fractions(x, cd):

@@ -15,24 +15,30 @@ integer bounds, P and the action of a word on any vector by the word's
 reflections against the dense matrix product, the census search (axis
 order, the last two coordinates solved once per budget and cross terms, the
 factor memo, stepped differences, one sort) against the plain lexicographic
-DFS, the minimal vector x_h solved along the Dynkin forest against the
-whole product divided by detA, the ascent walk that reads each point's h
-only up to its first descent against the walk that tests every coordinate,
-h = 1 - A x over the sparse rows against the dense row sums, and the sort by
-one stable pass per coordinate against `sorted`.
+DFS, the minimal vector x_h by the kernel generated along the Dynkin
+forest against the whole product divided by detA, the generated form value
+against the index loops it replaced, |W_h| as a product over the components
+of the zero set against the scan over every positive root, the ascent walk
+that reads each point's h only up to its first descent against the walk
+that tests every coordinate, h = 1 - A x over the sparse rows against the
+dense row sums, and the sort by one stable pass per coordinate against
+`sorted`.
 """
 
 import random
+import time
 from fractions import Fraction
 from operator import mul, sub
 
 import pytest
 
 from weylipse import (
+    DimensionMismatchError,
     InvariantError,
     NotASolutionError,
     NotOnEllipsoidError,
     P_map,
+    QuadForm,
     bilinear,
     build_cartan,
     build_group_table,
@@ -41,10 +47,12 @@ from weylipse import (
     h_vector,
     orbit_seeds,
     orbit_size,
+    parabolic_order,
     parse_type,
     positive_roots,
     primary_form,
     secondary_form,
+    weyl_order,
 )
 from weylipse import cartan, ordering
 from weylipse.cartan import _strip_descents, _t_step, _t_walk, ascend, sparse_cartan
@@ -57,7 +65,7 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
-from weylipse.orbits import _dfs_nonneg, _forest_plan, _integral_minimal
+from weylipse.orbits import _dfs_nonneg, _forest_plan, _integral_minimal, _orbit_sizes
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _lex_sort, _twice_primary
 from weylipse.weyl import WeylElement
@@ -76,6 +84,7 @@ from oracles import (
     primary_box_over_fractions,
     primary_solutions_by_box_scan,
     primary_solutions_by_pointwise_scan,
+    quad_form_value_by_loops,
     secondary_nonneg_by_lex_dfs,
     sphere_identity_over_fractions,
     strip_descents_by_index_loops,
@@ -647,31 +656,29 @@ def test_census_search_matches_lexicographic_dfs_on_random_blocks(
 # every catalog type to rank 8 (B and C put the double bond's short end on
 # opposite sides, G2 has the triple bond, D and E a branch node), products,
 # and rank 12
-FOREST_TYPES = (
+CATALOG_TO_8 = (
     [f"A{n}" for n in range(1, 9)]
     + [f"B{n}" for n in range(2, 9)]
     + [f"C{n}" for n in range(3, 9)]
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
-    + CENSUS_PRODUCTS
-    + CENSUS_INTERLEAVED
-    + ["A12", "C12", "D12"]
 )
+FOREST_TYPES = CATALOG_TO_8 + CENSUS_PRODUCTS + CENSUS_INTERLEAVED + ["A12", "C12", "D12"]
 
 
 def test_integral_minimal_matches_dense_product():
-    """Every census row, and random vectors with negative entries, whose remainders
-    fall on start leaves and on divided steps."""
+    """The generated x_h kernel on every census row, and on random vectors with
+    negative entries, whose remainders fall on start leaves and on divided steps."""
     rng = random.Random(24)
     for text in FOREST_TYPES:
         cd = cd_of(text)
-        plan = _forest_plan(cd)
+        minimal = _integral_minimal(cd)
         randoms = [tuple(rng.randint(-5, 5) for _ in range(cd.n)) for _ in range(200)]
         integral = fractional = 0
         for h in enumerate_secondary_nonneg(cd) + randoms:
             x = [divmod(v, cd.detA) for v in mat_vec(cd.adjA, tuple(1 - v for v in h))]
             expected = None if any(r for _, r in x) else tuple(q for q, _ in x)
-            assert _integral_minimal(h, plan, cd.detA) == expected, (text, h)
+            assert minimal(h) == expected, (text, h)
             integral += expected is not None
             fractional += expected is None
         assert integral, text
@@ -707,6 +714,93 @@ def test_forest_plan_refuses_a_diagram_with_a_cycle(A):
     cd = cd_of(f"A{len(A)}")._replace(A=A)
     with pytest.raises(InvariantError, match="has a cycle"):
         _forest_plan(cd)
+
+
+# --- the generated form value against the loops it replaced, and |W_h| over the
+# components of the zero set against the scan over every positive root ---
+
+# both forms of every catalog type to rank 8, and products
+VALUE_TYPES = CATALOG_TO_8 + CENSUS_PRODUCTS
+
+
+def check_value_against_loops(form, rng, draws, bounds=(1, 5, 10**6)):
+    for bound in bounds:
+        for _ in range(draws):
+            x = tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(form.n))
+            assert form.value(x) == quad_form_value_by_loops(form, x), x
+            assert form.value(list(x)) == quad_form_value_by_loops(form, x), x
+
+
+@pytest.mark.parametrize("text", VALUE_TYPES)
+def test_generated_value_matches_loops(text):
+    cd = cd_of(text)
+    prim, sec = primary_form(cd), secondary_form(cd)
+    rng = random.Random(32)
+    for form in (prim, sec):
+        check_value_against_loops(form, rng, 30)
+        for h in enumerate_secondary_nonneg(cd)[:50]:
+            assert sec.value(h) == 0 == quad_form_value_by_loops(sec, h)
+    # rational points: twice the primary value is <x, x - 2 delta>
+    for _ in range(20):
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cd.n))
+        value = prim.value(x)
+        assert value == quad_form_value_by_loops(prim, x)
+        assert 2 * value == bilinear(x, tuple(map(sub, x, cd.two_delta)), cd)
+        assert sec.value(x) == quad_form_value_by_loops(sec, x)
+    for form in (prim, sec):
+        with pytest.raises(DimensionMismatchError, match=f"expected {cd.n}-vector, got {cd.n + 1}"):
+            form.value((0,) * (cd.n + 1))
+
+
+def test_generated_value_of_one_variable_forms():
+    rng = random.Random(33)
+    xs = [*range(-6, 7), Fraction(1, 2), Fraction(-7, 3)]
+    for q in range(-6, 7, 2):
+        for linear in range(-3, 4):
+            for constant in (-5, 0, 4):
+                form = QuadForm(1, ((q,),), (linear,), constant)
+                for x in xs:
+                    assert form.value((x,)) == quad_form_value_by_loops(form, (x,)), (form, x)
+    for text in ("A1", "A1xA1"):
+        cd = cd_of(text)
+        for form in (primary_form(cd), secondary_form(cd)):
+            check_value_against_loops(form, rng, 20)
+
+
+@pytest.mark.parametrize("text", ["A100", "B100", "D100"])
+def test_generated_value_compiles_fast_at_rank_100(text):
+    cd = cd_of(text)
+    rng = random.Random(34)
+    for form in (primary_form(cd), secondary_form(cd)):
+        start = time.process_time()
+        form.value
+        assert time.process_time() - start < 0.1, text
+        check_value_against_loops(form, rng, 3)
+        assert form.value((1,) * cd.n) == quad_form_value_by_loops(form, (1,) * cd.n)
+
+
+# every catalog type to rank 6, and products
+SIZE_TYPES = [name for name in CATALOG_TO_8 if int(name[1:]) <= 6] + CENSUS_PRODUCTS
+
+
+@pytest.mark.parametrize("text", SIZE_TYPES)
+def test_orbit_sizes_multiply_component_orders(text):
+    cd = cd_of(text)
+    order, size_at = weyl_order(cd), _orbit_sizes(cd)
+    for mask in range(1 << cd.n):
+        zeros = [i + 1 for i in range(cd.n) if mask >> i & 1]
+        h = tuple(0 if mask >> i & 1 else 1 for i in range(cd.n))
+        assert size_at(h) == order // parabolic_order(cd, zeros), (text, zeros)
+
+
+def test_orbit_sizes_check_divisibility(monkeypatch):
+    import weylipse.orbits as orbits
+
+    size_at = _orbit_sizes(cd_of("B3"))
+    monkeypatch.setattr(orbits, "parabolic_order", lambda cd, gens: 5)
+    assert size_at((1, 1, 1)) == 48
+    with pytest.raises(InvariantError, match="5 does not divide \\|W\\(B3\\)\\| = 48"):
+        size_at((0, 1, 1))
 
 
 # --- ascent walk: each point's h read up to its first descent ---

@@ -1,10 +1,14 @@
 """The records' contracts: field names, positional and keyword construction,
 defaults, repr, read-only fields and validation.
 
-Every record is a named tuple, and `CartanData` and `WeylElement` keep their
-cached properties in an instance dict; `GroupTable` is a plain class whose
-cached properties start cold on each new instance.
+Every record is a named tuple, and `CartanData`, `WeylElement` and `QuadForm`
+keep their cached properties in an instance dict; `GroupTable` is a plain
+class whose cached properties start cold on each new instance.
 """
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +105,10 @@ RECORDS = [
 ]
 
 
+# the records that keep a cached property in an instance dict, and its name
+CACHED = {QuadForm: "value"}
+
+
 @pytest.mark.parametrize(
     "cls, module, fields, values, defaults, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
 )
@@ -116,9 +124,17 @@ def test_record_contract(cls, module, fields, values, defaults, text):
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(by_position, f, None)
-    # a record without cached properties has no instance dict at all
-    with pytest.raises(AttributeError):
-        by_position.not_a_field = 1
+    cached = CACHED.get(cls)
+    if cached is None:
+        # a record without cached properties has no instance dict at all
+        with pytest.raises(AttributeError):
+            by_position.not_a_field = 1
+    else:
+        # the cached property starts cold on a new instance, and lives in its dict
+        fresh = cls(*values)
+        assert cached not in vars(fresh)
+        got = getattr(fresh, cached)
+        assert vars(fresh)[cached] is got is getattr(fresh, cached)
 
 
 def test_records_with_defaults_take_the_defaulted_field_too():
@@ -150,19 +166,39 @@ def test_cartan_data_contract():
 
 
 @pytest.mark.parametrize(
-    "quad, message",
-    [(((2, 0), (0, 3)), "quad\\[1\\]\\[1\\] = 3 is odd"), (((2, 1), (0, 2)), "not symmetric")],
-    ids=["odd-diagonal", "asymmetric"],
+    "bad, message",
+    [
+        ({"quad": ((2, 0), (0, 3))}, "quad\\[1\\]\\[1\\] = 3 is odd"),
+        ({"quad": ((2, 1), (0, 2))}, "not symmetric"),
+        ({"linear": (0,)}, "quad must be 2 by 2 and linear of length 2"),
+        ({"quad": ((2, 0, 5), (0, 2, 7))}, "quad must be 2 by 2 and linear of length 2"),
+        ({"n": 3}, "quad must be 3 by 3 and linear of length 3"),
+        ({"constant": Fraction(1, 2)}, "coefficients of a form must be ints"),
+    ],
+    ids=["odd-diagonal", "asymmetric", "short-linear", "long-rows", "short-quad", "fraction"],
 )
-def test_quadform_validates_every_construction(quad, message):
+def test_quadform_validates_every_construction(bad, message):
     good = QuadForm(2, ((2, 0), (0, 2)), (0, 0), 0)
+    fields = good._asdict() | bad
     with pytest.raises(MalformedFormError, match=message):
-        QuadForm(2, quad, (0, 0), 0)
+        QuadForm(*fields.values())
     with pytest.raises(MalformedFormError, match=message):
-        QuadForm(n=2, quad=quad, linear=(0, 0), constant=0)
+        QuadForm(**fields)
     with pytest.raises(MalformedFormError, match=message):
-        good._replace(quad=quad)
+        good._replace(**bad)
     assert good._replace(constant=-1) == QuadForm(2, ((2, 0), (0, 2)), (0, 0), -1)
+
+
+def test_quadform_pickles_and_copies_after_value():
+    form = QuadForm(2, ((2, -1), (-1, 2)), (-1, -1), 0)
+    assert form.value((1, 1)) == -1
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(form, proto))
+        assert type(back) is QuadForm and back == form and "value" not in vars(back)
+        assert back.value((1, 1)) == -1
+    for twin in (copy.copy(form), copy.deepcopy(form)):
+        assert type(twin) is QuadForm and twin == form and "value" not in vars(twin)
+        assert twin.value((2, 1)) == 0
 
 
 def test_weyl_elements_compare_hash_and_print_by_word_only():
