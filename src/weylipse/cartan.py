@@ -27,6 +27,18 @@ descent (no h_i < 0), and `ascend` lists the orbit from it.  Where no h is
 carried, `_t_walk` applies a whole word of T_i, each h_i computed over the
 sparse row i: it gives P(w) = T_w(0) and w x = T_w(x) - T_w(0).
 
+The ascent walk is fixed by the type: its tests and steps read only the
+entries of the sparse view of A.  So `ascend` runs no loop over that view.
+On the first walk of a type its rules are written out as straight-line Python
+with the entries of A as int literals (`codegen._ascent_source`), compiled by
+the one code generator `codegen._generated` and kept as ``CartanData.ascent``,
+beside ``sparse`` and ``root_closure``.  Every orbit listing shares it:
+`orbits.expand_orbit`, the group table of `weyl.build_group_table` and the
+root closure.  The source is linear in the rank plus the number of diagram
+edges: a step reads and writes single coordinates, never a whole vector
+literal.  `codegen` is imported by that first walk, not by this module, so a
+process that only builds Cartan data compiles none of it.
+
 >>> cd = build_cartan(parse_type("B2"))
 >>> cd.A
 ((2, -1), (-2, 2))
@@ -304,53 +316,14 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
       that is no neighbour of i, or a neighbour that T_i does not clear).
 
     So the scan of h stops at k0, and no point is looked up or reached twice.
-    The steps from x are taken in ascending i.  A step negates h_i and
-    changes only the h_k of the sparse column i.
+    The points wait on a stack, and the steps from x are pushed in ascending
+    i.  A step negates h_i and changes only the h_k of the sparse column i.
     ``visit(x, i, y)`` (i 0-based) is called at each step, after x's own.
+
+    The walk is ``cd.ascent``, straight-line code generated once per type
+    (`codegen._ascent_source`), so no rule above is looked up while it runs.
     """
-    A = cd.A
-    rows, cols = cd.sparse
-    points = [tuple(minimal)]
-    stack = [(points[0], list(h))]
-    # the step is written out in both loops below: one call per step cost
-    # about 2% of the bench's group workload
-    while stack:
-        x, h = stack.pop()
-        for k0, hk0 in enumerate(h):
-            if hk0 < 0:
-                break
-            if hk0:
-                y = list(x)
-                y[k0] += hk0
-                y = tuple(y)
-                points.append(y)
-                if visit is not None:
-                    visit(x, k0, y)
-                g = h.copy()
-                g[k0] = -hk0
-                for k, a in cols[k0]:
-                    g[k] -= hk0 * a
-                stack.append((y, g))
-        else:
-            continue  # no descent: every positive h_i was a step
-        for i, a in rows[k0]:
-            if i > k0 and (hi := h[i]) > 0 and hk0 >= hi * a:
-                for k in range(k0 + 1, i):
-                    if h[k] < hi * A[k][i]:
-                        break
-                else:
-                    y = list(x)
-                    y[i] += hi
-                    y = tuple(y)
-                    points.append(y)
-                    if visit is not None:
-                        visit(x, i, y)
-                    g = h.copy()
-                    g[i] = -hi
-                    for k, a in cols[i]:
-                        g[k] -= hi * a
-                    stack.append((y, g))
-    return points
+    return cd.ascent(tuple(minimal), list(h), visit)
 
 
 # no __slots__: the cached properties below live in the instance __dict__
@@ -365,11 +338,17 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     step by one T_i or one s_i reads: the T-walk, descent stripping, the
     ascent walk and the root closure.  ``edges`` lists each edge of the Dynkin
     diagram once, as (j, m, gram[j][m]) with j < m: the cross terms of the
-    primary quadric that `quadrics._twice_primary` sums.
+    primary quadric that `quadrics._twice_primary` sums.  ``ascent`` is the
+    generated walk of `ascend`.  Cached properties are built on first read and
+    kept in the instance dict; a pickle or copy carries the fields alone, so
+    it starts cold.
     """
 
     def __str__(self) -> str:
         return str(self.spec)
+
+    def __getstate__(self):
+        return None  # cached properties, the compiled ``ascent`` among them, are rebuilt on a copy
 
     @cached_property
     def positive_root_count(self) -> int:
@@ -384,6 +363,14 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         rows, _ = self.sparse
         return tuple((j, m, self.gram[j][m]) for j, row in enumerate(rows) for m, _ in row if m > j)
+
+    @cached_property
+    def ascent(self):
+        # the walk of `ascend`, generated and compiled on first use; `codegen`
+        # loads only then, so importing this module or `build_cartan` compiles none of it
+        from .codegen import _ascent_source, _generated
+
+        return _generated("ascent", "x, h, visit", _ascent_source(self))
 
     @cached_property
     def root_closure(self) -> RootClosure:

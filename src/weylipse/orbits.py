@@ -51,6 +51,7 @@ from math import isqrt
 from operator import eq, itemgetter, not_
 
 from .cartan import CartanData, _strip_descents, ascend, parabolic_order, weyl_order
+from .codegen import _generated, _literal, _sum_source
 from .errors import (
     DEFAULT_EXPAND_CAP,
     CapExceededError,
@@ -60,16 +61,7 @@ from .errors import (
     NotOnEllipsoidError,
 )
 from .exact import mat_vec
-from .quadrics import (
-    _generated,
-    _lex_sort,
-    _literal,
-    _on_primary,
-    _sum_source,
-    _twice_primary,
-    h_vector,
-    secondary_form,
-)
+from .quadrics import _lex_sort, _on_primary, _twice_primary, h_vector, secondary_form
 
 __all__ = [
     "OrbitRecord",

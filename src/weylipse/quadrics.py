@@ -12,6 +12,7 @@ one point without descents, its componentwise minimum.  Every walk (the step
 `_t_step`, descent stripping `_strip_descents`, the ascent walk `ascend` and
 the T-walk of a word `_t_walk`) lives in `cartan` beside the sparse view of
 A, since the roots are listed by the same walk; this module defines none.
+The ascent walk runs as code generated per type (`codegen._ascent_source`).
 `apply_T` takes one step of `cartan._t_walk` after a membership test over the
 nonzero x_j and the diagram's edges (`CartanData.edges`), so a single step
 never computes the whole h.  `h_vector` sums over the sparse rows, not the
@@ -20,10 +21,12 @@ dense ones.
 `QuadForm.value` is not a loop over the dense matrix: on its first read a
 form generates straight-line code from its own fields, every nonzero
 coefficient written out as an int literal, compiles it and keeps it in its
-instance dict.  The census checks each of its rows with it.  `_generated`,
-with `_literal` and `_sum_source`, is the one code generator; `orbits` builds
-the solve of the orbit seeds' minimal vectors with it too.  It is here, not in
-a module that every CLI process imports, and it keeps nothing at module level.
+instance dict.  The census checks each of its rows with it.  The one code
+generator is `codegen._generated`, with `_literal` and `_sum_source`: each
+type's ascent walk (``CartanData.ascent``) and the solve of the orbit seeds'
+minimal vectors in `orbits` are built with it too.  It keeps nothing at
+module level; generated code lives in the instance dict of the form or the
+`CartanData` that owns it, or for one pass.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .cartan import CartanData
+from .codegen import _generated, _literal, _sum_source
 from .errors import DimensionMismatchError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
 
@@ -237,41 +241,3 @@ def _lex_sort(points: list, n: int) -> None:
     """
     for i in range(n - 1, -1, -1):
         points.sort(key=itemgetter(i))
-
-
-def _literal(v) -> str:
-    """The Python source of the int v; TypeError for anything else, so that
-    generated source holds no repr of an arbitrary object."""
-    if type(v) is not int:
-        raise TypeError(f"a generated coefficient must be an int, not {type(v).__name__}")
-    return str(v)
-
-
-def _sum_source(terms) -> str:
-    """sum c * e over (c, e) in terms as Python source: c an int, e the source of a
-    factor or None for the constant term c.  Zero terms are left out; "0" if all are."""
-    out = []
-    for c, e in terms:
-        text = _literal(c).lstrip("-")
-        if not c:
-            continue
-        if e is not None:
-            text = e if text == "1" else f"{text}*{e}"
-        out.append(("- " if c < 0 else "+ ") + text)
-    if not out:
-        return "0"
-    text = " ".join(out)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def _generated(name: str, params: str, lines, **names):
-    """The function ``def name(params)`` with the body ``lines``, compiled afresh.
-
-    ``names`` are its globals (besides the builtins).  Generated code lives as
-    long as the object that asked for it: a form's ``value`` or one pass of
-    `orbits.orbit_seeds`; nothing is cached at module level.
-    """
-    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    scope = dict(names)
-    exec(compile(source, f"<generated {name}>", "exec"), scope)
-    return scope[name]

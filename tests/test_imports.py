@@ -152,16 +152,18 @@ def test_the_library_loads_only_what_it_calls(call, loaded):
     assert fresh_python(LIBRARY_USE.format(call)) == f"{loaded}\n"
 
 
+# `codegen` loads with `quadrics`, or with the first ascent walk (`info` lists
+# the roots by it), never with Cartan data alone
 COMMAND_LAYERS = [
-    (["info", "F4"], []),
-    (["primary-eq", "E8"], ["quadrics"]),
-    (["secondary-eq", "E8", "--json"], ["quadrics"]),
-    (["orbits", "A3"], ["quadrics", "orbits"]),
-    (["expand", "B2"], ["quadrics", "orbits"]),
-    (["realize", "A3", "--word", "1,2"], ["quadrics", "weyl"]),
-    (["reduced-words", "A3", "--pvector", "3,4,3"], ["quadrics", "weyl", "ordering"]),
-    (["bruhat", "A2", "--method", "subword"], ["quadrics", "weyl", "ordering"]),
-    (["verify", "A2"], ALL_LAYERS),
+    (["info", "F4"], ["codegen"]),
+    (["primary-eq", "E8"], ["codegen", "quadrics"]),
+    (["secondary-eq", "E8", "--json"], ["codegen", "quadrics"]),
+    (["orbits", "A3"], ["codegen", "quadrics", "orbits"]),
+    (["expand", "B2"], ["codegen", "quadrics", "orbits"]),
+    (["realize", "A3", "--word", "1,2"], ["codegen", "quadrics", "weyl"]),
+    (["reduced-words", "A3", "--pvector", "3,4,3"], ["codegen", "quadrics", "weyl", "ordering"]),
+    (["bruhat", "A2", "--method", "subword"], ["codegen", "quadrics", "weyl", "ordering"]),
+    (["verify", "A2"], ["codegen", *ALL_LAYERS]),
 ]
 
 

@@ -19,8 +19,9 @@ DFS, the minimal vector x_h by the kernel generated along the Dynkin
 forest against the whole product divided by detA, the generated form value
 against the index loops it replaced, |W_h| as a product over the components
 of the zero set against the scan over every positive root, the ascent walk
-that reads each point's h only up to its first descent against the walk
-that tests every coordinate, h = 1 - A x over the sparse rows against the
+generated once per type, which reads each point's h only up to its first
+descent, against the walk that tests every coordinate (quadric orbits and
+the root closure), h = 1 - A x over the sparse rows against the
 dense row sums, and the sort by one stable pass per coordinate against
 `sorted`.
 """
@@ -56,6 +57,7 @@ from weylipse import (
 )
 from weylipse import cartan, ordering
 from weylipse.cartan import _strip_descents, _t_step, _t_walk, ascend, sparse_cartan
+from weylipse.codegen import _ascent_source
 from weylipse.exact import mat_vec
 from weylipse.ordering import (
     _componentwise_down,
@@ -65,7 +67,7 @@ from weylipse.ordering import (
     bruhat_from_subwords,
     primary_poset,
 )
-from weylipse.orbits import _dfs_nonneg, _forest_plan, _integral_minimal, _orbit_sizes
+from weylipse.orbits import OrbitRecord, _dfs_nonneg, _forest_plan, _integral_minimal, _orbit_sizes
 from weylipse.oracles import sphere_identity_holds
 from weylipse.quadrics import _lex_sort, _twice_primary
 from weylipse.weyl import WeylElement
@@ -838,6 +840,57 @@ def test_first_descent_walk_matches_full_scan_e6():
     other = next(r for r in seeds if r.size == 12960)
     for rec in (main, other):
         assert_same_walk(rec, cd)
+
+
+# --- the generated walk: one compiled function per type, in `CartanData.ascent` ---
+
+
+def test_generated_walk_of_a1_unpacks_one_coordinate():
+    cd = cd_of("A1")
+    assert "    h0, = h" in _ascent_source(cd)
+    # the root closure: -e1 has h = -A(-e1) = (2,), and its one step is s_1
+    steps = []
+    assert ascend((-1,), (2,), cd, lambda x, i, y: steps.append((x, i, y))) == [(-1,), (1,)]
+    assert steps == [((-1,), 0, (1,))]
+
+
+@pytest.mark.parametrize("text", ["A1", "B3", "G2", "F4", "E6"])
+def test_generated_walk_lists_the_roots_from_each_lowest_root(text):
+    cd = cd_of(text)
+    listed = set()
+    for i in range(cd.n):
+        e = tuple(int(i == j) for j in range(cd.n))
+        if e in listed:
+            continue
+        r, h, _ = _strip_descents(e, tuple(-row[i] for row in cd.A), cd)
+        # r is the lowest root of its orbit: h = -A r has no descent
+        assert h == tuple(-v for v in mat_vec(cd.A, r)) and min(h) >= 0
+        rec = OrbitRecord(h=h, minimal=r, size=None)
+        points, steps = walk_with_steps(ascend, rec, cd)
+        assert (points, steps) == walk_with_steps(ascend_by_full_scan, rec, cd)
+        assert len(steps) == len(points) - 1 and e in points
+        listed.update(points)
+    assert listed == set(cd.root_closure.roots)
+
+
+def test_generated_walk_matches_full_scan_on_non_main_e7_orbits():
+    cd = cd_of("E7")
+    recs = [r for r in orbit_seeds(cd) if r.size == 4032]
+    assert len(recs) == 2 and all(r.h != (1,) * cd.n for r in recs)
+    for rec in recs:
+        assert_same_walk(rec, cd)
+
+
+@pytest.mark.parametrize("text", ["A100", "B100", "D100"])
+def test_generated_walk_source_is_linear_in_rank_and_edges(text):
+    cd = cd_of(text)
+    lines = _ascent_source(cd)
+    # a node holds its descent test and its step, an edge its neighbour test and
+    # step: each of those is a dozen lines or so
+    assert len(lines) <= 16 * (cd.n + len(cd.edges))
+    # the popped h is unpacked once; no other line names every coordinate
+    (unpack,) = [line for line in lines if len(line) > 80]
+    assert unpack == "    " + ", ".join(f"h{i}" for i in range(cd.n)) + ", = h"
 
 
 # --- h = 1 - A x over the sparse rows ---

@@ -25,7 +25,9 @@ from weylipse import (
     WeylElement,
     build_cartan,
     build_group_table,
+    expand_orbit,
     parse_type,
+    positive_roots,
 )
 from weylipse.cartan import RootClosure
 from weylipse.verify import CheckResult
@@ -160,9 +162,25 @@ def test_cartan_data_contract():
             setattr(cd, f, None)
     # cached properties start cold on a new instance, and live in its dict
     fresh = CartanData(*cd)
-    assert "sparse" not in vars(fresh)
-    sparse = fresh.sparse
-    assert vars(fresh)["sparse"] is sparse is fresh.sparse
+    for name in ("sparse", "ascent"):
+        assert name not in vars(fresh)
+        got = getattr(fresh, name)
+        assert vars(fresh)[name] is got is getattr(fresh, name)
+
+
+def test_cartan_data_pickles_and_copies_cold_after_its_walks():
+    cd = cd_of("B3")
+    orbit = expand_orbit((0, 0, 1), cd)
+    table = build_group_table(cd)
+    roots = positive_roots(cd)
+    assert {"ascent", "root_closure", "sparse"} <= set(vars(cd))
+    copies = [pickle.loads(pickle.dumps(cd, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*copies, copy.copy(cd), copy.deepcopy(cd)]:
+        assert type(twin) is CartanData and twin == cd and vars(twin) == {}
+        assert expand_orbit((0, 0, 1), twin) == orbit
+        assert build_group_table(twin).elements == table.elements
+        assert positive_roots(twin) == roots
+        assert twin.ascent is not cd.ascent
 
 
 @pytest.mark.parametrize(
