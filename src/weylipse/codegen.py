@@ -3,7 +3,8 @@
 `_generated` compiles a function from its body lines; `_sum_source` writes a
 sum of int multiples of factors, each coefficient through `_literal`, which
 refuses anything whose type is not exactly int, so generated source holds no
-repr of an arbitrary object.  `quadrics` builds a form's `value` with it,
+repr of an arbitrary object.  The same sum of monomials is the text of
+`QuadForm.equation_text`.  `quadrics` builds a form's `value` with it,
 `orbits` the solve of the orbit seeds' minimal vectors, and
 ``CartanData.ascent`` the ascent walk of a type from `_ascent_source`.  That
 property imports this module on a type's first walk, so a process that only
@@ -22,8 +23,8 @@ def _literal(v) -> str:
 
 
 def _sum_source(terms) -> str:
-    """sum c * e over (c, e) in terms as Python source: c an int, e the source of a
-    factor or None for the constant term c.  Zero terms are left out; "0" if all are."""
+    """sum c * e over (c, e) in terms as text, Python source or an equation's side: c an
+    int, e a factor or None for the constant term c.  Zero terms are left out; "0" if all are."""
     out = []
     for c, e in terms:
         text = _literal(c).lstrip("-")

@@ -37,8 +37,10 @@ forest, are built once.  x_h is read from adjA at all leaves but one of each
 tree and from one equation of A x = 1 - h per other node, so a row costs
 about one adjA row per tree, not one per coordinate; the solve is generated
 once per pass, as straight-line code that returns None at the first
-remainder.  |W_h| is the product of the orders of the connected components of
-the zero set of h, each component's order computed once per pass, and is
+remainder.  Each integral x_h is then checked on the primary quadric by
+`quadrics._twice_primary`, which reads the point alone, not the h it was
+solved from.  |W_h| is the product of the orders of the connected components
+of the zero set of h, each component's order computed once per pass, and is
 checked to divide |W| once per distinct zero set.  `expand_orbit` knows that
 size before it lists the orbit by the canonical ascent walk from its minimum.
 """
@@ -60,8 +62,7 @@ from .errors import (
     NotASolutionError,
     NotOnEllipsoidError,
 )
-from .exact import mat_vec
-from .quadrics import _lex_sort, _on_primary, _twice_primary, h_vector, secondary_form
+from .quadrics import _lex_sort, _twice_primary, h_vector, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -351,10 +352,7 @@ def orbit_size(h, cd: CartanData) -> int:
     h = tuple(h)
     if len(h) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(h)}")
-    valid = all(isinstance(v, int) and v >= 0 for v in h)
-    # h is on the secondary quadric iff x_h = Ainv (1 - h) is on the primary one,
-    # and h_vector(x_h) = h; adjA (1 - h) = detA x_h keeps the test in integers
-    if not valid or not _on_primary(mat_vec(cd.adjA, tuple(1 - v for v in h)), h, cd):
+    if not all(isinstance(v, int) and v >= 0 for v in h) or secondary_form(cd).value(h):
         raise NotASolutionError(f"{h} is not a nonnegative integral secondary solution of {cd.spec}")
     return _orbit_sizes(cd)(h)
 
@@ -373,9 +371,7 @@ def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
         minimal = minimal_of(h)
         if minimal is None:
             continue
-        # A adjA = detA I (adjA = detA Ainv is checked in build_cartan), so
-        # A minimal = 1 - h and h_vector(minimal) = h, on which `_on_primary` is exact
-        if not _on_primary(minimal, h, cd):
+        if _twice_primary(minimal, cd):
             raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
         records.append(OrbitRecord(h=h, minimal=minimal, size=size_at(h)))
     records.sort(key=lambda r: r.minimal)

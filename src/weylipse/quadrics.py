@@ -13,18 +13,20 @@ one point without descents, its componentwise minimum.  Every walk (the step
 the T-walk of a word `_t_walk`) lives in `cartan` beside the sparse view of
 A, since the roots are listed by the same walk; this module defines none.
 The ascent walk runs as code generated per type (`codegen._ascent_source`).
-`apply_T` takes one step of `cartan._t_walk` after a membership test over the
-nonzero x_j and the diagram's edges (`CartanData.edges`), so a single step
-never computes the whole h.  `h_vector` sums over the sparse rows, not the
-dense ones.
+`_twice_primary` is the one membership test of a single point, summed over
+the nonzero x_j and the diagram's edges (`CartanData.edges`), so it never
+computes the whole h: `apply_T` (before its one step of `cartan._t_walk`),
+`expand_orbit` and the orbit seeds' check of each minimal vector call it.
+`h_vector` sums over the sparse rows, not the dense ones.
 
-`QuadForm.value` is not a loop over the dense matrix: on its first read a
-form generates straight-line code from its own fields, every nonzero
-coefficient written out as an int literal, compiles it and keeps it in its
-instance dict.  The census checks each of its rows with it.  The one code
-generator is `codegen._generated`, with `_literal` and `_sum_source`: each
-type's ascent walk (``CartanData.ascent``) and the solve of the orbit seeds'
-minimal vectors in `orbits` are built with it too.  It keeps nothing at
+`QuadForm.value` evaluates a whole form.  It is not a loop over the dense
+matrix: on its first read a form generates straight-line code from its own
+fields, every nonzero coefficient written out as an int literal, compiles it
+and keeps it in its instance dict.  The census checks each of its rows with
+it, and `orbit_size` its h.  The one code generator is `codegen._generated`,
+with `_literal` and `_sum_source`, which also writes `QuadForm.equation_text`:
+each type's ascent walk (``CartanData.ascent``) and the solve of the orbit
+seeds' minimal vectors in `orbits` are built with it too.  It keeps nothing at
 module level; generated code lives in the instance dict of the form or the
 `CartanData` that owns it, or for one pass.
 """
@@ -109,28 +111,12 @@ class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
         return _generated("value", "x", lines, DimensionMismatchError=DimensionMismatchError)
 
     def equation_text(self, var: str = "x") -> str:
-        terms: list[tuple[int, str]] = []
-        for i in range(self.n):
-            terms.append((self.quad[i][i] // 2, f"{var}{i + 1}^2"))
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                terms.append((self.quad[i][j], f"{var}{i + 1}*{var}{j + 1}"))
-        for i in range(self.n):
-            terms.append((self.linear[i], f"{var}{i + 1}"))
-        terms.append((self.constant, ""))
-        parts: list[str] = []
-        for coeff, mono in terms:
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        lhs = " ".join(parts) if parts else "0"
-        return f"{lhs} = 0"
+        """The equation as text: squares, then cross terms, then linear terms, then the constant."""
+        n, ys = self.n, [f"{var}{i + 1}" for i in range(self.n)]
+        terms = [(self.quad[i][i] // 2, f"{y}^2") for i, y in enumerate(ys)]
+        terms += [(self.quad[i][j], f"{ys[i]}*{ys[j]}") for i in range(n) for j in range(i + 1, n)]
+        terms += [*zip(self.linear, ys), (self.constant, None)]
+        return f"{_sum_source(terms)} = 0"
 
 
 def primary_form(cd: CartanData) -> QuadForm:
@@ -220,15 +206,6 @@ def _twice_primary(x, cd: CartanData) -> int:
     for j, m, g in cd.edges:
         total += g * x[j] * x[m]
     return 2 * total
-
-
-def _on_primary(x, h, cd: CartanData) -> bool:
-    """Whether x is on the primary quadric, given h = h_vector(x).
-
-    Since A delta = 1, twice the primary value of x is -sum k_j x_j (1 + h_j).
-    For fixed h the test is homogeneous in x, so any multiple of x may be passed.
-    """
-    return not sum(k * v * (1 + g) for k, v, g in zip(cd.k, x, h))
 
 
 def _lex_sort(points: list, n: int) -> None:

@@ -113,6 +113,26 @@ def test_seeds_product_type():
     ]
 
 
+def test_seeds_refuse_a_minimal_vector_off_the_primary_quadric(monkeypatch):
+    import weylipse.orbits as orbits
+
+    real = orbits._integral_minimal
+
+    def shifted(cd):
+        minimal_of = real(cd)
+
+        def minimal(h):
+            # a shift by e_1 would land on T_1(0) = e_1, which is on the quadric; 2 e_1 is not
+            x = minimal_of(h)
+            return None if x is None else (x[0] + 2, *x[1:])
+
+        return minimal
+
+    monkeypatch.setattr(orbits, "_integral_minimal", shifted)
+    with pytest.raises(InvariantError, match=r"\(2, 0, 0\) of h = \(1, 1, 1\) is off the primary"):
+        orbit_seeds(cd_of("B3"))
+
+
 @pytest.mark.parametrize("text", SMALL + RANK4 + ["E6xA3"])
 def test_seed_invariants(text):
     cd = cd_of(text)

@@ -332,6 +332,20 @@ def test_relation_counts_match_pair_sets(text):
         assert relation_counts(found, truth) == expected
 
 
+@pytest.mark.parametrize(
+    "text, counts", [("A3", (197, 183, 189, 6, 0)), ("B3", (851, 758, 799, 41, 0))]
+)
+def test_relation_counts_of_the_three_orders(text, counts):
+    """The relation sizes of the componentwise, link-filter and subword orders, then
+    the link filter's missing and extra relations against the subword order: the
+    counts `scripts/bruhat_graphs.py` prints, computed in process."""
+    table = table_of(text)
+    comp, filtered, subword = (
+        primary_poset(table), bruhat_from_primary(table), bruhat_from_subwords(table)
+    )
+    assert (relation_counts(comp, comp)[0], *relation_counts(filtered, subword)) == counts
+
+
 def test_relation_rejects_cover_going_down_in_node_order():
     nodes = ((0, 0), (0, 1), (1, 1))
     assert Poset(nodes=nodes, covers=frozenset({(0, 1), (1, 2)}), kind="chain").relation() == {

@@ -40,6 +40,31 @@ def test_primary_form_examples():
     assert b2.value((1, 3)) == 0
 
 
+Z2 = ((0, 0), (0, 0))
+Z3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "form, var, text",
+    [
+        (QuadForm(0, (), (), 0), "x", "0 = 0"),
+        (QuadForm(1, ((0,),), (0,), -1), "x", "-1 = 0"),
+        (QuadForm(2, Z2, (0, 0), 1), "x", "1 = 0"),
+        (QuadForm(0, (), (), -7), "x", "-7 = 0"),
+        (QuadForm(2, ((-4, 3), (3, 0)), (0, 5), 0), "x", "-2*x1^2 + 3*x1*x2 + 5*x2 = 0"),
+        (QuadForm(2, ((0, -3), (-3, 0)), (1, 0), -2), "x", "-3*x1*x2 + x1 - 2 = 0"),
+        (QuadForm(1, ((2,),), (0,), 0), "x", "x1^2 = 0"),
+        (QuadForm(2, ((0, 0), (0, -2)), (0, 0), 3), "x", "-x2^2 + 3 = 0"),
+        (QuadForm(3, ((0, 1, 0), (1, 0, -1), (0, -1, 0)), (0, 0, 0), 0), "x", "x1*x2 - x2*x3 = 0"),
+        (QuadForm(2, Z2, (-1, 1), 0), "x", "-x1 + x2 = 0"),
+        (QuadForm(3, Z3, (3, 0, -2), 0), "x", "3*x1 - 2*x3 = 0"),
+        (QuadForm(2, ((2, -1), (-1, -2)), (1, -1), -1), "h", "h1^2 - h2^2 - h1*h2 + h1 - h2 - 1 = 0"),
+    ],
+)
+def test_equation_text_degenerate_forms(form, var, text):
+    assert form.equation_text(var) == text
+
+
 @pytest.mark.parametrize("text", TYPES)
 def test_primary_form_structure(text):
     cd = cd_of(text)
