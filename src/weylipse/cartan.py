@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import compress
 from math import gcd, prod
 from operator import mul
@@ -326,6 +326,23 @@ def ascend(minimal, h, cd: CartanData, visit=None) -> list[tuple[int, ...]]:
     return cd.ascent(tuple(minimal), list(h), visit)
 
 
+def _kept(build):
+    """``build(cd)``, a per-type kernel, built on cd's first call and kept in its
+    instance dict under build's name, beside the cached properties: a copy or
+    pickle of cd starts cold, and nothing at module level keeps a type alive.
+    Kernels are kept this way, never results."""
+    name = build.__name__
+
+    @wraps(build)
+    def kept(cd):
+        got = cd.__dict__.get(name)
+        if got is None:
+            got = cd.__dict__[name] = build(cd)
+        return got
+
+    return kept
+
+
 # no __slots__: the cached properties below live in the instance __dict__
 class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_delta")):
     """Everything exact about one (product) type; every field is integer.
@@ -336,11 +353,14 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     of the positive roots, so <delta, delta> = sum_i k_i two_delta_i / 2.
     ``sparse`` is the sparse view (rows, cols) of A (`sparse_cartan`) that every
     step by one T_i or one s_i reads: the T-walk, descent stripping, the
-    ascent walk and the root closure.  ``edges`` lists each edge of the Dynkin
-    diagram once, as (j, m, gram[j][m]) with j < m: the cross terms of the
-    primary quadric that `quadrics._twice_primary` sums.  ``ascent`` is the
-    generated walk of `ascend`.  Cached properties are built on first read and
-    kept in the instance dict; a pickle or copy carries the fields alone, so
+    ascent walk and the root closure.  ``ascent`` is the generated walk of
+    `ascend`.  Cached properties are built on first read and kept in the
+    instance dict.  The same dict keeps the per-type kernels of the other
+    layers, each built on its first call through `_kept`: the two forms
+    (`quadrics.primary_form` and `quadrics.secondary_form`, each with its
+    generated ``value``), the generated x_h solve of `orbits._integral_minimal`
+    and the orbit sizes of `orbits._orbit_sizes` with their dicts of component
+    orders and zero-set sizes.  A pickle or copy carries the fields alone, so
     it starts cold.
     """
 
@@ -348,7 +368,7 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
         return str(self.spec)
 
     def __getstate__(self):
-        return None  # cached properties, the compiled ``ascent`` among them, are rebuilt on a copy
+        return None  # cached properties and kept kernels, compiled ones too, are rebuilt on a copy
 
     @cached_property
     def positive_root_count(self) -> int:
@@ -358,11 +378,6 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     @cached_property
     def sparse(self) -> tuple[tuple, tuple]:
         return sparse_cartan(self.A)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        rows, _ = self.sparse
-        return tuple((j, m, self.gram[j][m]) for j, row in enumerate(rows) for m, _ in row if m > j)
 
     @cached_property
     def ascent(self):

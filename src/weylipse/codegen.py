@@ -8,7 +8,8 @@ repr of an arbitrary object.  The same sum of monomials is the text of
 `orbits` the solve of the orbit seeds' minimal vectors, and
 ``CartanData.ascent`` the ascent walk of a type from `_ascent_source`.  That
 property imports this module on a type's first walk, so a process that only
-builds Cartan data loads none of it.  Nothing is kept at module level.
+builds Cartan data loads none of it.  Each of these is compiled once per type
+and kept on its `CartanData`; nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def _generated(name: str, params: str, lines, **names):
     """The function ``def name(params)`` with the body ``lines``, compiled afresh.
 
     ``names`` are its globals (besides the builtins).  Generated code lives as
-    long as the object that asked for it: a type's ascent walk, a form's
-    ``value`` or one pass of `orbits.orbit_seeds`; nothing is cached at module
-    level.
+    long as the object that asked for it: a form's ``value`` on the form, and
+    a type's ascent walk and x_h solve on its `CartanData`, which also keeps
+    the type's two forms (`cartan._kept`).  So each is compiled once per form
+    or per type; nothing is cached at module level.
     """
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     scope = dict(names)

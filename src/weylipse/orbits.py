@@ -31,18 +31,22 @@ generated `QuadForm.value`, which shares nothing with the search.
 Orbits of the T_i action on the primary integral points are parametrized by
 those solutions h whose candidate minimal vector x_h = Ainv (1 - h) is
 integral; the orbit size is |W| / |W_h| with W_h the parabolic subgroup at the
-zero coordinates of h.  One `orbit_seeds` call is one pass over the census:
-the two quadrics, |W| and the solve of x_h along the Dynkin diagram, a
-forest, are built once.  x_h is read from adjA at all leaves but one of each
-tree and from one equation of A x = 1 - h per other node, so a row costs
-about one adjA row per tree, not one per coordinate; the solve is generated
-once per pass, as straight-line code that returns None at the first
-remainder.  Each integral x_h is then checked on the primary quadric by
-`quadrics._twice_primary`, which reads the point alone, not the h it was
-solved from.  |W_h| is the product of the orders of the connected components
-of the zero set of h, each component's order computed once per pass, and is
-checked to divide |W| once per distinct zero set.  `expand_orbit` knows that
-size before it lists the orbit by the canonical ascent walk from its minimum.
+zero coordinates of h.  One `orbit_seeds` call is one pass over the census.
+What a pass reads of the type is built on the type's first pass and kept on
+its `CartanData` (`cartan._kept`): the two quadrics with their generated
+``value``, |W| with the orbit sizes, and the solve of x_h along the Dynkin
+diagram, a forest.  Every later pass, `orbit_size` and `expand_orbit` read the
+same kernels; each call still runs the search and checks every row and every
+seed.  x_h is read from adjA at all leaves but one of each tree and from one
+equation of A x = 1 - h per other node, so a row costs about one adjA row per
+tree, not one per coordinate; the solve is generated once per type, as
+straight-line code that returns None at the first remainder.  Each integral
+x_h is then checked on the primary quadric by the kept primary form's
+``value``, which reads the point alone, not the h it was solved from.  |W_h|
+is the product of the orders of the connected components of the zero set of
+h, each component's order computed once per type, and is checked to divide
+|W| once per distinct zero set.  `expand_orbit` knows that size before it
+lists the orbit by the canonical ascent walk from its minimum.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from itertools import compress, islice
 from math import isqrt
 from operator import eq, itemgetter, not_
 
-from .cartan import CartanData, _strip_descents, ascend, parabolic_order, weyl_order
+from .cartan import CartanData, _kept, _strip_descents, ascend, parabolic_order, weyl_order
 from .codegen import _generated, _literal, _sum_source
 from .errors import (
     DEFAULT_EXPAND_CAP,
@@ -62,7 +66,7 @@ from .errors import (
     NotASolutionError,
     NotOnEllipsoidError,
 )
-from .quadrics import _lex_sort, _twice_primary, h_vector, secondary_form
+from .quadrics import _lex_sort, h_vector, primary_form, secondary_form
 
 __all__ = [
     "OrbitRecord",
@@ -223,7 +227,7 @@ def enumerate_secondary_nonneg(cd: CartanData) -> list[tuple[int, ...]]:
     if any(v < 0 for row in g for v in row):
         raise InvariantError(f"scaled secondary matrix of {cd.spec} is not nonnegative")
     sols = _dfs_nonneg(g, -form.constant)
-    value = form.value  # generated from the form's fields alone, on this first read
+    value = form.value  # generated from the form's fields alone, once per type
     for h in sols:
         if value(h) != 0:
             raise InvariantError(
@@ -273,9 +277,10 @@ def _forest_plan(cd: CartanData):
     return starts, steps
 
 
+@_kept
 def _integral_minimal(cd: CartanData):
     """x_h = Ainv (1 - h) by the `_forest_plan` of cd, as one generated function
-    of h that returns None at the first remainder.
+    of h that returns None at the first remainder, built once per type and kept on cd.
 
     A start divides by detA, and only where detA > 1.  A step divides by A_cp,
     which is -1 unless c is the short end of a multiple edge (k_c < k_p), where
@@ -305,12 +310,14 @@ def _integral_minimal(cd: CartanData):
     return _generated("minimal", "h", lines)
 
 
+@_kept
 def _orbit_sizes(cd: CartanData):
-    """h -> |W| / |W_h| for checked solutions h, over one pass.
+    """h -> |W| / |W_h| for checked solutions h, built once per type and kept on cd.
 
     |W_h| is the product of |W_J| over the connected components J of the zero
     set of h in the Dynkin diagram; each component's order and each zero set's
-    size are kept in dicts that live as long as the returned function.
+    size are kept in dicts that live as long as the returned function, so the
+    check that |W_h| divides |W| runs once per distinct zero set of the type.
     """
     order = weyl_order(cd)
     rows, _ = cd.sparse
@@ -364,14 +371,14 @@ def orbit_seeds(cd: CartanData) -> list[OrbitRecord]:
 
 def _seeds_from(cd: CartanData, sols) -> list[OrbitRecord]:
     """`orbit_seeds` over ``sols``, the output of `enumerate_secondary_nonneg(cd)`."""
-    size_at, minimal_of = _orbit_sizes(cd), _integral_minimal(cd)
+    size_at, minimal_of, primary = _orbit_sizes(cd), _integral_minimal(cd), primary_form(cd).value
     records = []
     # the census has checked every h against the secondary form before its size is recorded
     for h in sols:
         minimal = minimal_of(h)
         if minimal is None:
             continue
-        if _twice_primary(minimal, cd):
+        if primary(minimal):
             raise InvariantError(f"minimal vector {minimal} of h = {h} is off the primary quadric")
         records.append(OrbitRecord(h=h, minimal=minimal, size=size_at(h)))
     records.sort(key=lambda r: r.minimal)
@@ -388,7 +395,7 @@ def expand_orbit(a, cd: CartanData, cap: int = DEFAULT_EXPAND_CAP) -> list[tuple
     a = tuple(a)
     if len(a) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(a)}")
-    if any(not isinstance(v, int) for v in a) or _twice_primary(a, cd):
+    if any(not isinstance(v, int) for v in a) or primary_form(cd).value(a):
         raise NotOnEllipsoidError(f"{a} is not an integral primary solution of {cd.spec}")
     minimal, h, _ = _strip_descents(a, h_vector(a, cd), cd)
     size = _orbit_sizes(cd)(h)

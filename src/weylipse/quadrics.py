@@ -13,22 +13,24 @@ one point without descents, its componentwise minimum.  Every walk (the step
 the T-walk of a word `_t_walk`) lives in `cartan` beside the sparse view of
 A, since the roots are listed by the same walk; this module defines none.
 The ascent walk runs as code generated per type (`codegen._ascent_source`).
-`_twice_primary` is the one membership test of a single point, summed over
-the nonzero x_j and the diagram's edges (`CartanData.edges`), so it never
-computes the whole h: `apply_T` (before its one step of `cartan._t_walk`),
-`expand_orbit` and the orbit seeds' check of each minimal vector call it.
 `h_vector` sums over the sparse rows, not the dense ones.
 
 `QuadForm.value` evaluates a whole form.  It is not a loop over the dense
 matrix: on its first read a form generates straight-line code from its own
 fields, every nonzero coefficient written out as an int literal, compiles it
-and keeps it in its instance dict.  The census checks each of its rows with
-it, and `orbit_size` its h.  The one code generator is `codegen._generated`,
-with `_literal` and `_sum_source`, which also writes `QuadForm.equation_text`:
-each type's ascent walk (``CartanData.ascent``) and the solve of the orbit
-seeds' minimal vectors in `orbits` are built with it too.  It keeps nothing at
-module level; generated code lives in the instance dict of the form or the
-`CartanData` that owns it, or for one pass.
+and keeps it in its instance dict.  Only the nonzero entries of gram enter
+the primary form's code, so it is sparse over the Dynkin diagram.  Each of
+the two forms is built once per type and kept on its `CartanData`
+(`cartan._kept`), so each ``value`` compiles once per type.  The primary
+``value`` is the one membership test of a single point: `apply_T` (before its
+one step of `cartan._t_walk`), `expand_orbit` and the orbit seeds' check of
+each minimal vector call it.  The census checks each of its rows with the
+secondary ``value``, and `orbit_size` its h.  The one code generator is
+`codegen._generated`, with `_literal` and `_sum_source`, which also writes
+`QuadForm.equation_text`: each type's ascent walk (``CartanData.ascent``) and
+the solve of the orbit seeds' minimal vectors in `orbits` are built with it
+too.  It keeps nothing at module level; generated code lives in the instance
+dict of the form or the `CartanData` that owns it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
-from .cartan import CartanData
+from .cartan import CartanData, _kept
 from .codegen import _generated, _literal, _sum_source
 from .errors import DimensionMismatchError, MalformedFormError, NotOnEllipsoidError
 from .exact import Matrix
@@ -119,10 +121,12 @@ class QuadForm(namedtuple("QuadForm", "n quad linear constant")):
         return f"{_sum_source(terms)} = 0"
 
 
+@_kept
 def primary_form(cd: CartanData) -> QuadForm:
     """sum k_i (x_i^2 - x_i) - sum over links l_ij x_i x_j, as a QuadForm.
 
-    For every rational x, 2 * value(x) equals bilinear(x, x - 2*delta).
+    For every rational x, 2 * value(x) equals bilinear(x, x - 2*delta).  Built
+    once per type and kept on cd, so every call returns the same form.
     """
     return QuadForm(
         n=cd.n,
@@ -132,11 +136,13 @@ def primary_form(cd: CartanData) -> QuadForm:
     )
 
 
+@_kept
 def secondary_form(cd: CartanData) -> QuadForm:
     """The image quadric in h-coordinates, scaled by detA to integer coefficients.
 
     value(h) = detA * (<Ainv h, Ainv h> - <delta, delta>), which vanishes iff
-    <Ainv(1-h), Ainv(1+h)> = 0.  In particular value(1,...,1) = 0.
+    <Ainv(1-h), Ainv(1+h)> = 0.  In particular value(1,...,1) = 0.  Built
+    once per type and kept on cd, so every call returns the same form.
     """
     n = cd.n
     quad = tuple(
@@ -167,7 +173,8 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     """The involution T_i: shift coordinate i (1-based) of x by h(x)_i.
 
     Requires x integral and on the primary quadric; returns x unchanged where h_i = 0.
-    Neither the membership test nor the step computes the whole h.
+    Membership is the kept primary form's ``value``, and the step reads one sparse
+    row of A: neither computes the whole h.
 
     >>> from weylipse.cartan import build_cartan, parse_type
     >>> b2 = build_cartan(parse_type("B2"))
@@ -183,7 +190,7 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
     x = tuple(x)
     if len(x) != cd.n:
         raise DimensionMismatchError(f"expected {cd.n}-vector, got {len(x)}")
-    if not all(map(isinstance, x, repeat(int))) or _twice_primary(x, cd):
+    if not all(map(isinstance, x, repeat(int))) or primary_form(cd).value(x):
         raise NotOnEllipsoidError(f"{x} is not an integral primary solution of {cd.spec}")
     # one step of `cartan._t_walk`, written out (the call cost about 4% of apply_T on E8):
     # x_i becomes 1 - x_i - sum_j A_ij x_j over the sparse row i
@@ -194,18 +201,6 @@ def apply_T(i: int, x, cd: CartanData) -> tuple:
         v -= a * y[j]
     y[i] = v
     return tuple(y)
-
-
-def _twice_primary(x, cd: CartanData) -> int:
-    """Twice the primary value of x, 2 sum_j k_j x_j (x_j - 1) + 2 sum_{edges j<m} gram_jm x_j x_m:
-    the first sum over the nonzero x_j, the second over ``cd.edges``, each diagram edge once."""
-    total = 0
-    for k, xj in zip(cd.k, x):
-        if xj:
-            total += k * xj * (xj - 1)
-    for j, m, g in cd.edges:
-        total += g * x[j] * x[m]
-    return 2 * total
 
 
 def _lex_sort(points: list, n: int) -> None:

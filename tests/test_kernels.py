@@ -4,7 +4,9 @@ The references live in `oracles.py`: pairwise componentwise comparison,
 the cross-multiplied scan over every positive root, the box scan that
 evaluates the primary polynomial at every point, the sphere test over
 fractions, the word search by dense matrix products, index-loop row
-products, membership through `primary_form` and the secondary box scan, the
+products, single-point membership (the kept primary form's generated value,
+which `apply_T`, `expand_orbit` and the seeds pass read) by the sphere
+identity around delta and that of `orbit_size` by the secondary box scan, the
 Hasse diagram by shadows, the subword intervals by a walk over each word and
 the covers by reflections (against the covers walked from the table parent's),
 and the T-walk, the matrix of a word and descent stripping by dense index
@@ -69,7 +71,7 @@ from weylipse.ordering import (
 )
 from weylipse.orbits import OrbitRecord, _dfs_nonneg, _forest_plan, _integral_minimal, _orbit_sizes
 from weylipse.oracles import sphere_identity_holds
-from weylipse.quadrics import _lex_sort, _twice_primary
+from weylipse.quadrics import _lex_sort
 from weylipse.weyl import WeylElement
 
 from oracles import (
@@ -199,9 +201,25 @@ def test_a_wrong_adjugate_or_det_raises(monkeypatch, text, fault):
 
 # --- one sparse step: T-walk, word matrix, descent stripping ---
 
+# every catalog type to rank 8 (B and C put the double bond's short end on
+# opposite sides, G2 has the triple bond, D and E a branch node)
+CATALOG_TO_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 STEP_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "G2xA1", "B2xA1"
 ]
+# every catalog type to rank 8, products, and ranks 30 and 40
+MEMBERSHIP_TYPES = (
+    STEP_TYPES
+    + ["B2xG2", "E8xA1", "A30", "D40"]
+    + [name for name in CATALOG_TO_8 if name not in STEP_TYPES]
+)
+
 
 def random_words(cd, rng, count, longest):
     return [
@@ -496,12 +514,13 @@ def test_orbit_size_membership_matches_secondary_form(text):
 @pytest.mark.parametrize("text", ["A2", "B3", "G2xA1", "F4"])
 def test_expand_orbit_membership_matches_primary_form(text):
     cd = cd_of(text)
-    prim = primary_form(cd)
+    # expand_orbit tests membership by primary_form(cd).value, so the reference
+    # is the sphere identity
     rng = random.Random(14)
     on = 0
     for _ in range(200):
         x = tuple(rng.randint(-2, 3) for _ in range(cd.n))
-        if prim.value(x) == 0:
+        if sphere_identity_holds(x, cd):
             on += 1
             assert x in expand_orbit(x, cd)
         else:
@@ -547,23 +566,35 @@ def test_t_step_matches_t_walk_and_h_vector(name):
         assert _t_step(i, x, h_vector(x, cd), cd) == (y, h_vector(y, cd))
 
 
-@pytest.mark.parametrize("name", STEP_TYPES + ["B2xG2", "E8xA1", "A30", "D40"])
+@pytest.mark.parametrize("name", MEMBERSHIP_TYPES)
 def test_twice_primary_matches_primary_form(name):
-    # squares over the nonzero coordinates and cross terms over each edge of the
-    # diagram once, against the form's sum over the whole upper triangle of gram
+    # the kept primary form's generated value, the one single-point membership
+    # test, against the sphere identity around delta, which shares no code with
+    # it: twice the value is <x, x - 2 delta>, so 8 value(x) is
+    # <2x - 2 delta, 2x - 2 delta> - <2 delta, 2 delta>
     cd = cd_of(name)
-    n = cd.n
-    assert [(j, m) for j, m, _ in cd.edges] == [
-        (j, m) for j in range(n) for m in range(j + 1, n) if cd.gram[j][m]
-    ]
-    form = primary_form(cd)
+    n, rows = cd.n, cd.sparse[0]
+    value = primary_form(cd).value
+    norm = bilinear(cd.two_delta, cd.two_delta, cd)
     rng = random.Random(21)
-    for bound in (1, 5, 10**6):
-        for _ in range(40):
-            x = tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(n))
-            assert _twice_primary(x, cd) == 2 * form.value(x)
-        x = tuple(rng.randint(-bound, bound) or 1 for _ in range(n))
-        assert _twice_primary(x, cd) == 2 * form.value(x)
+    on = [_t_walk(word, (0,) * n, rows) for word in random_words(cd, rng, 40, 60)]
+    near = []  # each with one coordinate moved by one
+    for x in on:
+        j = rng.randrange(n)
+        near.append(x[:j] + (x[j] + rng.choice((-1, 1)),) + x[j + 1 :])
+    boxes = [
+        tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(n))
+        for bound in (1, 5, 10**6)
+        for _ in range(40)
+    ]
+    seen = set()
+    for x in on + near + boxes:
+        centered = tuple(2 * v - t for v, t in zip(x, cd.two_delta))
+        assert 8 * value(x) == bilinear(centered, centered, cd) - norm, x
+        assert (value(x) == 0) == sphere_identity_holds(x, cd), x
+        seen.add(value(x) == 0)
+    assert all(sphere_identity_holds(x, cd) for x in on)
+    assert seen == {True, False}
 
 
 # --- census search: factor by factor, tightest axes first, the last two
@@ -657,16 +688,7 @@ def test_census_search_matches_lexicographic_dfs_on_random_blocks(
 
 # --- minimal vectors along the Dynkin forest ---
 
-# every catalog type to rank 8 (B and C put the double bond's short end on
-# opposite sides, G2 has the triple bond, D and E a branch node), products,
-# and rank 12
-CATALOG_TO_8 = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(3, 9)]
-    + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
+# every catalog type to rank 8, products, and rank 12
 FOREST_TYPES = CATALOG_TO_8 + CENSUS_PRODUCTS + CENSUS_INTERLEAVED + ["A12", "C12", "D12"]
 
 
@@ -889,7 +911,8 @@ def test_generated_walk_source_is_linear_in_rank_and_edges(text):
     lines = _ascent_source(cd)
     # a node holds its descent test and its step, an edge its neighbour test and
     # step: each of those is a dozen lines or so
-    assert len(lines) <= 16 * (cd.n + len(cd.edges))
+    edges = sum(map(len, cd.sparse[0])) // 2  # each edge is in two sparse rows
+    assert len(lines) <= 16 * (cd.n + edges)
     # the popped h is unpacked once; no other line names every coordinate
     (unpack,) = [line for line in lines if len(line) > 80]
     assert unpack == "    " + ", ".join(f"h{i}" for i in range(cd.n)) + ", = h"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -18,12 +20,11 @@ from weylipse import (
     orbit_size,
     parse_type,
     positive_roots,
-    primary_form,
     secondary_form,
     weyl_order,
 )
 from weylipse.cartan import ascend
-from weylipse.oracles import orbit_by_closure
+from weylipse.oracles import orbit_by_closure, sphere_identity_holds
 
 from oracles import (
     e8_dominant_count_euclid,
@@ -128,20 +129,23 @@ def test_seeds_refuse_a_minimal_vector_off_the_primary_quadric(monkeypatch):
 
         return minimal
 
+    # a solve already kept on cd, as an earlier pass leaves it, must not hide the patch
+    cd = cd_of("B3")
+    orbit_seeds(cd)
+    assert "_integral_minimal" in vars(cd)
     monkeypatch.setattr(orbits, "_integral_minimal", shifted)
     with pytest.raises(InvariantError, match=r"\(2, 0, 0\) of h = \(1, 1, 1\) is off the primary"):
-        orbit_seeds(cd_of("B3"))
+        orbit_seeds(cd)
 
 
 @pytest.mark.parametrize("text", SMALL + RANK4 + ["E6xA3"])
 def test_seed_invariants(text):
     cd = cd_of(text)
-    form = primary_form(cd)
     order = weyl_order(cd)
     seeds = orbit_seeds(cd)
     assert sum(1 for r in seeds if r.h == (1,) * cd.n) == 1
     for rec in seeds:
-        assert form.value(rec.minimal) == 0
+        assert sphere_identity_holds(rec.minimal, cd)
         assert h_vector(rec.minimal, cd) == rec.h
         assert order % rec.size == 0
         assert rec.size == orbit_size(rec.h, cd)
@@ -175,7 +179,7 @@ def test_seeds_build_per_type_work_once(monkeypatch):
     zero_sets = {frozenset(i for i, v in enumerate(r.h) if v == 0) for r in seeds}
     assert len(seeds) > len(zero_sets)
     # |W_h| is a product over the connected components of the zero set in the
-    # diagram, and each component's order is computed once per pass
+    # diagram, and each component's order is computed once per type
     parts = set()
     for zeros in zero_sets:
         left = set(zeros)
@@ -190,6 +194,55 @@ def test_seeds_build_per_type_work_once(monkeypatch):
             parts.add(frozenset(part))
     assert calls["parabolic_order"] == len(parts) < len(zero_sets)
     assert calls["secondary_form"] <= 2 and len(forms) <= 2
+    # a second pass on the same type reads the kept kernels: no form, no order
+    orders, built = calls["parabolic_order"], len(forms)
+    assert orbit_seeds(cd) == seeds
+    assert (calls["parabolic_order"], len(forms)) == (orders, built)
+
+
+# --- per-type kernels, kept on CartanData: compiled once, results fresh on every call ---
+
+# each entry point on a fresh type, and what its first call compiles, in order:
+# the forms' value, the x_h solve and the ascent walk (|W| reads the root closure)
+SECOND_CALLS = {
+    "enumerate_secondary_nonneg": (enumerate_secondary_nonneg, ["value"]),
+    "orbit_seeds": (orbit_seeds, ["value", "ascent", "minimal", "value"]),
+    "orbit_size": (lambda cd: orbit_size((1,) * cd.n, cd), ["value", "ascent"]),
+    "expand_orbit": (lambda cd: expand_orbit((0,) * cd.n, cd), ["value", "ascent"]),
+    "apply_T": (lambda cd: [apply_T(i, (0,) * cd.n, cd) for i in range(1, cd.n + 1)], ["value"]),
+}
+KEPT = {"primary_form", "secondary_form", "_integral_minimal", "_orbit_sizes", "ascent"}
+
+
+@pytest.mark.parametrize("name", SECOND_CALLS)
+def test_a_second_call_compiles_nothing_and_returns_a_fresh_result(name, compiled):
+    call, first_compiles = SECOND_CALLS[name]
+    cd = cd_of("G2xA1")
+    first = call(cd)
+    assert compiled == first_compiles
+    second = call(cd)
+    assert compiled == first_compiles
+    assert second == first
+    if isinstance(first, list):
+        # kernels are kept, results are not: each call builds a new list
+        assert second is not first
+        expected = list(first)
+        first.clear()
+        second.append(None)
+        assert call(cd) == expected
+    assert compiled == first_compiles
+
+
+def test_copies_and_new_builds_of_a_type_start_cold_and_agree():
+    cd = cd_of("B3")
+    results = [call(cd) for call, _ in SECOND_CALLS.values()]
+    assert KEPT <= set(vars(cd))
+    pickles = [pickle.loads(pickle.dumps(cd, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*pickles, copy.copy(cd), copy.deepcopy(cd), cd_of("B3")]:
+        assert twin == cd and vars(twin) == {}
+        assert [call(twin) for call, _ in SECOND_CALLS.values()] == results
+        assert KEPT <= set(vars(twin))
+        assert all(vars(twin)[name] is not vars(cd)[name] for name in KEPT)
 
 
 def test_verify_runs_the_census_once(monkeypatch):

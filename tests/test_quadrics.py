@@ -196,11 +196,11 @@ def test_apply_T_involution_walk(data):
     "text", ["A1", "A2", "B3", "C3", "D5", "G2", "G2xA1", "F4", "E6", "E8", "E6xA2"]
 )
 def test_apply_T_membership_matches_primary_form(text):
-    # apply_T decides membership by sums over the nonzero coordinates and over
-    # the diagram's edges; it must agree with the form on points of a random
-    # T-walk, on their unit neighbours and on box points, and step by h_i
+    # apply_T decides membership by the kept primary form's value; it must agree
+    # with the sphere identity around delta, which shares no code with it, on
+    # points of a random T-walk, on their unit neighbours and on box points,
+    # and step by h_i
     cd = cd_of(text)
-    form = primary_form(cd)
     rng = random.Random(7)
     x, seen = (0,) * cd.n, set()
     for _ in range(150):
@@ -209,7 +209,7 @@ def test_apply_T_membership_matches_primary_form(text):
         box = tuple(rng.randint(-1, t + 1) for t in cd.two_delta)
         for p in (x, near, box):
             i = rng.randint(1, cd.n)
-            on = form.value(p) == 0
+            on = sphere_identity_holds(p, cd)
             seen.add(on)
             if on:
                 assert apply_T(i, p, cd) == p[: i - 1] + (p[i - 1] + h_vector(p, cd)[i - 1],) + p[i:]
@@ -251,3 +251,25 @@ def test_apply_T_refusals_keep_class_and_message(text):
         y = apply_T(i, list(x), cd)
         assert type(y) is tuple
         assert y == x[: i - 1] + (x[i - 1] + h[i - 1],) + x[i:]
+
+
+# --- the two forms, built once per type and kept on its CartanData ---
+
+
+def test_forms_are_kept_per_type_and_compile_once(compiled):
+    cd = cd_of("E6")
+    prim, sec = primary_form(cd), secondary_form(cd)
+    assert prim is primary_form(cd) and sec is secondary_form(cd)
+    assert vars(cd)["primary_form"] is prim and vars(cd)["secondary_form"] is sec
+    assert (prim.value((0,) * 6), sec.value((1,) * 6)) == (0, 0)
+    assert compiled == ["value", "value"]
+    x = (0,) * 6
+    for i in (1, 2, 3, 1, 2, 3):
+        x = apply_T(i, x, cd)
+    assert prim.value(x) == 0 and compiled == ["value", "value"]
+    # another build of the type shares nothing, and its forms compile afresh
+    other = cd_of("E6")
+    assert vars(other) == {}
+    assert primary_form(other) == prim and primary_form(other) is not prim
+    assert apply_T(1, (0,) * 6, other) == apply_T(1, (0,) * 6, cd)
+    assert compiled == ["value", "value", "value"]
