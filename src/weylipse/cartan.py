@@ -359,9 +359,8 @@ class CartanData(namedtuple("CartanData", "spec n A k links gram adjA detA two_d
     layers, each built on its first call through `_kept`: the two forms
     (`quadrics.primary_form` and `quadrics.secondary_form`, each with its
     generated ``value``), the generated x_h solve of `orbits._integral_minimal`
-    and the orbit sizes of `orbits._orbit_sizes` with their dicts of component
-    orders and zero-set sizes.  A pickle or copy carries the fields alone, so
-    it starts cold.
+    and the orbit sizes of `orbits._orbit_sizes` with their dict of zero-set
+    sizes.  A pickle or copy carries the fields alone, so it starts cold.
     """
 
     def __str__(self) -> str:

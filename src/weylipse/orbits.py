@@ -43,10 +43,9 @@ tree, not one per coordinate; the solve is generated once per type, as
 straight-line code that returns None at the first remainder.  Each integral
 x_h is then checked on the primary quadric by the kept primary form's
 ``value``, which reads the point alone, not the h it was solved from.  |W_h|
-is the product of the orders of the connected components of the zero set of
-h, each component's order computed once per type, and is checked to divide
-|W| once per distinct zero set.  `expand_orbit` knows that size before it
-lists the orbit by the canonical ascent walk from its minimum.
+is read from the root heights by `parabolic_order` and checked to divide |W|,
+once per distinct zero set of the type.  `expand_orbit` knows that size
+before it lists the orbit by the canonical ascent walk from its minimum.
 """
 
 from __future__ import annotations
@@ -314,36 +313,19 @@ def _integral_minimal(cd: CartanData):
 def _orbit_sizes(cd: CartanData):
     """h -> |W| / |W_h| for checked solutions h, built once per type and kept on cd.
 
-    |W_h| is the product of |W_J| over the connected components J of the zero
-    set of h in the Dynkin diagram; each component's order and each zero set's
-    size are kept in dicts that live as long as the returned function, so the
-    check that |W_h| divides |W| runs once per distinct zero set of the type.
+    Each zero set's size is kept in a dict that lives as long as the returned
+    function, so |W_h| is computed, and checked to divide |W|, once per
+    distinct zero set of the type.
     """
     order = weyl_order(cd)
-    rows, _ = cd.sparse
     indices = range(cd.n)
     sizes: dict[tuple[int, ...], int] = {}
-    orders: dict[tuple[int, ...], int] = {}
 
     def size_at(h) -> int:
         zeros = tuple(compress(indices, map(not_, h)))
         size = sizes.get(zeros)
         if size is None:
-            stabilizer, left = 1, set(zeros)
-            for i in zeros:
-                if i in left:
-                    left.remove(i)
-                    part = [i]
-                    for c in part:  # grows as the walk reaches the rest of the component
-                        for m, _ in rows[c]:
-                            if m in left:
-                                left.remove(m)
-                                part.append(m)
-                    part = tuple(sorted(part))
-                    part_order = orders.get(part)
-                    if part_order is None:
-                        part_order = orders[part] = parabolic_order(cd, [j + 1 for j in part])
-                    stabilizer *= part_order
+            stabilizer = parabolic_order(cd, [i + 1 for i in zeros])
             if order % stabilizer:
                 raise InvariantError(
                     f"|W_h| = {stabilizer} does not divide |W({cd.spec})| = {order}"

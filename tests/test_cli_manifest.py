@@ -1,10 +1,15 @@
 """The CLI byte-identity manifest: exit code, stdout and stderr per command.
 
-`cli_manifest.txt` holds the rows; the fast ones run here in process, and
+`cli_manifest.txt` holds the rows; the fast ones run here in process, where
+caches and imports are already warm from earlier tests, and
 `scripts/cli_manifest.py` runs any tier as fresh processes, with wall time and
-peak RSS.  One fast row with a stderr line also runs through that script's
-fresh-process harness, so the two paths are pinned to the same digests, and
-the script's --update rewrite is run on a copy of one row.
+peak RSS.  A spread of fast rows also runs here through that script's
+fresh-process harness, so the two paths are pinned to the same digests and a
+command whose bytes depend on what ran before it in the same interpreter
+fails.  Those rows reach verify's FAIL exit (A3, D4), its E8 census row, a
+product type, an `info` row with half-integer delta, a CSV census and a row
+with a stderr line.  The script's --update rewrite is run on a copy of one
+row.
 """
 
 import contextlib
@@ -45,11 +50,27 @@ def test_fast_row_in_process(tier, code, out, err, argv):
     assert (got, sha(stdout.getvalue()), sha(stderr.getvalue())) == (code, out, err)
 
 
-def test_fresh_process_matches_its_row():
-    (row,) = [r for r in FAST if r[4] == ["orbits", "G2", "--expand", "--cap", "1"]]
-    _, code, out, err, argv = row
-    assert err != sha("")
-    assert cli_manifest.run_fresh(argv, timeout=60)[:3] == (code, out, err)
+# argv of the rows run as fresh processes, and whether each writes to stderr
+FRESH = {
+    "verify A3": False,
+    "verify D4": False,
+    "verify D5": False,
+    "verify E6": False,
+    "verify E8": False,
+    "verify F4": False,
+    "verify G2xA1": False,
+    "orbits D9 --csv": False,
+    "info F4": False,
+    "orbits G2 --expand --cap 1": True,
+}
+ROW_OF = {" ".join(argv): (code, out, err) for _, code, out, err, argv in FAST}
+
+
+@pytest.mark.parametrize("argv, stderr", FRESH.items(), ids=list(FRESH))
+def test_fresh_process_matches_its_row(argv, stderr):
+    code, out, err = ROW_OF[argv]
+    assert (err != sha("")) == stderr
+    assert cli_manifest.run_fresh(argv.split(), timeout=60)[:3] == (code, out, err)
 
 
 def test_update_rewrites_only_the_rows_that_changed(tmp_path, monkeypatch, capsys):

@@ -288,3 +288,15 @@ def test_the_walk_kernels_are_defined_once_in_cartan():
         for kernel in kernels:
             assert getattr(module, kernel) is getattr(cartan, kernel), (layer, kernel)
         assert not set(WALK_KERNELS) & set(getattr(module, "__all__", ())), layer
+
+
+def test_the_package_holds_no_assert_statement():
+    # every check is an explicit raise: `python -O` strips assert statements
+    package = os.path.dirname(weylipse.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            found += [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

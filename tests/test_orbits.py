@@ -60,6 +60,25 @@ def test_enumerate_matches_box_scan(text):
     assert [h for h in found if all(v > 0 for v in h)] == [(1,) * cd.n]
 
 
+def test_census_refuses_a_row_off_the_secondary_form(monkeypatch):
+    import weylipse.orbits as orbits
+
+    real = orbits._dfs_nonneg
+    monkeypatch.setattr(orbits, "_dfs_nonneg", lambda g, c: [(0, 0), *real(g, c)])
+    with pytest.raises(InvariantError, match=r"census produced \(0, 0\), which is not a secondary"):
+        enumerate_secondary_nonneg(cd_of("A2"))
+
+
+def test_census_refuses_a_negative_scaled_matrix(monkeypatch):
+    import weylipse.orbits as orbits
+
+    real = secondary_form(cd_of("A2"))
+    bent = real._replace(quad=((real.quad[0][0], -2), (-2, real.quad[1][1])))
+    monkeypatch.setattr(orbits, "secondary_form", lambda cd: bent)
+    with pytest.raises(InvariantError, match="scaled secondary matrix of A2 is not nonnegative"):
+        enumerate_secondary_nonneg(cd_of("A2"))
+
+
 @pytest.mark.parametrize("left,right", [("E8", "A1"), ("G2", "B2")])
 def test_census_of_a_product_is_invariant_under_swapping_factors(left, right):
     # left x right has the coordinates of left first; right x left has them last
@@ -178,21 +197,8 @@ def test_seeds_build_per_type_work_once(monkeypatch):
     seeds = orbit_seeds(cd)
     zero_sets = {frozenset(i for i, v in enumerate(r.h) if v == 0) for r in seeds}
     assert len(seeds) > len(zero_sets)
-    # |W_h| is a product over the connected components of the zero set in the
-    # diagram, and each component's order is computed once per type
-    parts = set()
-    for zeros in zero_sets:
-        left = set(zeros)
-        while left:
-            part = {left.pop()}
-            grown = True
-            while grown:
-                near = {j for j in left if any(cd.A[i][j] for i in part)}
-                left -= near
-                part |= near
-                grown = bool(near)
-            parts.add(frozenset(part))
-    assert calls["parabolic_order"] == len(parts) < len(zero_sets)
+    # |W_h| is read from parabolic_order once per distinct zero set of the type
+    assert calls["parabolic_order"] == len(zero_sets)
     assert calls["secondary_form"] <= 2 and len(forms) <= 2
     # a second pass on the same type reads the kept kernels: no form, no order
     orders, built = calls["parabolic_order"], len(forms)
@@ -267,6 +273,9 @@ def test_orbit_size_error_paths():
         orbit_size((-1, -1), a2)  # solves the equation but is not nonnegative
     with pytest.raises(DimensionMismatchError):
         orbit_size((1,), a2)
+    # (-1,) is no nonnegative solution either: the length is checked first
+    with pytest.raises(DimensionMismatchError, match="expected 2-vector, got 1"):
+        orbit_size((-1,), a2)
 
 
 def test_orbit_size_parabolic_values():
@@ -307,6 +316,10 @@ def test_expand_errors():
         expand_orbit((1, 1), a2)
     with pytest.raises(CapExceededError):
         expand_orbit((0, 0), a2, cap=3)
+    # a cap equal to the orbit size lists the orbit; one less refuses
+    assert len(expand_orbit((0, 0), a2, cap=6)) == 6
+    with pytest.raises(CapExceededError, match="has 6 points, exceeding cap 5"):
+        expand_orbit((0, 0), a2, cap=5)
 
 
 def test_expand_rejects_malformed_coordinates():

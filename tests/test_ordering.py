@@ -135,6 +135,32 @@ def test_reduced_words_t_walk_rejects_wrong_descent(monkeypatch):
         reduced_words(w, a3)
 
 
+def test_reduced_words_refuse_words_of_two_lengths(monkeypatch):
+    a2 = cd_of("A2")
+    w0 = word_to_element([1, 2, 1], a2)
+    start = P_map(w0, a2)
+    origin = (0, 0)
+    t_step = weylipse.ordering._t_step
+
+    def corrupted(i, p, h, cd):
+        # stripping s_2 from w0 lands on the identity at once: the words (1, 2, 1) and (2,)
+        if (i, p) == (1, start):
+            return origin, h_vector(origin, cd)
+        return t_step(i, p, h, cd)
+
+    monkeypatch.setattr(weylipse.ordering, "_t_step", corrupted)
+    with pytest.raises(InvariantError, match="differ in length"):
+        reduced_words(w0, a2)
+
+
+def test_reduced_words_refuse_a_start_off_the_main_orbit(monkeypatch):
+    # the minimal vector of B2xA1's other orbit has no descent and is not the origin
+    cd = cd_of("B2xA1")
+    monkeypatch.setattr(weylipse.ordering, "P_map", lambda elem, cd: (1, 1, -1))
+    with pytest.raises(NotInMainOrbitError, match=r"\(1, 1, -1\) is not a main-orbit vector"):
+        reduced_words(word_to_element([1], cd), cd)
+
+
 @pytest.mark.parametrize("text", ["A2", "B2", "G2", "A3", "B3"])
 def test_reduced_words_match_exhaustive_search(text):
     cd = cd_of(text)
@@ -337,8 +363,8 @@ def test_relation_counts_match_pair_sets(text):
 )
 def test_relation_counts_of_the_three_orders(text, counts):
     """The relation sizes of the componentwise, link-filter and subword orders, then
-    the link filter's missing and extra relations against the subword order: the
-    counts `scripts/bruhat_graphs.py` prints, computed in process."""
+    the link filter's missing and extra relations against the subword order.  No
+    command prints the componentwise relation size; this test is where it is pinned."""
     table = table_of(text)
     comp, filtered, subword = (
         primary_poset(table), bruhat_from_primary(table), bruhat_from_subwords(table)
@@ -394,6 +420,9 @@ def test_down_set_masks_refuse_past_their_byte_cap(monkeypatch):
     subword = bruhat_from_subwords(table)
     covers = {(subword.nodes[a], subword.nodes[b]) for a, b in subword.covers}
     assert covers == bruhat_covers_by_reflections(table.cd)
+    # an estimate equal to the cap passes
+    monkeypatch.setattr(weylipse.ordering, "MASK_BYTE_CAP", 4)
+    assert _mask_budget(8) == 4
 
 
 def test_order_checks_survive_optimized_mode():

@@ -23,13 +23,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_bruhat_graphs_counts():
-    assert run_script("bruhat_graphs.py", "A3", "B3") == (
-        "A3: |W|=24 componentwise=197 link-filter=183 subword=189 agree=False filter-missing=6\n"
-        "B3: |W|=48 componentwise=851 link-filter=758 subword=799 agree=False filter-missing=41\n"
-    )
-
-
 def test_orbit_census_rows():
     lines = run_script("orbit_census.py", "A2", "B3", "G2xA1").splitlines()
     assert lines[0].split() == ["type", "|W|", "raw", "h>=0", "orbits", "time", "sizes"]
